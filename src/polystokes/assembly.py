@@ -15,8 +15,7 @@ DOFs are eliminated by substitution at assembly time.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +33,9 @@ __all__ = ["GlobalDofMap", "GlobalSystem", "Solution", "build_dof_map",
            "condition_number", "export_matrix"]
 
 DENSE_LIMIT = 6000
+# A relative residual above this marks a failed solve: every workload of the
+# benchmark solves to 2e-16..3e-14.
+RESIDUAL_BOUND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,6 @@ class GlobalSystem:
     signs: np.ndarray            # +1 velocity rows, -1 pressure/multiplier
     contexts: list = field(repr=False, default=None)
     cell_blocks: list = field(repr=False, default=None)
-    recovery: list = field(repr=False, default=None)   # condensed runs only
 
     @property
     def n_dofs(self):
@@ -168,21 +169,6 @@ def _boundary_scalar_data(mesh, dof_map, g):
     return constrained, values
 
 
-def _cell_mean_weights(ctx):
-    """Integral over the cell of the L2 projection of each scalar DOF basis."""
-    nk = ctx.slice_hi
-    ints = ctx.quad.weights @ pb.evaluate(ctx.basis, ctx.quad.points)[:, :nk]
-    return ints @ ctx.operators.pizero_k
-
-
-def _n_threads():
-    raw = os.environ.get("VEM_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 class _Scatter:
     """COO triplet accumulator."""
 
@@ -202,8 +188,7 @@ class _Scatter:
             shape=(n, n)).tocsc()
 
 
-def _build_matrix(mesh, dof_map, config, contexts, cell_blocks, weights,
-                  condensed):
+def _build_matrix(mesh, dof_map, config, cell_blocks, condensed):
     """Assemble the global matrix and rhs in the requested form."""
     n_sc = dof_map.n_scalar
     n_sys = dof_map.n_system(condensed)
@@ -211,13 +196,12 @@ def _build_matrix(mesh, dof_map, config, contexts, cell_blocks, weights,
     mult = n_sys - 1
     acc = _Scatter()
     rhs = np.zeros(n_sys)
-    recovery = [] if condensed else None
 
     for c, blocks in enumerate(cell_blocks):
         gd = dof_map.cell_scalar_dofs(mesh, c)
         vel = np.concatenate([gd, gd + n_sc])
         prs = gd + p_off
-        w = weights[c]
+        w = blocks.mean_weights
         acc.add(blocks.A_u, vel, vel)
         acc.add(-blocks.B_u.T, vel, prs)
         acc.add(blocks.B_u, prs, vel)
@@ -225,11 +209,9 @@ def _build_matrix(mesh, dof_map, config, contexts, cell_blocks, weights,
         acc.add(w[None, :], np.array([mult]), prs)
         rhs[vel] += blocks.F_u
         if condensed:
-            ab_inv = np.linalg.inv(blocks.A_b)
-            s = blocks.B_b @ ab_inv
+            s = blocks.B_b @ np.linalg.inv(blocks.A_b)
             acc.add(config.alpha * blocks.C_p + s @ blocks.B_b.T, prs, prs)
             rhs[prs] += -s @ blocks.F_b
-            recovery.append((ab_inv, blocks.B_b, blocks.F_b))
         else:
             bub = dof_map.bubble_dofs(c)
             acc.add(config.alpha * blocks.C_p, prs, prs)
@@ -237,7 +219,7 @@ def _build_matrix(mesh, dof_map, config, contexts, cell_blocks, weights,
             acc.add(-blocks.B_b.T, bub, prs)
             acc.add(blocks.B_b, prs, bub)
             rhs[bub] += blocks.F_b
-    return acc.matrix(n_sys), rhs, recovery
+    return acc.matrix(n_sys), rhs
 
 
 def _reduce(K, rhs, dof_map, condensed, constrained, values):
@@ -255,6 +237,18 @@ def _reduce(K, rhs, dof_map, condensed, constrained, values):
     return K_ff, rhs_f, free, signs[free]
 
 
+def _assembled(system, **changes):
+    """The system with the given fields changed and its reduced matrix, rhs,
+    free set and signs scattered again from its cell blocks."""
+    system = replace(system, **changes)
+    K, rhs = _build_matrix(system.mesh, system.dof_map, system.config,
+                           system.cell_blocks, system.condensed)
+    K_ff, rhs_f, free, signs = _reduce(K, rhs, system.dof_map,
+                                       system.condensed, system.constrained,
+                                       system.boundary_values)
+    return replace(system, matrix=K_ff, rhs=rhs_f, free=free, signs=signs)
+
+
 def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
              quad_degree=None, condensed=False):
     """Assemble the global Stokes system (uncondensed by default).
@@ -266,40 +260,19 @@ def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
     if config is None:
         config = StabilizationConfig()
     dof_map = build_dof_map(mesh, k)
-    n_cells = len(mesh.cells)
-
-    def build_cell(c):
-        verts = mesh.vertices[mesh.cells[c]]
-        ctx = build_element(verts, k, basis_kind=basis_kind,
-                            quad_degree=quad_degree)
-        blocks = build_blocks(ctx, config, f)
-        return ctx, blocks, _cell_mean_weights(ctx)
-
-    n_threads = _n_threads()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            cell_data = list(pool.map(build_cell, range(n_cells)))
-    else:
-        cell_data = [build_cell(c) for c in range(n_cells)]
-    contexts = [d[0] for d in cell_data]
-    cell_blocks = [d[1] for d in cell_data]
-    weights = [d[2] for d in cell_data]
-
-    K, rhs, recovery = _build_matrix(mesh, dof_map, config, contexts,
-                                     cell_blocks, weights, condensed)
+    contexts = [build_element(mesh.vertices[cell], k, basis_kind=basis_kind,
+                              quad_degree=quad_degree) for cell in mesh.cells]
+    cell_blocks = [build_blocks(ctx, config, f) for ctx in contexts]
     if g is None:
         constrained = np.array([], dtype=np.int64)
         values = np.array([])
     else:
         constrained, values = _boundary_scalar_data(mesh, dof_map, g)
-    K_ff, rhs_f, free, signs = _reduce(K, rhs, dof_map, condensed,
-                                       constrained, values)
-    return GlobalSystem(mesh=mesh, k=k, config=config, basis_kind=basis_kind,
-                        condensed=condensed, dof_map=dof_map, matrix=K_ff,
-                        rhs=rhs_f, free=free, constrained=constrained,
-                        boundary_values=values, signs=signs,
-                        contexts=contexts, cell_blocks=cell_blocks,
-                        recovery=recovery)
+    return _assembled(GlobalSystem(
+        mesh=mesh, k=k, config=config, basis_kind=basis_kind,
+        condensed=condensed, dof_map=dof_map, matrix=None, rhs=None,
+        free=None, constrained=constrained, boundary_values=values,
+        signs=None, contexts=contexts, cell_blocks=cell_blocks))
 
 
 def with_alpha(system, alpha):
@@ -308,37 +281,21 @@ def with_alpha(system, alpha):
     Reuses the per-cell blocks (which do not depend on alpha), so a sweep
     over alpha pays for element construction only once.
     """
-    config = replace(system.config, alpha=alpha)
-    dof_map = system.dof_map
-    weights = [_cell_mean_weights(ctx) for ctx in system.contexts]
-    K, rhs, recovery = _build_matrix(system.mesh, dof_map, config,
-                                     system.contexts, system.cell_blocks,
-                                     weights, system.condensed)
-    K_ff, rhs_f, free, signs = _reduce(K, rhs, dof_map, system.condensed,
-                                       system.constrained,
-                                       system.boundary_values)
-    return replace(system, config=config, matrix=K_ff, rhs=rhs_f, free=free,
-                   signs=signs, recovery=recovery)
+    return _assembled(system, config=replace(system.config, alpha=alpha))
 
 
 def condense(system):
-    """Eliminate the bubble DOFs cell by cell, keeping recovery data."""
-    if system.condensed:
-        return system
-    dof_map = system.dof_map
-    weights = [_cell_mean_weights(ctx) for ctx in system.contexts]
-    K, rhs, recovery = _build_matrix(system.mesh, dof_map, system.config,
-                                     system.contexts, system.cell_blocks,
-                                     weights, condensed=True)
-    K_ff, rhs_f, free, signs = _reduce(K, rhs, dof_map, True,
-                                       system.constrained,
-                                       system.boundary_values)
-    return replace(system, condensed=True, matrix=K_ff, rhs=rhs_f, free=free,
-                   signs=signs, recovery=recovery)
+    """Eliminate the bubble DOFs cell by cell; solve recovers them from the
+    cell blocks."""
+    return system if system.condensed else _assembled(system, condensed=True)
 
 
 def solve(system, refine_tol=1e-14, max_refine=5):
-    """Direct sparse solve with iterative refinement, then bubble recovery."""
+    """Direct sparse solve with iterative refinement, then bubble recovery.
+
+    Warns (RuntimeWarning) when the final relative residual is not finite
+    or exceeds RESIDUAL_BOUND.
+    """
     K, b = system.matrix, system.rhs
     lu = spla.splu(K)
     x = lu.solve(b)
@@ -368,6 +325,9 @@ def solve(system, refine_tol=1e-14, max_refine=5):
             break
         prev = dnorm
     res = np.linalg.norm(r) / bnorm
+    if not res <= RESIDUAL_BOUND:
+        warnings.warn(f"relative residual {res:.3e} of the solve exceeds "
+                      f"{RESIDUAL_BOUND:.0e}", RuntimeWarning, stacklevel=2)
 
     dof_map = system.dof_map
     n_sc = dof_map.n_scalar
@@ -384,9 +344,10 @@ def solve(system, refine_tol=1e-14, max_refine=5):
 
     bubbles = np.zeros((dof_map.n_cells, dof_map.n_bubble_cell))
     if system.condensed:
-        for c, (ab_inv, B_b, F_b) in enumerate(system.recovery):
+        for c, blocks in enumerate(system.cell_blocks):
             gd = dof_map.cell_scalar_dofs(system.mesh, c)
-            bubbles[c] = ab_inv @ (F_b + B_b.T @ p[gd])
+            bubbles[c] = np.linalg.inv(blocks.A_b) @ (
+                blocks.F_b + blocks.B_b.T @ p[gd])
     else:
         for c in range(dof_map.n_cells):
             bubbles[c] = full[dof_map.bubble_dofs(c)]

@@ -2,8 +2,7 @@
 
 All subcommands use long-form flags only and write CSV/JSON artifacts;
 identical invocations produce byte-identical outputs (pass --no-timings to
-zero out the wall-time column of convergence tables).  The VEM_THREADS
-environment variable caps per-cell assembly parallelism.
+zero out the wall-time column of convergence tables).
 """
 
 from __future__ import annotations
@@ -61,7 +60,8 @@ def _build_parser():
     slv.add_argument("--k", required=True, type=int)
     slv.add_argument("--alpha", type=float, default=1.0)
     slv.add_argument("--beta-sharp", type=float, default=0.0)
-    slv.add_argument("--basis", choices=sorted(BASIS_KINDS), default="ortho")
+    slv.add_argument("--basis", choices=sorted(BASIS_KINDS),
+                     help="polynomial basis (default: the library's, monomial)")
     slv.add_argument("--seed", type=int, default=0)
     slv.add_argument("--no-condense", action="store_true",
                      help="solve the monolithic system with explicit bubbles")
@@ -77,7 +77,8 @@ def _build_parser():
                       help="comma list or range, e.g. 1,2,3 or 1..4")
     conv.add_argument("--k", required=True, help="comma list of degrees")
     conv.add_argument("--alpha", type=float, default=1.0)
-    conv.add_argument("--basis", choices=sorted(BASIS_KINDS), default="ortho")
+    conv.add_argument("--basis", choices=sorted(BASIS_KINDS),
+                      help="polynomial basis (default: the library's, monomial)")
     conv.add_argument("--seed", type=int, default=0)
     conv.add_argument("--no-timings", action="store_true",
                       help="write 0.0 in the seconds column (determinism)")
@@ -94,6 +95,11 @@ def _build_parser():
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--output", required=True)
     return parser
+
+
+def _basis_kwargs(args):
+    """basis_kind only when --basis was given, so the library default holds."""
+    return {} if args.basis is None else {"basis_kind": BASIS_KINDS[args.basis]}
 
 
 def _case_for(name, k):
@@ -128,9 +134,8 @@ def _cmd_solve(args):
     mesh = geometry.generate_mesh(args.family, args.level, rng_seed=args.seed)
     config = StabilizationConfig(alpha=args.alpha, beta_sharp=args.beta_sharp)
     system = assembly.assemble(mesh, args.k, f=case.forcing, g=case.velocity,
-                               config=config,
-                               basis_kind=BASIS_KINDS[args.basis],
-                               condensed=not args.no_condense)
+                               config=config, condensed=not args.no_condense,
+                               **_basis_kwargs(args))
     if args.dump_matrix:
         assembly.export_matrix(system, args.dump_matrix)
     sol = assembly.solve(system)
@@ -153,9 +158,9 @@ def _cmd_convergence(args):
         for family in families:
             for k in k_list:
                 rows.extend(analysis.run_convergence(
-                    family, levels, k, _case_for(name, k),
-                    basis_kind=BASIS_KINDS[args.basis], alpha=args.alpha,
-                    rng_seed=args.seed, timings=not args.no_timings))
+                    family, levels, k, _case_for(name, k), alpha=args.alpha,
+                    rng_seed=args.seed, timings=not args.no_timings,
+                    **_basis_kwargs(args)))
     analysis.write_csv(args.output, rows, analysis.CONVERGENCE_FIELDS)
     print(f"wrote {args.output}: {len(rows)} rows")
     return 0

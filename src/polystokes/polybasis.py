@@ -23,13 +23,13 @@ from .geometry import polygon_area, polygon_centroid, polygon_diameter, polygon_
 
 __all__ = [
     "PolyBasis",
-    "PolyGramData",
     "IllConditionedBasisError",
     "poly_dim",
     "monomial_exponents",
     "build_basis",
     "evaluate",
     "gradient",
+    "stiffness",
     "laplacian_in_lower_basis",
     "derivative_matrices",
     "harmonic_subspace",
@@ -100,14 +100,6 @@ class PolyBasis:
 
     def basis_to_monomial(self, coeffs):
         return self.change_of_basis @ coeffs
-
-
-@dataclass(frozen=True)
-class PolyGramData:
-    """Quadrature Gram matrices of a basis on its cell."""
-
-    mass: np.ndarray
-    stiffness: np.ndarray
 
 
 def _scaled_monomial_values(exps, centroid, diameter, points):
@@ -227,13 +219,11 @@ def derivative_matrices(basis):
     return (solve_triangular(C, dx @ C), solve_triangular(C, dy @ C))
 
 
-def gram_data(basis, quadrature):
-    V = evaluate(basis, quadrature.points)
-    G = gradient(basis, quadrature.points)
-    w = quadrature.weights
-    mass = V.T @ (w[:, None] * V)
-    stiff = np.einsum("pid,p,pjd->ij", G, w, G)
-    return PolyGramData(mass=mass, stiffness=stiff)
+def stiffness(basis, quad):
+    """Quadrature Gram matrix of the gradients of the basis members."""
+    G = gradient(basis, quad.points) * np.sqrt(quad.weights)[:, None, None]
+    G = G.transpose(0, 2, 1).reshape(-1, G.shape[1])
+    return G.T @ G
 
 
 def harmonic_subspace(basis, k):

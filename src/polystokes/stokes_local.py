@@ -15,7 +15,7 @@ import numpy as np
 from . import polybasis as pb
 
 __all__ = ["StabilizationConfig", "LocalStokesBlocks", "local_a", "local_b",
-           "local_c", "local_rhs", "build_blocks"]
+           "local_c", "local_mean", "local_rhs", "build_blocks"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class LocalStokesBlocks:
     B_u: np.ndarray      # (n_sc, 2 n_sc), pressure rows
     B_b: np.ndarray      # (n_sc, 2 nb)
     C_p: np.ndarray      # (n_sc, n_sc)
+    mean_weights: np.ndarray   # (n_sc,), pressure-mean constraint row
     F_u: np.ndarray = field(default=None)
     F_b: np.ndarray = field(default=None)
 
@@ -81,7 +82,7 @@ def local_b(ctx):
     nk = ctx.slice_hi
     dx, dy = pb.derivative_matrices(ctx.basis.prefix(ctx.k))
     mass_k = ctx.mass[:nk, :nk]
-    r_x, r_y = ctx._boundary_rx, ctx._boundary_ry
+    r_x, r_y = ops.boundary_rx, ops.boundary_ry
 
     pz = ops.pizero_k
     vol_x = pz.T @ (dx.T @ mass_k) @ pz      # (n_p, n_sc)
@@ -112,6 +113,13 @@ def local_c(ctx):
     return ctx.area * (comp.T @ comp)
 
 
+def local_mean(ctx):
+    """Integral over the cell of the L2 projection of each scalar DOF basis."""
+    nk = ctx.slice_hi
+    ints = ctx.quad.weights @ pb.evaluate(ctx.basis, ctx.quad.points)[:, :nk]
+    return ints @ ctx.operators.pizero_k
+
+
 def local_rhs(ctx, f):
     """Load vectors (f, Pi0 v) for the scalar DOF and bubble DOF functions.
 
@@ -139,4 +147,4 @@ def build_blocks(ctx, config=StabilizationConfig(), f=None):
         F_u = np.zeros(A_u.shape[0])
         F_b = np.zeros(A_b.shape[0])
     return LocalStokesBlocks(A_u=A_u, A_b=A_b, B_u=B_u, B_b=B_b, C_p=C_p,
-                             F_u=F_u, F_b=F_b)
+                             mean_weights=local_mean(ctx), F_u=F_u, F_b=F_b)

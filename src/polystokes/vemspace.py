@@ -67,7 +67,9 @@ class LocalOperators:
     (dim P_{k+2}, 2k+1) energy projection of the bubble DOF basis;
     bubble_pizero_k: (dim P_k, 2k+1); dof_matrix: (n_scalar, dim P_k) DOF
     values of the polynomial members; bubble_dof_matrix: (2k+1, dim P_{k+2})
-    bubble-moment values of the degree-(k+2) members.
+    bubble-moment values of the degree-(k+2) members; boundary_rx,
+    boundary_ry: (dim P_k, n_scalar) boundary integrals of each scalar DOF
+    basis function times each degree-k member times n_x, resp. n_y.
     """
 
     pinabla_k: np.ndarray
@@ -76,6 +78,8 @@ class LocalOperators:
     bubble_pizero_k: np.ndarray
     dof_matrix: np.ndarray
     bubble_dof_matrix: np.ndarray
+    boundary_rx: np.ndarray
+    boundary_ry: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,13 +169,6 @@ def _edge_data(verts, layout, k, quad_degree):
     return tuple(edges)
 
 
-def _stiffness(basis, quad):
-    """Quadrature Gram matrix of the gradients of the basis members."""
-    G = pb.gradient(basis, quad.points) * np.sqrt(quad.weights)[:, None, None]
-    G = G.transpose(0, 2, 1).reshape(-1, G.shape[1])
-    return G.T @ G
-
-
 def _build_operators(verts, k, basis, quad, layout, edges, area):
     """Projectors, DOF matrices, mass and stiffness in the cell's basis.
 
@@ -196,7 +193,7 @@ def _build_operators(verts, k, basis, quad, layout, edges, area):
     else:
         A, T = basis.monomial_factor, ortho.change_of_basis
     mass = A.T @ A
-    stiff_o = _stiffness(ortho, quad)
+    stiff_o = pb.stiffness(ortho, quad)
     ortho_k = ortho.prefix(k)
 
     # boundary functionals ------------------------------------------------
@@ -276,8 +273,9 @@ def _build_operators(verts, k, basis, quad, layout, edges, area):
     ops = LocalOperators(pinabla_k=pinabla, pizero_k=pizero,
                          bubble_pinabla=bubble_pinabla,
                          bubble_pizero_k=bubble_pizero,
-                         dof_matrix=D, bubble_dof_matrix=Db)
-    return ops, mass, A.T @ stiff_o @ A, (Ak.T @ r_x, Ak.T @ r_y)
+                         dof_matrix=D, bubble_dof_matrix=Db,
+                         boundary_rx=Ak.T @ r_x, boundary_ry=Ak.T @ r_y)
+    return ops, mass, A.T @ stiff_o @ A
 
 
 def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
@@ -290,16 +288,12 @@ def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
     layout = build_layout(verts, k)
     edges = _edge_data(verts, layout, k, 2 * k + 3)
     area = float(polygon_area(verts))
-    ops, mass, stiff, (r_x, r_y) = _build_operators(verts, k, basis, quad,
-                                                    layout, edges, area)
-    ctx = ElementContext(verts=verts, k=k, basis=basis, quad=quad,
-                         layout=layout, area=area, mass=mass,
-                         stiffness=stiff, edges=edges, operators=ops,
-                         slice_lo=pb.poly_dim(k - 2), slice_hi=pb.poly_dim(k))
-    # stashed for the divergence form; not part of the public dataclass fields
-    object.__setattr__(ctx, "_boundary_rx", r_x)
-    object.__setattr__(ctx, "_boundary_ry", r_y)
-    return ctx
+    ops, mass, stiff = _build_operators(verts, k, basis, quad, layout, edges,
+                                        area)
+    return ElementContext(verts=verts, k=k, basis=basis, quad=quad,
+                          layout=layout, area=area, mass=mass,
+                          stiffness=stiff, edges=edges, operators=ops,
+                          slice_lo=pb.poly_dim(k - 2), slice_hi=pb.poly_dim(k))
 
 
 def interpolate_scalar(ctx, f):

@@ -1,5 +1,7 @@
 """Global system: DOF counts, solves, condensation, conditioning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -160,14 +162,40 @@ def test_condition_number_pinned_regression():
     assert got == pytest.approx(1546.2241757, rel=1e-6)
 
 
+def _assert_identical(a, b):
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a.matrix, name), getattr(b.matrix, name))
+    for name in ("rhs", "free", "signs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_with_alpha_matches_fresh_assembly():
+    # with_alpha, condense and assemble share one scatter, so the rebuilt
+    # systems equal fresh assemblies bit for bit
     mesh = geo.generate_mesh("hexagonal", 1)
-    base = asm.assemble(mesh, 1, g=_zero_g, condensed=True,
-                        config=StabilizationConfig(alpha=1.0))
-    swapped = asm.with_alpha(base, 1e-3)
-    fresh = asm.assemble(mesh, 1, g=_zero_g, condensed=True,
-                         config=StabilizationConfig(alpha=1e-3))
-    assert np.abs((swapped.matrix - fresh.matrix)).max() < 1e-14
+    case = an.get_case("test1")
+    for k, beta_sharp, data in ((1, 0.0, dict(g=_zero_g)),
+                                (2, 1.0, dict(f=case.forcing,
+                                              g=case.velocity))):
+        def build(alpha, condensed):
+            config = StabilizationConfig(alpha=alpha, beta_sharp=beta_sharp)
+            return asm.assemble(mesh, k, config=config, condensed=condensed,
+                                **data)
+
+        base = build(1.0, True)
+        _assert_identical(asm.with_alpha(base, 1e-3), build(1e-3, True))
+        _assert_identical(asm.condense(build(1.0, False)), base)
+        _assert_identical(asm.with_alpha(build(1.0, False), 1e-3),
+                          build(1e-3, False))
+
+
+def test_solve_warns_on_bad_residual():
+    mesh = geo.generate_mesh("hexagonal", 1)
+    system = asm.assemble(mesh, 1, g=_zero_g, condensed=True)
+    rhs = system.rhs.copy()
+    rhs[0] = np.nan
+    with pytest.warns(RuntimeWarning, match="residual"):
+        asm.solve(replace(system, rhs=rhs))
 
 
 def test_export_matrix(tmp_path):
@@ -179,14 +207,3 @@ def test_export_matrix(tmp_path):
     back = scipy.io.mmread(path)
     assert np.abs((back.tocsc() - system.matrix)).max() == 0.0
 
-
-def test_threaded_assembly_matches_serial(monkeypatch):
-    mesh = geo.generate_mesh("voronoi", 1)
-    case = an.get_case("test1")
-    serial = asm.assemble(mesh, 1, f=case.forcing, g=case.velocity,
-                          condensed=True)
-    monkeypatch.setenv("VEM_THREADS", "4")
-    threaded = asm.assemble(mesh, 1, f=case.forcing, g=case.velocity,
-                            condensed=True)
-    assert (serial.matrix != threaded.matrix).nnz == 0
-    assert np.array_equal(serial.rhs, threaded.rhs)
