@@ -36,6 +36,10 @@ DENSE_LIMIT = 6000
 # A relative residual above this marks a failed solve: every workload of the
 # benchmark solves to 2e-16..3e-14.
 RESIDUAL_BOUND = 1e-10
+# Iterative refinement stops after MAX_REFINE steps, or once a correction
+# is below REFINE_TOL relative to the solution.
+REFINE_TOL = 1e-14
+MAX_REFINE = 5
 
 
 @dataclass(frozen=True)
@@ -290,7 +294,7 @@ def condense(system):
     return system if system.condensed else _assembled(system, condensed=True)
 
 
-def solve(system, refine_tol=1e-14, max_refine=5):
+def solve(system):
     """Direct sparse solve with iterative refinement, then bubble recovery.
 
     Warns (RuntimeWarning) when the final relative residual is not finite
@@ -314,14 +318,14 @@ def solve(system, refine_tol=1e-14, max_refine=5):
     r = residual(x)
     xnorm = float(np.linalg.norm(x)) or 1.0
     prev = np.inf
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         d = lu.solve(r)
         dnorm = np.linalg.norm(d)
         if not np.isfinite(dnorm) or dnorm >= prev:
             break
         x = x + d
         r = residual(x)
-        if dnorm <= refine_tol * xnorm:
+        if dnorm <= REFINE_TOL * xnorm:
             break
         prev = dnorm
     res = np.linalg.norm(r) / bnorm

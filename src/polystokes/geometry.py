@@ -27,6 +27,7 @@ __all__ = [
     "polygon_centroid",
     "polygon_diameter",
     "triangle_rule",
+    "gauss_legendre_rule",
     "gauss_lobatto_points",
 ]
 
@@ -452,18 +453,6 @@ class GeometryReport:
         return not (self.star_violations.any() or self.distance_violations.any())
 
 
-def _point_in_polygon(points, verts):
-    """Winding test for several points against one polygon (CCW)."""
-    inside = np.ones(len(points), dtype=bool)
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        cross = ((b[0] - a[0]) * (points[:, 1] - a[1])
-                 - (b[1] - a[1]) * (points[:, 0] - a[0]))
-        inside &= cross > 0
-    return inside
-
-
 def _distance_to_boundary(points, verts):
     n = len(verts)
     dmin = np.full(len(points), np.inf)
@@ -477,25 +466,31 @@ def _distance_to_boundary(points, verts):
     return dmin
 
 
-def _star_ratio(verts, samples=32):
+def _fan_jacobians(verts, centers):
+    """Twice the signed area of each fan triangle (c, v_i, v_{i+1}), for
+    every center c: shape (n_centers, n_vertices)."""
+    a = verts[None, :, :] - centers[:, None, :]
+    b = np.roll(verts, -1, axis=0)[None, :, :] - centers[:, None, :]
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _kernel_samples(verts):
+    """A 32 x 32 grid over the bounding box, plus the centroid."""
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    gx = np.linspace(lo[0], hi[0], 32)
+    gy = np.linspace(lo[1], hi[1], 32)
+    pts = np.column_stack([np.repeat(gx, 32), np.tile(gy, 32)])
+    return np.vstack([pts, polygon_centroid(verts)[None, :]])
+
+
+def _star_ratio(verts):
     """Largest inscribed-ball diameter over diameter, ball center in the kernel.
 
-    Kernel membership is sampled on a samples x samples grid over the
-    bounding box; a center must see every edge from its inner side.
+    Kernel membership is sampled on _kernel_samples; a center must see
+    every edge from its inner side.
     """
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
-    gx = np.linspace(lo[0], hi[0], samples)
-    gy = np.linspace(lo[1], hi[1], samples)
-    pts = np.column_stack([np.repeat(gx, samples), np.tile(gy, samples)])
-    pts = np.vstack([pts, polygon_centroid(verts)[None, :]])
-
-    kernel = np.ones(len(pts), dtype=bool)
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        cross = ((b[0] - a[0]) * (pts[:, 1] - a[1])
-                 - (b[1] - a[1]) * (pts[:, 0] - a[0]))
-        kernel &= cross >= 0
+    pts = _kernel_samples(verts)
+    kernel = (_fan_jacobians(verts, pts) >= 0).all(axis=1)
     if not kernel.any():
         return 0.0
     radii = _distance_to_boundary(pts[kernel], verts)
@@ -567,42 +562,59 @@ def triangle_rule(degree):
 
 
 def polygon_quadrature(verts, exactness_degree):
-    """Quadrature over a polygon by fanning triangles from its centroid."""
+    """Quadrature over a polygon by fanning triangles from a kernel point.
+
+    The fan center is the centroid when every fan triangle has positive
+    area there; otherwise the point of _kernel_samples whose smallest fan
+    triangle is largest.  Raises ValueError when no sample lies strictly
+    inside the kernel.
+    """
     verts = np.asarray(verts, dtype=float)
     if exactness_degree < 0:
         raise ValueError("exactness_degree must be >= 0")
     ref_pts, ref_w = triangle_rule(exactness_degree)
     c = polygon_centroid(verts)
-    pts = []
-    wts = []
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        jac = (a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0])
-        if jac <= 0:
-            raise ValueError(
-                "polygon is not star-shaped from its centroid; "
-                f"fan triangle {i} has non-positive area")
-        pts.append(c + ref_pts[:, 0:1] * (a - c) + ref_pts[:, 1:2] * (b - c))
-        wts.append(ref_w * jac)
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), exactness_degree)
+    jac = _fan_jacobians(verts, c[None, :])[0]
+    if jac.min() <= 0:
+        centers = _kernel_samples(verts)
+        jacs = _fan_jacobians(verts, centers)
+        best = np.argmax(jacs.min(axis=1))
+        if jacs[best].min() <= 0:
+            raise ValueError("polygon is not star-shaped: no sampled point "
+                             "lies strictly inside its kernel")
+        c, jac = centers[best], jacs[best]
+    a = verts - c
+    b = np.roll(verts, -1, axis=0) - c
+    pts = (c + ref_pts[None, :, 0:1] * a[:, None, :]
+           + ref_pts[None, :, 1:2] * b[:, None, :])
+    return QuadratureRule(pts.reshape(-1, 2), (jac[:, None] * ref_w).ravel(),
+                          exactness_degree)
 
 
 _LEGENDRE_RULES = {}
 
 
-def edge_quadrature(p0, p1, exactness_degree):
-    """Gauss-Legendre rule along the segment p0 -> p1."""
+def gauss_legendre_rule(exactness_degree):
+    """Gauss-Legendre points and weights on [-1, 1], exact to the degree."""
     n = max(1, (exactness_degree + 2) // 2)
     if n not in _LEGENDRE_RULES:
         _LEGENDRE_RULES[n] = np.polynomial.legendre.leggauss(n)
-    x, w = _LEGENDRE_RULES[n]
+    return _LEGENDRE_RULES[n]
+
+
+def edge_quadrature(p0, p1, exactness_degree):
+    """Gauss-Legendre rule along the segments p0 -> p1.
+
+    p0 and p1 of shape (..., 2) give points (..., nq, 2) and weights
+    (..., nq); a single segment gives (nq, 2) and (nq,).
+    """
+    x, w = gauss_legendre_rule(exactness_degree)
     p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
+    d = np.asarray(p1, dtype=float) - p0
     t = 0.5 * (x + 1.0)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    length = float(np.linalg.norm(p1 - p0))
-    return QuadratureRule(pts, 0.5 * w * length, exactness_degree)
+    pts = p0[..., None, :] + t[:, None] * d[..., None, :]
+    length = np.linalg.norm(d, axis=-1)
+    return QuadratureRule(pts, 0.5 * w * length[..., None], exactness_degree)
 
 
 _LOBATTO_CACHE = {}

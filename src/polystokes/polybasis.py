@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .geometry import polygon_area, polygon_centroid, polygon_diameter, polygon_quadrature
+from .geometry import polygon_centroid, polygon_diameter
 
 __all__ = [
     "PolyBasis",
@@ -60,7 +60,7 @@ class PolyBasis:
     scaled monomials (identity for kind 'scaled_monomial').  monomial_factor
     is the upper-triangular R, with positive diagonal, of the Householder QR
     of the weighted scaled monomials at the quadrature the basis was built
-    on, so R^T R is their mass matrix; None when no quadrature was given.
+    on, so R^T R is their mass matrix.
     """
 
     kind: str
@@ -68,7 +68,7 @@ class PolyBasis:
     centroid: np.ndarray
     diameter: float
     change_of_basis: np.ndarray
-    monomial_factor: np.ndarray | None = None
+    monomial_factor: np.ndarray
 
     @property
     def dimension(self):
@@ -77,19 +77,16 @@ class PolyBasis:
     def prefix(self, j):
         """The sub-basis of degree j <= degree (nesting is exact)."""
         n = poly_dim(j)
-        R = self.monomial_factor
         return PolyBasis(self.kind, j, self.centroid, self.diameter,
                          self.change_of_basis[:n, :n].copy(),
-                         None if R is None else R[:n, :n].copy())
+                         self.monomial_factor[:n, :n].copy())
 
     def orthonormal(self):
         """The basis R^-1 on the same cell: its members are orthonormal in
         the quadrature inner product that monomial_factor was built on."""
-        R = self.monomial_factor
-        if R is None:
-            raise ValueError("basis was built without a quadrature")
         if self.kind == "l2_orthonormal":
             return self
+        R = self.monomial_factor
         C = solve_triangular(R, np.eye(len(R)))
         return PolyBasis("l2_orthonormal", self.degree, self.centroid,
                          self.diameter, C, R)
@@ -163,12 +160,11 @@ def _monomial_factor(k, centroid, diameter, quadrature):
     return np.copysign(1.0, np.diag(R))[:, None] * R
 
 
-def build_basis(verts, k, kind="scaled_monomial", quadrature=None):
+def build_basis(verts, k, kind="scaled_monomial", *, quadrature):
     """Build the degree-k basis on a polygonal cell.
 
-    With a quadrature the basis carries the QR factor R of its scaled
-    monomials there (see PolyBasis); kind 'l2_orthonormal' needs it and
-    builds a degree-(2k+2) rule when none is given.  Its change of basis is
+    The basis carries the QR factor R of its scaled monomials at the
+    quadrature (see PolyBasis).  Kind 'l2_orthonormal' has change of basis
     R^-1, so its members are orthonormal in the quadrature inner product.
     Raises IllConditionedBasisError when R is numerically singular.
     """
@@ -177,13 +173,9 @@ def build_basis(verts, k, kind="scaled_monomial", quadrature=None):
     verts = np.asarray(verts, dtype=float)
     centroid = polygon_centroid(verts)
     diameter = polygon_diameter(verts)
-    n = poly_dim(k)
-    if kind == "scaled_monomial" and quadrature is None:
-        return PolyBasis(kind, k, centroid, diameter, np.eye(n))
-    if quadrature is None:
-        quadrature = polygon_quadrature(verts, 2 * k + 2)
     R = _monomial_factor(k, centroid, diameter, quadrature)
-    basis = PolyBasis("scaled_monomial", k, centroid, diameter, np.eye(n), R)
+    basis = PolyBasis("scaled_monomial", k, centroid, diameter,
+                      np.eye(poly_dim(k)), R)
     return basis if kind == "scaled_monomial" else basis.orthonormal()
 
 

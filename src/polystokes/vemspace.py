@@ -14,6 +14,7 @@ and degree-(k-2) bases).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from scipy.linalg import solve_triangular
 from . import polybasis as pb
 from .geometry import (
     edge_quadrature,
+    gauss_legendre_rule,
     gauss_lobatto_points,
     polygon_area,
     polygon_quadrature,
@@ -40,14 +42,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LocalDofLayout:
-    """Counts and descriptors of the local scalar / bubble DOF sets."""
+    """Counts of the local scalar / bubble DOF sets."""
 
     k: int
     n_vertex: int
     n_edge: int                 # total edge-interior DOFs, (k-1) per edge
     n_moment: int               # dim P_{k-2}
     n_bubble: int               # per scalar component, 2k+1
-    descriptors: tuple          # (kind, entity index, sub index) per scalar DOF
 
     @property
     def n_scalar(self):
@@ -83,19 +84,6 @@ class LocalOperators:
 
 
 @dataclass(frozen=True)
-class EdgeData:
-    p0: np.ndarray
-    p1: np.ndarray
-    normal: np.ndarray
-    length: float
-    qpoints: np.ndarray
-    qweights: np.ndarray
-    trace_dofs: np.ndarray      # local scalar DOF ids of the k+1 trace nodes
-    lagrange: np.ndarray        # (n_qpoints, k+1) trace shape values
-    node_points: np.ndarray     # trace node coordinates along the edge
-
-
-@dataclass(frozen=True)
 class ElementContext:
     """Everything local solvers need about one cell."""
 
@@ -107,20 +95,24 @@ class ElementContext:
     area: float
     mass: np.ndarray             # (dim P_{k+2})^2 Gram matrices
     stiffness: np.ndarray
-    edges: tuple
+    edge_nodes: np.ndarray       # (n_edges, k-1, 2) interior trace nodes
     operators: LocalOperators
     slice_lo: int
     slice_hi: int
 
 
-def _lagrange_matrix(nodes, ts):
-    """Values of the Lagrange basis on nodes at parameters ts."""
-    n = len(nodes)
-    out = np.ones((len(ts), n))
-    for j in range(n):
-        for m in range(n):
+@functools.cache
+def _lagrange_matrix(k):
+    """Values of the Lagrange basis on the k+1 Gauss-Lobatto nodes of [-1, 1]
+    at the reference points of the degree-(2k+3) edge rule, (n_qpoints, k+1)."""
+    nodes = gauss_lobatto_points(k + 1)
+    ts = gauss_legendre_rule(2 * k + 3)[0]
+    out = np.ones((len(ts), k + 1))
+    for j in range(k + 1):
+        for m in range(k + 1):
             if m != j:
                 out[:, j] *= (ts - nodes[m]) / (nodes[j] - nodes[m])
+    out.flags.writeable = False         # shared by every caller
     return out
 
 
@@ -128,48 +120,36 @@ def build_layout(verts, k):
     if k < 1:
         raise ValueError("degree must be >= 1")
     nv = len(verts)
-    n_moment = pb.poly_dim(k - 2)
-    descriptors = []
-    for v in range(nv):
-        descriptors.append(("vertex", v, 0))
-    for e in range(nv):
-        for j in range(k - 1):
-            descriptors.append(("edge", e, j))
-    for m in range(n_moment):
-        descriptors.append(("moment", 0, m))
     return LocalDofLayout(k=k, n_vertex=nv, n_edge=nv * (k - 1),
-                          n_moment=n_moment, n_bubble=2 * k + 1,
-                          descriptors=tuple(descriptors))
+                          n_moment=pb.poly_dim(k - 2), n_bubble=2 * k + 1)
 
 
-def _edge_data(verts, layout, k, quad_degree):
-    nv = layout.n_vertex
-    gl = gauss_lobatto_points(k + 1)
-    nodes = gl  # includes endpoints -1, 1
-    edges = []
-    for e in range(nv):
-        p0, p1 = verts[e], verts[(e + 1) % nv]
-        d = p1 - p0
-        length = float(np.linalg.norm(d))
-        normal = np.array([d[1], -d[0]]) / length
-        rule = edge_quadrature(p0, p1, quad_degree)
-        # parameters of the quadrature points on [-1, 1]
-        rel = rule.points - p0[None, :]
-        ts = 2.0 * (rel @ d) / (length * length) - 1.0
-        trace = np.empty(k + 1, dtype=np.int64)
-        trace[0] = e
-        trace[-1] = (e + 1) % nv
-        for j in range(k - 1):
-            trace[1 + j] = nv + e * (k - 1) + j
-        tnodes = p0[None, :] + 0.5 * (nodes[:, None] + 1.0) * d[None, :]
-        edges.append(EdgeData(p0=p0, p1=p1, normal=normal, length=length,
-                              qpoints=rule.points, qweights=rule.weights,
-                              trace_dofs=trace, lagrange=_lagrange_matrix(nodes, ts),
-                              node_points=tnodes))
-    return tuple(edges)
+def _boundary_trace(verts, k, n_scalar):
+    """Edge quadrature of all edges, stacked, and the boundary trace matrix.
+
+    Returns the points (n_e * nq, 2), weights (n_e * nq,) and outward unit
+    normals (n_e * nq, 2) at every edge quadrature point, and the value of
+    every scalar DOF basis function there, (n_e * nq, n_scalar).  Edge e
+    runs from vertex e to vertex e+1; its trace DOFs are those two vertices
+    and its k-1 interior nodes.
+    """
+    nv = len(verts)
+    ends = np.roll(verts, -1, axis=0)
+    rule = edge_quadrature(verts, ends, 2 * k + 3)
+    d = ends - verts
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(d, axis=1)[:, None]
+    e = np.arange(nv)
+    trace = np.column_stack([e, nv + e[:, None] * (k - 1) + np.arange(k - 1),
+                             (e + 1) % nv])                       # (n_e, k+1)
+    lagrange = _lagrange_matrix(k)
+    nq = len(lagrange)
+    phi = np.zeros((nv, nq, n_scalar))
+    phi[e[:, None, None], np.arange(nq)[:, None], trace[:, None, :]] = lagrange
+    return (rule.points.reshape(-1, 2), rule.weights.ravel(),
+            np.repeat(normals, nq, axis=0), phi.reshape(-1, n_scalar))
 
 
-def _build_operators(verts, k, basis, quad, layout, edges, area):
+def _build_operators(verts, k, basis, quad, layout, edge_nodes, area):
     """Projectors, DOF matrices, mass and stiffness in the cell's basis.
 
     Every Gram system is solved in the orthonormal basis q = m R^-1 (mass
@@ -197,41 +177,23 @@ def _build_operators(verts, k, basis, quad, layout, edges, area):
     ortho_k = ortho.prefix(k)
 
     # boundary functionals ------------------------------------------------
-    perimeter = sum(e.length for e in edges)
-    p0_basis = np.zeros(nk2)          # boundary mean of each basis member
-    p0_dof = np.zeros(nsc)            # boundary mean of each DOF basis function
-    bnd_flux = np.zeros((nk, nsc))    # \oint phi (grad q_i . n)
-    r_x = np.zeros((nk, nsc))         # \oint phi q_i n_x
-    r_y = np.zeros((nk, nsc))
-    for ed in edges:
-        vals = pb.evaluate(ortho, ed.qpoints)                  # (nq, nk2)
-        grads = pb.gradient(ortho_k, ed.qpoints)               # (nq, nk, 2)
-        dn = grads[:, :, 0] * ed.normal[0] + grads[:, :, 1] * ed.normal[1]
-        wL = ed.qweights[:, None] * ed.lagrange                # (nq, k+1)
-        p0_basis += ed.qweights @ vals
-        np.add.at(p0_dof, ed.trace_dofs, ed.qweights @ ed.lagrange)
-        contrib = dn.T @ wL                                    # (nk, k+1)
-        cx = (vals[:, :nk] * ed.normal[0]).T @ wL
-        cy = (vals[:, :nk] * ed.normal[1]).T @ wL
-        for jj, dof in enumerate(ed.trace_dofs):
-            bnd_flux[:, dof] += contrib[:, jj]
-            r_x[:, dof] += cx[:, jj]
-            r_y[:, dof] += cy[:, jj]
-    p0_basis /= perimeter
-    p0_dof /= perimeter
+    pts, w, nrm, phi = _boundary_trace(verts, k, nsc)
+    vals = pb.evaluate(ortho, pts)                             # (n_pts, nk2)
+    grads = pb.gradient(ortho_k, pts)                          # (n_pts, nk, 2)
+    dn = grads[:, :, 0] * nrm[:, :1] + grads[:, :, 1] * nrm[:, 1:]
+    w_phi = w[:, None] * phi
+    perimeter = w.sum()
+    p0_basis = w @ vals / perimeter   # boundary mean of each basis member
+    p0_dof = w @ phi / perimeter      # boundary mean of each DOF basis function
+    bnd_flux = dn.T @ w_phi           # \oint phi (grad q_i . n)
+    r_x = (vals[:, :nk] * nrm[:, :1]).T @ w_phi               # \oint phi q_i n_x
+    r_y = (vals[:, :nk] * nrm[:, 1:]).T @ w_phi
 
     # DOF matrix of the degree-k members ----------------------------------
-    basis_k = basis.prefix(k)
-    D = np.zeros((nsc, nk))
-    D[:nv, :] = pb.evaluate(basis_k, verts)
-    row = nv
-    for ed in edges:
-        pts = ed.node_points[1:-1]
-        if len(pts):
-            D[row:row + k - 1, :] = pb.evaluate(basis_k, pts)
-        row += k - 1
-    if nlow:
-        D[row:row + nlow, :] = mass[:nlow, :nk] / area
+    D = np.empty((nsc, nk))
+    D[:moment0] = pb.evaluate(basis.prefix(k),
+                              np.vstack([verts, edge_nodes.reshape(-1, 2)]))
+    D[moment0:] = mass[:nlow, :nk] / area
 
     # elliptic projector on the scalar space ------------------------------
     lap_k = pb.laplacian_in_lower_basis(ortho_k)              # (nlow, nk)
@@ -286,31 +248,28 @@ def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
     quad = polygon_quadrature(verts, quad_degree)
     basis = pb.build_basis(verts, k + 2, basis_kind, quadrature=quad)
     layout = build_layout(verts, k)
-    edges = _edge_data(verts, layout, k, 2 * k + 3)
+    gl = gauss_lobatto_points(k + 1)[1:-1]
+    edge_nodes = (verts[:, None, :] + 0.5 * (gl[:, None] + 1.0)
+                  * (np.roll(verts, -1, axis=0) - verts)[:, None, :])
     area = float(polygon_area(verts))
-    ops, mass, stiff = _build_operators(verts, k, basis, quad, layout, edges,
-                                        area)
+    ops, mass, stiff = _build_operators(verts, k, basis, quad, layout,
+                                        edge_nodes, area)
     return ElementContext(verts=verts, k=k, basis=basis, quad=quad,
                           layout=layout, area=area, mass=mass,
-                          stiffness=stiff, edges=edges, operators=ops,
+                          stiffness=stiff, edge_nodes=edge_nodes, operators=ops,
                           slice_lo=pb.poly_dim(k - 2), slice_hi=pb.poly_dim(k))
 
 
 def interpolate_scalar(ctx, f):
     """Scalar DOF vector interpolating f (point values plus scaled moments)."""
     lay = ctx.layout
+    nodes = np.vstack([ctx.verts, ctx.edge_nodes.reshape(-1, 2)])
     dofs = np.empty(lay.n_scalar)
-    dofs[:lay.n_vertex] = f(ctx.verts)
-    row = lay.n_vertex
-    for ed in ctx.edges:
-        pts = ed.node_points[1:-1]
-        if len(pts):
-            dofs[row:row + ctx.k - 1] = f(pts)
-        row += ctx.k - 1
+    dofs[:len(nodes)] = f(nodes)
     if lay.n_moment:
         vals = f(ctx.quad.points)
         phi = pb.evaluate(ctx.basis, ctx.quad.points)[:, :lay.n_moment]
-        dofs[row:] = (ctx.quad.weights * vals) @ phi / ctx.area
+        dofs[len(nodes):] = (ctx.quad.weights * vals) @ phi / ctx.area
     return dofs
 
 

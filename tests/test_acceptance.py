@@ -5,6 +5,7 @@ The convergence and conditioning studies run at full size, so the whole file
 takes several minutes.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -226,8 +227,13 @@ def test_criterion_7_interpolation_order():
 # -- 8. CLI determinism --------------------------------------------------------------
 
 def _run_cli(args):
+    # the subprocess must import the same polystokes package as the tests
+    src = os.path.dirname(os.path.dirname(os.path.abspath(asm.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     res = subprocess.run([sys.executable, "-m", "polystokes.cli"] + args,
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     return res
 

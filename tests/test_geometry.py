@@ -66,6 +66,26 @@ def test_polygon_quadrature_rejects_nonstar_fan():
         geo.polygon_quadrature(verts, 2)
 
 
+# An L-shaped cell whose centroid lies outside its kernel: the centroid fan
+# has a triangle of negative area, yet the validator accepts the cell.
+L_CELL = np.array([[0, 0], [3, 0], [3, 0.6], [1, 0.6], [1, 1.6], [0, 1.6]])
+
+
+def test_polygon_quadrature_star_cell_off_centroid_kernel():
+    rep = geo.validate_geometry(geo.build_mesh(L_CELL, [np.arange(6)]))
+    assert rep.star_ratio[0] >= 0.1 and rep.all_pass
+    degree = 8
+    rule = geo.polygon_quadrature(L_CELL, degree)
+    assert np.all(rule.weights > 0)
+    for d in range(degree + 1):
+        for a in range(d + 1):
+            b = d - a
+            got = np.sum(rule.weights * rule.points[:, 0] ** a
+                         * rule.points[:, 1] ** b)
+            want = monomial_integral(L_CELL, a, b)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
 @pytest.mark.parametrize("degree", [1, 3, 6, 9])
 def test_edge_quadrature_exact(degree):
     p0, p1 = np.array([0.2, -0.3]), np.array([1.1, 0.8])
@@ -251,3 +271,16 @@ def test_edge_quadrature_length(degree):
     p0, p1 = np.array([0.0, 0.0]), np.array([0.6, 0.8])
     rule = geo.edge_quadrature(p0, p1, degree)
     assert np.sum(rule.weights) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_edge_quadrature_stacked_segments():
+    p0 = np.array([[[0.0, 0.0], [0.2, -0.3]], [[1.0, 1.0], [0.5, 0.5]]])
+    p1 = np.array([[[0.6, 0.8], [1.1, 0.8]], [[1.0, 2.0], [0.0, 0.5]]])
+    rule = geo.edge_quadrature(p0, p1, 5)
+    assert rule.points.shape == (2, 2, 3, 2)
+    assert rule.weights.shape == (2, 2, 3)
+    for i in range(2):
+        for j in range(2):
+            one = geo.edge_quadrature(p0[i, j], p1[i, j], 5)
+            assert rule.points[i, j] == pytest.approx(one.points, abs=1e-15)
+            assert rule.weights[i, j] == pytest.approx(one.weights, rel=1e-15)

@@ -52,6 +52,19 @@ def test_projectors_on_badly_shaped_cell(kind):
     assert projector_defect(ctx) <= 1e-11
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_projectors_on_star_cell_off_centroid_kernel(k):
+    # L-shaped cell whose centroid lies outside its kernel, so its
+    # quadrature fans from another kernel point
+    verts = np.array([[0, 0], [3, 0], [3, 0.6], [1, 0.6], [1, 1.6], [0, 1.6]])
+    ctx = vs.build_element(verts, k)
+    ops = ctx.operators
+    nk = ctx.slice_hi
+    assert np.abs(ops.pinabla_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-11
+    assert np.abs(ops.pizero_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-11
+    assert projector_defect(ctx) <= 1e-11
+
+
 def test_pinabla_square_example():
     # unit square, k=1: vertex values (0,0,1,0) project to -1/4 + x/2 + y/2
     ctx = vs.build_element(UNIT_SQUARE, 1)
@@ -135,15 +148,16 @@ def test_bubble_pizero_moments(k):
 
 def test_edge_trace_dofs_ordering():
     ctx = vs.build_element(UNIT_SQUARE, 3)
-    ed = ctx.edges[0]
-    # first edge runs from vertex 0 to vertex 1 with k-1 interior nodes
-    assert ed.trace_dofs[0] == 0
-    assert ed.trace_dofs[-1] == 1
-    assert list(ed.trace_dofs[1:-1]) == [4, 5]
-    # interior nodes are the Gauss-Lobatto points of the edge
+    # the first edge runs from vertex 0 to vertex 1; its k-1 interior nodes
+    # are the Gauss-Lobatto points of the edge
     gl = geo.gauss_lobatto_points(4)[1:-1]
     want = np.column_stack([(gl + 1) / 2, np.zeros(2)])
-    assert ed.node_points[1:-1] == pytest.approx(want)
+    assert ctx.edge_nodes.shape == (4, 2, 2)
+    assert ctx.edge_nodes[0] == pytest.approx(want)
+    # and they carry scalar DOFs 4 and 5, after the four vertex DOFs
+    dofs = vs.interpolate_scalar(ctx, lambda p: p[:, 0] + 10 * p[:, 1])
+    assert dofs[:4] == pytest.approx([0.0, 1.0, 11.0, 10.0])
+    assert dofs[4:6] == pytest.approx(want[:, 0])
 
 
 def test_interpolate_velocity_shapes():
