@@ -1,10 +1,12 @@
 """Global system: DOF counts, solves, condensation, conditioning."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from polystokes import analysis as an
 from polystokes import assembly as asm
@@ -196,6 +198,92 @@ def test_solve_warns_on_bad_residual():
     rhs[0] = np.nan
     with pytest.warns(RuntimeWarning, match="residual"):
         asm.solve(replace(system, rhs=rhs))
+
+
+def _spy_splu(monkeypatch, first=None):
+    """Record the keyword options of every assembly.spla.splu call; the
+    first call returns first(splu, matrix, **options) instead when first is
+    given."""
+    real = asm.spla.splu
+    calls = []
+
+    def spy(matrix, **options):
+        calls.append(options)
+        if first is not None and len(calls) == 1:
+            return first(real, matrix, **options)
+        return real(matrix, **options)
+
+    monkeypatch.setattr(asm.spla, "splu", spy)
+    return calls
+
+
+def _solve_quietly(system):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return asm.solve(system)
+
+
+@pytest.fixture(scope="module")
+def extreme_systems():
+    """test1 systems where the no-pivot factor is least accurate: tiny alpha
+    on the badly shaped random polygons, and the alpha and beta_sharp ends
+    on hexagons; (label, alpha, uncondensed system) triples."""
+    case = an.get_case("test1")
+
+    def build(mesh, k, beta_sharp):
+        return asm.assemble(mesh, k, f=case.forcing, g=case.velocity,
+                            config=StabilizationConfig(beta_sharp=beta_sharp))
+
+    rp = build(geo.generate_mesh("random_polygons", 2, rng_seed=1), 3, 0.0)
+    hexagons = geo.generate_mesh("hexagonal", 2)
+    out = [("random_polygons L2 k=3", 1e-15, asm.with_alpha(rp, 1e-15))]
+    for beta_sharp in (0.0, 1.0):
+        hx = build(hexagons, 2, beta_sharp)
+        out += [(f"hexagonal L2 k=2 beta_sharp={beta_sharp}", alpha,
+                 asm.with_alpha(hx, alpha)) for alpha in (1e-15, 1.0, 1e3)]
+    return out
+
+
+def test_solve_symmetric_factor_at_the_extremes(extreme_systems, monkeypatch):
+    # one no-pivot factor on the symmetric ordering, refined within the
+    # bound: no COLAMD fallback and no warning, condensed or not
+    for label, alpha, full in extreme_systems:
+        for system in (full, asm.condense(full)):
+            calls = _spy_splu(monkeypatch)
+            sol = _solve_quietly(system)
+            assert calls == [asm.FACTORIZATIONS[0]], label
+            assert sol.residual <= asm.RESIDUAL_BOUND, (label, alpha)
+            if alpha == 1.0:
+                # the pressure is well determined: same solution as COLAMD
+                # with partial pivoting (at tiny alpha only residuals tell)
+                monkeypatch.undo()
+                want = spla.splu(system.matrix).solve(system.rhs)
+                bubbles = [] if system.condensed else sol.bubbles.ravel()
+                got = np.r_[sol.ux, sol.uy, bubbles, sol.p,
+                            sol.multiplier][system.free]
+                assert np.linalg.norm(got - want) \
+                    <= 1e-10 * np.linalg.norm(want), label
+
+
+def _negated_factor(splu, matrix, **options):
+    return splu(-matrix, **options)
+
+
+def _singular_factor(splu, matrix, **options):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("first", [_negated_factor, _singular_factor],
+                         ids=["spoiled", "raises"])
+def test_solve_falls_back_to_colamd(first, monkeypatch):
+    mesh = geo.generate_mesh("hexagonal", 1)
+    case = an.get_case("test1")
+    system = asm.assemble(mesh, 2, f=case.forcing, g=case.velocity,
+                          condensed=True)
+    calls = _spy_splu(monkeypatch, first=first)
+    sol = _solve_quietly(system)
+    assert calls == [asm.FACTORIZATIONS[0], {}]
+    assert sol.residual <= asm.RESIDUAL_BOUND
 
 
 def test_export_matrix(tmp_path):

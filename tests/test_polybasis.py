@@ -49,6 +49,26 @@ def test_scaled_monomial_integrals_match_oracle():
                                                           abs=1e-14)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 4, 6])
+def test_scaled_monomials_match_per_exponent_loop(k):
+    # the power table does the arithmetic of one column per exponent pair,
+    # so values and gradients equal that loop bit for bit
+    basis, _ = _basis(k)
+    c, h = basis.centroid, basis.diameter
+    pts = np.random.default_rng(k).uniform(-0.5, 1.5, (40, 2))
+    xs, ys = (pts[:, 0] - c[0]) / h, (pts[:, 1] - c[1]) / h
+    vals = np.zeros((len(pts), pb.poly_dim(k)))
+    grads = np.zeros((len(pts), pb.poly_dim(k), 2))
+    for i, (a, b) in enumerate(pb.monomial_exponents(k)):
+        vals[:, i] = xs ** a * ys ** b
+        if a > 0:
+            grads[:, i, 0] = a * xs ** (a - 1) * ys ** b / h
+        if b > 0:
+            grads[:, i, 1] = b * xs ** a * ys ** (b - 1) / h
+    assert np.array_equal(pb.evaluate(basis, pts), vals)
+    assert np.array_equal(pb.gradient(basis, pts), grads)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_orthonormal_basis_gram_is_identity(k):
     basis, quad = _basis(k, "l2_orthonormal")
