@@ -203,8 +203,9 @@ def compute_errors(solution, case):
     mesh, k = solution.mesh, solution.k
     dof_map = solution.dof_map
     e0u = e1u = e0p = n0u = n1u = n0p = 0.0
+    table = dof_map.cell_dof_table(mesh)
     for c, ctx in enumerate(solution.contexts):
-        gd = dof_map.cell_scalar_dofs(mesh, c)
+        gd = table[c, :ctx.layout.n_scalar]
         ops = ctx.operators
         cux = ops.pizero_k @ solution.ux[gd]
         cuy = ops.pizero_k @ solution.uy[gd]

@@ -32,7 +32,6 @@ __all__ = ["GlobalDofMap", "GlobalSystem", "Solution", "build_dof_map",
            "assemble", "condense", "solve", "solve_stokes",
            "condition_number", "export_matrix"]
 
-DENSE_LIMIT = 6000
 # A relative residual above this marks a failed solve: every workload of the
 # benchmark solves to 2e-16..3e-14.
 RESIDUAL_BOUND = 1e-10
@@ -40,6 +39,11 @@ RESIDUAL_BOUND = 1e-10
 # is below REFINE_TOL relative to the solution.
 REFINE_TOL = 1e-14
 MAX_REFINE = 5
+# condition_number refuses a factor whose normwise backward error on its
+# start vector exceeds this: the eigenvalues it finds are then those of a
+# matrix within 10 eps |K| of K, so the smallest modulus, and with it the
+# condition number, is accurate to about 10 eps cond relative.
+COND_BACKWARD_ERROR = 10 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -73,29 +77,29 @@ class GlobalDofMap:
     def pressure_offset(self, condensed):
         return 2 * self.n_scalar + (0 if condensed else self.n_bubble)
 
-    def bubble_dofs(self, c):
-        base = 2 * self.n_scalar + c * self.n_bubble_cell
-        return np.arange(base, base + self.n_bubble_cell)
-
-    def cell_scalar_dofs(self, mesh, c):
-        """Global scalar indices in local DOF order for cell c."""
-        ring = mesh.cells[c]
-        nv = len(ring)
-        k = self.k
-        idx = np.empty(nv + nv * (k - 1) + self.n_moment, dtype=np.int64)
-        idx[:nv] = ring
-        pos = nv
-        for i in range(nv):
-            e = mesh.cell_edges[c][i]
-            base = self.n_vertices + e * (k - 1)
-            ids = np.arange(base, base + k - 1)
-            if mesh.edges[e][0] != ring[i]:
-                ids = ids[::-1]          # ring traverses the edge backwards
-            idx[pos:pos + k - 1] = ids
-            pos += k - 1
-        base = self.n_vertices + self.n_edges * (k - 1) + c * self.n_moment
-        idx[pos:] = np.arange(base, base + self.n_moment)
-        return idx
+    def cell_dof_table(self, mesh):
+        """Global scalar indices in local DOF order, one row per cell: the
+        first ctx.layout.n_scalar entries of row c belong to cell c, and the
+        rest of the row is -1."""
+        k, n_cells, n_moment = self.k, self.n_cells, self.n_moment
+        nv = np.array([len(ring) for ring in mesh.cells])
+        ring = np.concatenate(mesh.cells)
+        edge = np.concatenate(mesh.cell_edges)
+        cell = np.repeat(np.arange(n_cells), nv)
+        pos = np.arange(len(ring)) - np.repeat(np.cumsum(nv) - nv, nv)
+        table = np.full((n_cells, k * nv.max() + n_moment), -1, dtype=np.int64)
+        table[cell, pos] = ring
+        # k-1 edge nodes after the vertices, reversed where the ring
+        # traverses the edge from its higher to its lower vertex
+        j = np.arange(k - 1)
+        along = np.where((mesh.edges[edge, 0] == ring)[:, None], j, k - 2 - j)
+        table[cell[:, None], (nv[cell] + pos * (k - 1))[:, None] + j] = \
+            self.n_vertices + edge[:, None] * (k - 1) + along
+        moments = (self.n_vertices + self.n_edges * (k - 1)
+                   + np.arange(n_cells * n_moment).reshape(n_cells, n_moment))
+        table[np.arange(n_cells)[:, None],
+              (k * nv)[:, None] + np.arange(n_moment)] = moments
+        return table
 
 
 def build_dof_map(mesh, k):
@@ -121,6 +125,14 @@ class GlobalSystem:
     signs: np.ndarray            # +1 velocity rows, -1 pressure/multiplier
     contexts: list = field(repr=False, default=None)
     cell_blocks: list = field(repr=False, default=None)
+    cell_dofs: np.ndarray = field(repr=False, default=None)  # cell_dof_table
+    # matrix = k0 + alpha C on k0's pattern: C's entries are c_values at
+    # k0.data[c_positions]; rhs, free and signs do not depend on alpha
+    k0: sp.csc_matrix = field(repr=False, default=None)
+    c_positions: np.ndarray = field(repr=False, default=None)
+    c_values: np.ndarray = field(repr=False, default=None)
+    # condensed: (inv(A_b) B_b^T, inv(A_b) F_b) per cell, padded like cell_dofs
+    recovery: tuple = field(repr=False, default=None)
 
     @property
     def n_dofs(self):
@@ -145,112 +157,107 @@ class Solution:
 def _boundary_scalar_data(mesh, dof_map, g):
     """Constrained velocity indices (both components) and their values.
 
-    g maps an (n, 2) point array to (n, 2) velocity values.
+    g maps an (n, 2) point array to (n, 2) velocity values, or is None.
     """
+    if g is None:
+        return np.array([], dtype=np.int64), np.array([])
     k = dof_map.k
-    n_sc = dof_map.n_scalar
-    idx, gx, gy = [], [], []
-    bverts = np.where(mesh.boundary_vertex_flags)[0]
-    if len(bverts):
-        vals = g(mesh.vertices[bverts])
-        idx.extend(bverts.tolist())
-        gx.extend(vals[:, 0].tolist())
-        gy.extend(vals[:, 1].tolist())
-    if k > 1:
-        gl = gauss_lobatto_points(k + 1)[1:-1]
-        for e in np.where(mesh.boundary_edge_flags)[0]:
-            lo, hi = mesh.edges[e]
-            p0, p1 = mesh.vertices[lo], mesh.vertices[hi]
-            pts = p0[None, :] + 0.5 * (gl[:, None] + 1.0) * (p1 - p0)[None, :]
-            vals = g(pts)
-            base = dof_map.n_vertices + e * (k - 1)
-            idx.extend(range(base, base + k - 1))
-            gx.extend(vals[:, 0].tolist())
-            gy.extend(vals[:, 1].tolist())
-    idx = np.asarray(idx, dtype=np.int64)
-    constrained = np.concatenate([idx, idx + n_sc])
-    values = np.concatenate([np.asarray(gx), np.asarray(gy)])
-    return constrained, values
+    verts = np.flatnonzero(mesh.boundary_vertex_flags)
+    edges = np.flatnonzero(mesh.boundary_edge_flags)
+    p0, p1 = mesh.vertices[mesh.edges[edges].T]
+    t = 0.5 * (gauss_lobatto_points(k + 1)[1:-1, None] + 1.0)
+    idx = np.concatenate([verts, (dof_map.n_vertices + edges[:, None] * (k - 1)
+                                  + np.arange(k - 1)).ravel()])
+    vals = g(np.concatenate([mesh.vertices[verts], (
+        p0[:, None, :] + t * (p1 - p0)[:, None, :]).reshape(-1, 2)]))
+    return np.concatenate([idx, idx + dof_map.n_scalar]), vals.T.ravel()
 
 
-class _Scatter:
-    """COO triplet accumulator."""
-
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, block, r, c):
-        rr, cc = np.meshgrid(r, c, indexing="ij")
-        self.rows.append(rr.ravel())
-        self.cols.append(cc.ravel())
-        self.vals.append(np.asarray(block).ravel())
-
-    def matrix(self, n):
-        return sp.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(n, n)).tocsc()
+def _padded(blocks, shape):
+    """The blocks zero-padded at the end of every axis to shape, stacked."""
+    out = np.zeros((len(blocks),) + shape)
+    for o, block in zip(out, blocks):
+        o[tuple(map(slice, block.shape))] = block
+    return out
 
 
-def _build_matrix(mesh, dof_map, config, cell_blocks, condensed):
-    """Assemble the global matrix and rhs in the requested form."""
-    n_sc = dof_map.n_scalar
+def _affine(system, condensed):
+    """The system in the given form: k0, C, rhs, free set, signs and bubble
+    recovery gathered once from the cell blocks, and the matrix formed."""
+    dof_map, table = system.dof_map, system.cell_dofs
+    n_sc, n_cells = dof_map.n_scalar, dof_map.n_cells
     n_sys = dof_map.n_system(condensed)
-    p_off = dof_map.pressure_offset(condensed)
-    mult = n_sys - 1
-    acc = _Scatter()
-    rhs = np.zeros(n_sys)
+    m, nb = table.shape[1], dof_map.n_bubble_cell
+    A_u, B_u, F_u, A_b, B_b, C_p, w, F_b = (
+        _padded([getattr(b, name) for b in system.cell_blocks], shape)
+        for name, shape in (("A_u", (2 * m, 2 * m)), ("B_u", (m, 2 * m)),
+                            ("F_u", (2 * m,)), ("A_b", (nb, nb)),
+                            ("B_b", (m, nb)), ("C_p", (m, m)),
+                            ("mean_weights", (m,)), ("F_b", (nb,))))
 
-    for c, blocks in enumerate(cell_blocks):
-        gd = dof_map.cell_scalar_dofs(mesh, c)
-        vel = np.concatenate([gd, gd + n_sc])
-        prs = gd + p_off
-        w = blocks.mean_weights
-        acc.add(blocks.A_u, vel, vel)
-        acc.add(-blocks.B_u.T, vel, prs)
-        acc.add(blocks.B_u, prs, vel)
-        acc.add(w[:, None], prs, np.array([mult]))
-        acc.add(w[None, :], np.array([mult]), prs)
-        rhs[vel] += blocks.F_u
-        if condensed:
-            s = blocks.B_b @ np.linalg.inv(blocks.A_b)
-            acc.add(config.alpha * blocks.C_p + s @ blocks.B_b.T, prs, prs)
-            rhs[prs] += -s @ blocks.F_b
-        else:
-            bub = dof_map.bubble_dofs(c)
-            acc.add(config.alpha * blocks.C_p, prs, prs)
-            acc.add(blocks.A_b, bub, bub)
-            acc.add(-blocks.B_b.T, bub, prs)
-            acc.add(blocks.B_b, prs, bub)
-            rhs[bub] += blocks.F_b
-    return acc.matrix(n_sys), rhs
+    # global index of each local slot; padding goes to n_sys.  A cell's
+    # velocity slots are its x DOFs, its y DOFs, then the padding
+    prs = np.where(table < 0, n_sys, table + dof_map.pressure_offset(condensed))
+    cell, j = np.nonzero(table >= 0)
+    vel = np.full((n_cells, 2 * m), n_sys)
+    vel[cell, j] = table[cell, j]
+    vel[cell, j + np.count_nonzero(table >= 0, axis=1)[cell]] = \
+        table[cell, j] + n_sc
+    mult = np.full((n_cells, 1), n_sys - 1)
+    if condensed:
+        # bubbles = inv(A_b) (F_b + B_b^T p), from one batched solve
+        rec = np.linalg.solve(A_b, np.concatenate(
+            [B_b.transpose(0, 2, 1), F_b[:, :, None]], axis=2))
+        recovery = (rec[:, :, :-1], rec[:, :, -1])
+        blocks = [(prs, prs, B_b @ recovery[0])]
+        loads = [(vel, F_u), (prs, -np.einsum("cib,cb->ci", B_b, recovery[1]))]
+    else:
+        recovery = None
+        bub = 2 * n_sc + np.arange(dof_map.n_bubble).reshape(n_cells, -1)
+        blocks = [(prs, prs, np.zeros_like(C_p)), (bub, bub, A_b),
+                  (bub, prs, -B_b.transpose(0, 2, 1)), (prs, bub, B_b)]
+        loads = [(vel, F_u), (bub, F_b)]
+    blocks += [(vel, vel, A_u), (vel, prs, -B_u.transpose(0, 2, 1)),
+               (prs, vel, B_u), (prs, mult, w[:, :, None]),
+               (mult, prs, w[:, None, :])]
 
+    free = np.setdiff1d(np.arange(n_sys), system.constrained)
+    n = len(free)
+    reduced = np.full(n_sys + 1, -1)     # -1: constrained or padding
+    reduced[free] = np.arange(n)
+    fixed = np.zeros(n_sys + 1)
+    fixed[system.constrained] = system.boundary_values
 
-def _reduce(K, rhs, dof_map, condensed, constrained, values):
-    n_sys = dof_map.n_system(condensed)
-    mask = np.ones(n_sys, dtype=bool)
-    mask[constrained] = False
-    free = np.where(mask)[0]
-    K_f = K[free]
-    K_ff = K_f[:, free].tocsc()
-    rhs_f = rhs[free]
-    if len(constrained):
-        rhs_f = rhs_f - K_f[:, constrained] @ values
-    signs = np.ones(n_sys)
-    signs[dof_map.pressure_offset(condensed):] = -1.0
-    return K_ff, rhs_f, free, signs[free]
+    # the Dirichlet data moves to the right-hand side
+    loads += [(r, -(v @ fixed[c][:, :, None])[:, :, 0]) for r, c, v in blocks]
+    rhs = sum(np.bincount(r.ravel(), f.ravel(), n_sys + 1)
+              for r, f in loads)[free]
 
+    def between_free(r, c, v):
+        """(rows, cols, values) of a block's entries between free unknowns."""
+        r, c = np.broadcast_arrays(reduced[r][:, :, None],
+                                   reduced[c][:, None, :])
+        inside = (r >= 0) & (c >= 0)
+        return r[inside], c[inside], v[inside]
 
-def _assembled(system, **changes):
-    """The system with the given fields changed and its reduced matrix, rhs,
-    free set and signs scattered again from its cell blocks."""
-    system = replace(system, **changes)
-    K, rhs = _build_matrix(system.mesh, system.dof_map, system.config,
-                           system.cell_blocks, system.condensed)
-    K_ff, rhs_f, free, signs = _reduce(K, rhs, system.dof_map,
-                                       system.condensed, system.constrained,
-                                       system.boundary_values)
-    return replace(system, matrix=K_ff, rhs=rhs_f, free=free, signs=signs)
+    def csc(rows, cols, vals):   # duplicates summed, explicit zeros kept
+        return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+
+    def keys(m):                 # col * n + row, ascending in CSC order
+        return np.repeat(np.arange(n) * n, np.diff(m.indptr)) + m.indices
+
+    # every block contributes its whole pattern, zeros included, so the
+    # pattern of k0 holds the pressure block and with it that of C
+    k0 = csc(*(np.concatenate(part) for part in
+               zip(*(between_free(*block) for block in blocks))))
+    C = csc(*between_free(prs, prs, C_p))
+    c_positions = np.searchsorted(keys(k0), keys(C))
+    c_values = C.data
+    signs = np.where(free < dof_map.pressure_offset(condensed), 1.0, -1.0)
+    system = replace(system, condensed=condensed, rhs=rhs, free=free,
+                     signs=signs, k0=k0, c_positions=c_positions,
+                     c_values=c_values, recovery=recovery)
+    return with_alpha(system, system.config.alpha)
 
 
 def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
@@ -267,42 +274,37 @@ def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
     contexts = [build_element(mesh.vertices[cell], k, basis_kind=basis_kind,
                               quad_degree=quad_degree) for cell in mesh.cells]
     cell_blocks = [build_blocks(ctx, config, f) for ctx in contexts]
-    if g is None:
-        constrained = np.array([], dtype=np.int64)
-        values = np.array([])
-    else:
-        constrained, values = _boundary_scalar_data(mesh, dof_map, g)
-    return _assembled(GlobalSystem(
+    constrained, values = _boundary_scalar_data(mesh, dof_map, g)
+    return _affine(GlobalSystem(
         mesh=mesh, k=k, config=config, basis_kind=basis_kind,
         condensed=condensed, dof_map=dof_map, matrix=None, rhs=None,
         free=None, constrained=constrained, boundary_values=values,
-        signs=None, contexts=contexts, cell_blocks=cell_blocks))
+        signs=None, contexts=contexts, cell_blocks=cell_blocks,
+        cell_dofs=dof_map.cell_dof_table(mesh)), condensed)
 
 
 def with_alpha(system, alpha):
-    """Rebuild the system for a different pressure weight.
-
-    Reuses the per-cell blocks (which do not depend on alpha), so a sweep
-    over alpha pays for element construction only once.
-    """
-    return _assembled(system, config=replace(system.config, alpha=alpha))
+    """The system for a different pressure weight: matrix = k0 + alpha C
+    from the data gathered once by assemble."""
+    data = system.k0.data.copy()
+    data[system.c_positions] += alpha * system.c_values
+    return replace(system, config=replace(system.config, alpha=alpha),
+                   matrix=sp.csc_matrix((data, system.k0.indices,
+                                         system.k0.indptr), system.k0.shape))
 
 
 def condense(system):
-    """Eliminate the bubble DOFs cell by cell; solve recovers them from the
-    cell blocks."""
-    return system if system.condensed else _assembled(system, condensed=True)
+    """Eliminate the bubble DOFs cell by cell; solve recovers them."""
+    return system if system.condensed else _affine(system, True)
 
 
-# SuperLU options in the order solve tries them.  Apart from the row and
-# column of the zero-mean multiplier, the reduced matrix is
-# [[A, -B^T], [B, alpha C + S]] with A and alpha C + S symmetric positive
-# semidefinite, so its symmetric part diag(A, alpha C + S) is positive
-# semidefinite and LU without pivoting on a symmetric fill-reducing ordering
-# is stable (Benzi, Golub & Liesen, Acta Numerica 2005).  The multiplier
-# couples to every pressure DOF, so minimum degree eliminates it last.  This
-# factor fills several times less than the default COLAMD with partial
-# pivoting, which is the fallback.
+# SuperLU options in the order solve tries them.  The first is LU without
+# pivoting on the symmetric minimum-degree ordering of K^T + K, which fills
+# several times less than the default COLAMD with partial pivoting, the
+# second.  It is not backward stable: on the alpha-sweep matrices (voronoi
+# L1, mesh seeds 0-15, k=1-3) the normwise backward error of its unrefined
+# solves reaches 0.16, against 1.5e-16 with COLAMD.  solve's accuracy comes
+# from the long-double refinement and the residual guard.
 FACTORIZATIONS = (
     dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
          options={"SymmetricMode": True}),
@@ -312,7 +314,7 @@ FACTORIZATIONS = (
 
 def _refined_solve(K, b, options):
     """Factor K with the SuperLU options and solve K x = b with iterative
-    refinement; returns the factor, x and the relative residual.
+    refinement; returns x and the relative residual.
 
     Raises RuntimeError when SuperLU finds the factor singular.
     """
@@ -343,7 +345,7 @@ def _refined_solve(K, b, options):
         if dnorm <= REFINE_TOL * xnorm:
             break
         prev = dnorm
-    return lu, x, np.linalg.norm(r) / bnorm
+    return x, np.linalg.norm(r) / bnorm
 
 
 def _factored_solve(K, b):
@@ -352,9 +354,9 @@ def _factored_solve(K, b):
     not finite or exceeds RESIDUAL_BOUND."""
     first, fallback = FACTORIZATIONS
     try:
-        lu, x, res = _refined_solve(K, b, first)
+        x, res = _refined_solve(K, b, first)
         if res <= RESIDUAL_BOUND:
-            return lu, x, res
+            return x, res
     except RuntimeError:
         pass
     return _refined_solve(K, b, fallback)
@@ -363,16 +365,15 @@ def _factored_solve(K, b):
 def solve(system):
     """Direct sparse solve with iterative refinement, then bubble recovery.
 
-    The reduced matrix is factored once by SuperLU without pivoting on the
-    symmetric minimum-degree ordering of K^T + K (MMD_AT_PLUS_A), and the
-    solution refined with long-double residuals.  Only when that factor is
-    singular or the refined relative residual is not finite or exceeds
-    RESIDUAL_BOUND is it factored again with the default COLAMD ordering and
-    partial pivoting.  Warns (RuntimeWarning) when the residual of that
-    second attempt is still out of bounds.
+    The reduced matrix is factored by SuperLU without pivoting on the
+    symmetric minimum-degree ordering of K^T + K (MMD_AT_PLUS_A).  That
+    factor alone is not accurate (see FACTORIZATIONS); the solution is
+    refined with long-double residuals, and only when the factor is singular
+    or the refined relative residual is not finite or exceeds RESIDUAL_BOUND
+    is K factored again with COLAMD and partial pivoting.  Warns
+    (RuntimeWarning) when that second residual is still out of bounds.
     """
-    K = system.matrix
-    _, x, res = _factored_solve(K, system.rhs)
+    x, res = _factored_solve(system.matrix, system.rhs)
     if not res <= RESIDUAL_BOUND:
         warnings.warn(f"relative residual {res:.3e} of the solve exceeds "
                       f"{RESIDUAL_BOUND:.0e}", RuntimeWarning, stacklevel=2)
@@ -381,29 +382,19 @@ def solve(system):
     n_sc = dof_map.n_scalar
     full = np.empty(dof_map.n_system(system.condensed))
     full[system.free] = x
-    if len(system.constrained):
-        full[system.constrained] = system.boundary_values
-
+    full[system.constrained] = system.boundary_values
     p_off = dof_map.pressure_offset(system.condensed)
-    ux = full[:n_sc]
-    uy = full[n_sc:2 * n_sc]
     p = full[p_off:p_off + n_sc]
-    multiplier = full[-1]
-
-    bubbles = np.zeros((dof_map.n_cells, dof_map.n_bubble_cell))
     if system.condensed:
-        for c, blocks in enumerate(system.cell_blocks):
-            gd = dof_map.cell_scalar_dofs(system.mesh, c)
-            bubbles[c] = np.linalg.inv(blocks.A_b) @ (
-                blocks.F_b + blocks.B_b.T @ p[gd])
+        W, g = system.recovery
+        bubbles = g + np.einsum("cbi,ci->cb", W,
+                                np.append(p, 0.0)[system.cell_dofs])
     else:
-        for c in range(dof_map.n_cells):
-            bubbles[c] = full[dof_map.bubble_dofs(c)]
-
+        bubbles = full[2 * n_sc:p_off].reshape(dof_map.n_cells, -1)
     return Solution(mesh=system.mesh, k=system.k, dof_map=dof_map,
-                    ux=ux, uy=uy, p=p, bubbles=bubbles, multiplier=multiplier,
-                    residual=float(res), n_dofs=K.shape[0],
-                    contexts=system.contexts)
+                    ux=full[:n_sc], uy=full[n_sc:2 * n_sc], p=p,
+                    bubbles=bubbles, multiplier=full[-1], residual=float(res),
+                    n_dofs=system.n_dofs, contexts=system.contexts)
 
 
 def solve_stokes(mesh, k, f=None, g=None, config=None,
@@ -414,34 +405,39 @@ def solve_stokes(mesh, k, f=None, g=None, config=None,
     return solve(system)
 
 
-def condition_number(system, method="dense_svd", dense_limit=DENSE_LIMIT):
-    """Condition number of the reduced system matrix.
+def condition_number(system):
+    """Spectral (2-norm) condition number of the reduced system matrix K.
 
-    dense_svd: spectral (2-norm) condition number.  Flipping the sign of
-    the pressure/multiplier rows makes the matrix symmetric, so the
-    singular values are the moduli of the eigenvalues of the symmetrized
-    matrix; the dense symmetric eigensolve is much cheaper than an SVD at
-    the sweep sizes.  norm_estimate: 1-norm estimate through the sparse
-    factor that solve would use, checked on a solve with a vector of ones.
+    With the pressure and multiplier rows negated, M = diag(signs) K is
+    symmetric, and the moduli of its eigenvalues are the singular values of
+    K.  Lanczos (ARPACK) finds the largest from products with M, and the
+    smallest as the inverse of the largest of M^-1 = K^-1 diag(signs),
+    applied through one LU factor of K with partial pivoting.  Raises
+    ValueError when M is not symmetric and RuntimeError when the factor's
+    backward error exceeds COND_BACKWARD_ERROR.
     """
-    if method == "dense_svd":
-        n = system.matrix.shape[0]
-        if n > dense_limit:
-            raise ValueError(f"system size {n} exceeds dense limit {dense_limit}")
-        M = (sp.diags(system.signs) @ system.matrix).toarray()
-        asym = np.abs(M - M.T).max()
-        if asym > 1e-8 * max(1.0, np.abs(M).max()):
-            svals = np.linalg.svd(system.matrix.toarray(), compute_uv=False)
-        else:
-            svals = np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))
-        return float(svals.max() / svals.min())
-    if method == "norm_estimate":
-        K = system.matrix
-        lu, _, _ = _factored_solve(K, np.ones(K.shape[0]))
-        op = spla.LinearOperator(K.shape, matvec=lu.solve,
-                                 rmatvec=lambda v: lu.solve(v, trans="T"))
-        return float(spla.onenormest(K) * spla.onenormest(op))
-    raise ValueError(f"unknown method {method!r}")
+    K, signs = system.matrix, system.signs
+    M = sp.diags(signs) @ K
+    if abs(M - M.T).max() > 1e-8 * max(1.0, abs(M).max()):
+        raise ValueError("the sign-flipped system matrix is not symmetric")
+    n = K.shape[0]
+    # ARPACK's default start vector is random; the sweep CSVs must repeat
+    v0 = np.random.default_rng(0).standard_normal(n)
+    lu = spla.splu(K, **FACTORIZATIONS[-1])
+    x = lu.solve(v0)
+    error = np.abs(v0 - K @ x).max() / (
+        spla.norm(K, np.inf) * np.abs(x).max() + np.abs(v0).max())
+    if not error <= COND_BACKWARD_ERROR:
+        raise RuntimeError(f"backward error {error:.3e} of the factor "
+                           f"exceeds {COND_BACKWARD_ERROR:.0e}")
+    inverse = spla.LinearOperator(
+        (n, n), matvec=lambda v: lu.solve(signs * np.ravel(v)), dtype=float)
+
+    def largest(op):
+        return abs(spla.eigsh(op, k=1, which="LM", v0=v0, tol=0,
+                              return_eigenvectors=False)[0])
+
+    return float(largest(M) * largest(inverse))
 
 
 def export_matrix(system, path):

@@ -7,6 +7,8 @@ library's fan-triangulation quadrature.
 
 import numpy as np
 
+from polystokes.geometry import gauss_lobatto_points
+
 
 def monomial_integral(verts, a, b):
     """Exact integral of x^a y^b over a simple polygon (CCW ring).
@@ -65,3 +67,50 @@ def projector_defect(ctx):
         num = np.sqrt(np.maximum(np.einsum("ij,ik,kj->j", E, M, E), 0.0))
         worst = max(worst, (num / np.sqrt(np.diag(M))).max())
     return worst
+
+
+def dense_condition_number(system):
+    """Spectral condition number of a reduced system matrix from a dense
+    symmetric eigensolve: flipping the sign of the pressure and multiplier
+    rows makes the matrix symmetric, and its singular values are the moduli
+    of the eigenvalues of the flipped matrix."""
+    M = system.signs[:, None] * system.matrix.toarray()
+    svals = np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))
+    return float(svals.max() / svals.min())
+
+
+def cell_scalar_dofs(mesh, dof_map, c):
+    """Global scalar indices in local DOF order for cell c, one edge at a
+    time: vertices, k-1 nodes per edge in ring order, then the moments."""
+    ring = mesh.cells[c]
+    k = dof_map.k
+    idx = list(ring)
+    for i, e in enumerate(mesh.cell_edges[c]):
+        ids = list(range(dof_map.n_vertices + e * (k - 1),
+                         dof_map.n_vertices + (e + 1) * (k - 1)))
+        if mesh.edges[e][0] != ring[i]:
+            ids = ids[::-1]          # ring traverses the edge backwards
+        idx += ids
+    base = (dof_map.n_vertices + dof_map.n_edges * (k - 1)
+            + c * dof_map.n_moment)
+    return np.array(idx + list(range(base, base + dof_map.n_moment)))
+
+
+def boundary_scalar_data(mesh, dof_map, g):
+    """Constrained velocity indices and values, one boundary edge at a time."""
+    k = dof_map.k
+    idx, vals = [], []
+    verts = np.where(mesh.boundary_vertex_flags)[0]
+    idx.extend(verts.tolist())
+    vals.append(g(mesh.vertices[verts]))
+    gl = gauss_lobatto_points(k + 1)[1:-1]
+    for e in np.where(mesh.boundary_edge_flags)[0]:
+        p0, p1 = mesh.vertices[mesh.edges[e][0]], mesh.vertices[mesh.edges[e][1]]
+        vals.append(g(p0[None, :]
+                      + 0.5 * (gl[:, None] + 1.0) * (p1 - p0)[None, :]))
+        base = dof_map.n_vertices + e * (k - 1)
+        idx.extend(range(base, base + k - 1))
+    idx = np.array(idx, dtype=np.int64)
+    vals = np.concatenate(vals)
+    return (np.concatenate([idx, idx + dof_map.n_scalar]),
+            np.concatenate([vals[:, 0], vals[:, 1]]))

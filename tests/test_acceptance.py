@@ -81,8 +81,9 @@ def test_criterion_3_patch():
             ux = np.full(dm.n_scalar, np.nan)
             uy = np.full(dm.n_scalar, np.nan)
             p = np.full(dm.n_scalar, np.nan)
+            table = dm.cell_dof_table(mesh)
             for c, ctx in enumerate(sol.contexts):
-                gd = dm.cell_scalar_dofs(mesh, c)
+                gd = table[c, :ctx.layout.n_scalar]
                 ux[gd] = vs.interpolate_scalar(ctx, lambda q: case.velocity(q)[:, 0])
                 uy[gd] = vs.interpolate_scalar(ctx, lambda q: case.velocity(q)[:, 1])
                 p[gd] = vs.interpolate_scalar(ctx, case.pressure)
