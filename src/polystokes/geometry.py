@@ -39,6 +39,9 @@ _HEX_LEVELS = {1: (5, 6), 2: (10, 12), 3: (15, 18), 4: (20, 23), 5: (40, 46), 6:
 
 _MERGE_TOL = 1e-9
 
+# Lloyd smoothing steps of the voronoi family
+LLOYD_ITERATIONS = 100
+
 
 class MeshError(ValueError):
     """Invalid mesh data (orientation, connectivity or coverage)."""
@@ -47,45 +50,68 @@ class MeshError(ValueError):
 # ---------------------------------------------------------------------------
 # polygon primitives
 # ---------------------------------------------------------------------------
+# The per-ring kernels take rings stacked as (..., m, 2) coordinates and
+# reduce along the ring axis, so one cell (m, 2) and a group of cells with
+# the same vertex count (g, m, 2) run the same code.  Each ring sum is
+# np.sum over the last, contiguous axis, which gives the same bits for a
+# ring alone or in a group.  np.add.reduceat over concatenated rings does
+# not: it sums in order, while np.sum sums rings of 8 or more vertices
+# pairwise, and 100 Lloyd steps amplify the difference.
+
+def _ring_groups(rings):
+    """Rings grouped by vertex count: (cell ids, (g, m) vertex indices) pairs."""
+    sizes = np.array([len(r) for r in rings], dtype=np.int64)
+    groups = []
+    for m in np.unique(sizes):
+        ids = np.flatnonzero(sizes == m)
+        ring = np.array([rings[i] for i in ids], dtype=np.int64)
+        groups.append((ids, ring.reshape(len(ids), m)))
+    return groups
+
+
+def _shoelace(verts):
+    """Ring coordinates, their successors and the shoelace cross terms."""
+    x, y = verts[..., 0], verts[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    return x, y, xn, yn, x * yn - xn * y
+
 
 def polygon_area(verts):
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    """Signed area, positive for CCW rings, of rings stacked as (..., m, 2)."""
+    return 0.5 * np.sum(_shoelace(verts)[-1], axis=-1)
 
 
 def polygon_centroid(verts):
-    x, y = verts[:, 0], verts[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    a = 0.5 * np.sum(cross)
-    cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * a)
-    cy = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * a)
-    return np.array([cx, cy])
+    """Centroids (..., 2) of rings stacked as (..., m, 2)."""
+    x, y, xn, yn, cross = _shoelace(verts)
+    a = 0.5 * np.sum(cross, axis=-1)
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * a)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * a)
+    return np.stack([cx, cy], axis=-1)
 
 
 def polygon_diameter(verts):
-    d = verts[:, None, :] - verts[None, :, :]
-    return np.sqrt(np.max(np.sum(d * d, axis=2)))
+    """Largest vertex-pair distance of rings stacked as (..., m, 2)."""
+    d = verts[..., :, None, :] - verts[..., None, :, :]
+    return np.sqrt(np.max(np.sum(d * d, axis=-1), axis=(-2, -1)))
 
 
-def _segments_intersect(p1, p2, q1, q2):
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return np.sign(v)
-
-    return (orient(p1, p2, q1) != orient(p1, p2, q2)
-            and orient(q1, q2, p1) != orient(q1, q2, p2))
+def _orient(a, b, c):
+    return np.sign((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+                   - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
 
 def _ring_is_simple(verts):
-    n = len(verts)
-    for i in range(n):
-        a1, a2 = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_intersect(a1, a2, verts[j], verts[(j + 1) % n]):
-                return False
-    return True
+    """Whether no two non-adjacent sides of rings (..., m, 2) intersect."""
+    m = verts.shape[-2]
+    i, j = np.triu_indices(m, 2)
+    keep = (i > 0) | (j < m - 1)
+    i, j = i[keep], j[keep]
+    p1, p2 = verts[..., i, :], verts[..., (i + 1) % m, :]
+    q1, q2 = verts[..., j, :], verts[..., (j + 1) % m, :]
+    crossing = ((_orient(p1, p2, q1) != _orient(p1, p2, q2))
+                & (_orient(q1, q2, p1) != _orient(q1, q2, p2)))
+    return ~crossing.any(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +159,30 @@ def build_mesh(vertices, cells, check_domain_area=None):
     check_domain_area: if given, total cell area must match it to 1e-12
     relative.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    rings = [np.asarray(c, dtype=np.int64) for c in cells]
+    vertices, rings = _checked_input(vertices, cells)
 
-    areas = np.empty(len(rings))
-    diams = np.empty(len(rings))
-    for ci, ring in enumerate(rings):
-        if len(ring) < 3 or len(np.unique(ring)) != len(ring):
-            raise MeshError(f"cell {ci}: ring must have >=3 distinct vertices")
+    n_k = len(rings)
+    areas = np.zeros(n_k)
+    diams = np.zeros(n_k)
+    distinct = np.zeros(n_k, dtype=bool)
+    simple = np.ones(n_k, dtype=bool)
+    for ids, ring in _ring_groups(rings):
+        if ring.shape[1] < 3:
+            continue
         poly = vertices[ring]
-        a = polygon_area(poly)
-        if a <= 0:
-            raise MeshError(f"cell {ci}: ring is clockwise or degenerate (area {a:g})")
-        if not _ring_is_simple(poly):
-            raise MeshError(f"cell {ci}: ring is self-intersecting")
-        areas[ci] = a
-        diams[ci] = polygon_diameter(poly)
+        distinct[ids] = (np.diff(np.sort(ring, axis=1), axis=1) != 0).all(axis=1)
+        areas[ids] = polygon_area(poly)
+        simple[ids] = _ring_is_simple(poly)
+        diams[ids] = polygon_diameter(poly)
+    valid = distinct & (areas > 0) & simple
+    if not valid.all():
+        ci = int(np.argmin(valid))
+        if not distinct[ci]:
+            raise MeshError(f"cell {ci}: ring must have >=3 distinct vertices")
+        if areas[ci] <= 0:
+            raise MeshError(f"cell {ci}: ring is clockwise or degenerate "
+                            f"(area {areas[ci]:g})")
+        raise MeshError(f"cell {ci}: ring is self-intersecting")
 
     edge_index = {}
     edge_count = {}
@@ -189,33 +223,74 @@ def build_mesh(vertices, cells, check_domain_area=None):
         h=float(np.max(diams)), cell_areas=areas, cell_diameters=diams)
 
 
+def _checked_input(vertices, cells):
+    """Vertices as a finite (n, 2) float array and rings as int64 arrays of
+    indices in [0, n); raises MeshError on anything else."""
+    try:
+        vertices = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MeshError(f"vertices are not an array of numbers: {exc}") from exc
+    if vertices.ndim != 2 or vertices.shape[1] != 2 or not np.isfinite(vertices).all():
+        raise MeshError("vertices must be a finite (n, 2) array, "
+                        f"got shape {vertices.shape}")
+    n = len(vertices)
+    try:
+        cells = list(cells)
+    except TypeError as exc:
+        raise MeshError(f"cells are not a sequence of rings: {exc}") from exc
+    rings = []
+    for ci, cell in enumerate(cells):
+        try:
+            ring = np.asarray(cell)
+        except (TypeError, ValueError):
+            ring = None
+        if ring is None or ring.ndim != 1 or (ring.size and ring.dtype.kind not in "iu"):
+            raise MeshError(f"cell {ci}: ring must be a sequence of integer "
+                            "vertex indices")
+        if ring.size and (ring.min() < 0 or ring.max() >= n):
+            raise MeshError(f"cell {ci}: vertex index out of range [0, {n})")
+        rings.append(ring.astype(np.int64, copy=False))
+    return vertices, rings
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
-def _clipped_voronoi_cells(points):
+def _voronoi_groups(points):
     """Voronoi cells of points in (0,1)^2, clipped exactly to the square.
 
     Mirrors the generators across the four sides so every cell of an
     original point is bounded and its boundary pieces land on the square.
+    Returns the CCW cells grouped by vertex count: (point ids, (g, m, 2)
+    coordinates) pairs.
     """
     pts = np.asarray(points, dtype=float)
     mirrors = [pts * [-1.0, 1.0], pts * [1.0, -1.0],
                np.column_stack([2.0 - pts[:, 0], pts[:, 1]]),
                np.column_stack([pts[:, 0], 2.0 - pts[:, 1]])]
     vor = Voronoi(np.vstack([pts] + mirrors))
-    polys = []
-    for i in range(len(pts)):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region:
+    regions = [vor.regions[r] for r in vor.point_region[:len(pts)]]
+    groups = []
+    for ids, ring in _ring_groups(regions):
+        if (ring < 0).any():
             raise MeshError("unbounded Voronoi cell; generator outside (0,1)^2?")
-        poly = vor.vertices[region]
-        if polygon_area(poly) < 0:
-            poly = poly[::-1]
+        poly = vor.vertices[ring]
+        clockwise = polygon_area(poly) < 0
+        poly[clockwise] = poly[clockwise, ::-1]
         # snap coordinates that should sit on the square boundary
         poly = np.where(np.abs(poly) < _MERGE_TOL, 0.0, poly)
         poly = np.where(np.abs(poly - 1.0) < _MERGE_TOL, 1.0, poly)
-        polys.append(poly)
+        groups.append((ids, poly))
+    return groups
+
+
+def _clipped_voronoi_cells(points):
+    """The cells of _voronoi_groups as a list of (m, 2) rings in point order."""
+    polys = [None] * len(points)
+    for ids, poly in _voronoi_groups(points):
+        for i, p in zip(ids, poly):
+            polys[i] = p
     return polys
 
 
@@ -254,8 +329,10 @@ def _triangular_lattice(nx, ny):
 def _lloyd(points, iterations):
     pts = points
     for _ in range(iterations):
-        polys = _clipped_voronoi_cells(pts)
-        pts = np.array([polygon_centroid(p) for p in polys])
+        groups = _voronoi_groups(pts)
+        pts = np.empty(pts.shape)
+        for ids, poly in groups:
+            pts[ids] = polygon_centroid(poly)
     return pts
 
 
@@ -267,13 +344,13 @@ def _hexagonal_mesh(level):
     return build_mesh(*_mesh_from_polygons(polys), check_domain_area=1.0)
 
 
-def _voronoi_mesh(level, rng_seed, lloyd_iterations=100):
+def _voronoi_mesh(level, rng_seed):
     if not 1 <= level <= 4:
         raise ValueError(f"voronoi family supports levels 1..4, got {level}")
     n = 64 * 4 ** (level - 1)
     rng = np.random.default_rng(rng_seed)
     seeds = rng.uniform(0.02, 0.98, size=(n, 2))
-    seeds = _lloyd(seeds, lloyd_iterations)
+    seeds = _lloyd(seeds, LLOYD_ITERATIONS)
     polys = _clipped_voronoi_cells(seeds)
     return build_mesh(*_mesh_from_polygons(polys), check_domain_area=1.0)
 
@@ -290,17 +367,14 @@ def _random_polygons_mesh(level, rng_seed):
     base = build_mesh(verts, rings, check_domain_area=1.0)
     # split every interior edge at a randomly offset midpoint
     offsets = rng.uniform(-0.2, 0.2, size=base.n_edges)
-    new_verts = list(base.vertices)
+    split = np.flatnonzero(~base.boundary_edge_flags)
+    pa, pb = base.vertices[base.edges[split, 0]], base.vertices[base.edges[split, 1]]
+    d = pb - pa
+    normal = np.column_stack([d[:, 1], -d[:, 0]])
+    mids = 0.5 * (pa + pb)
     mid_index = np.full(base.n_edges, -1, dtype=np.int64)
-    for e, (a, b) in enumerate(base.edges):
-        if base.boundary_edge_flags[e]:
-            continue
-        pa, pb = base.vertices[a], base.vertices[b]
-        d = pb - pa
-        normal = np.array([d[1], -d[0]])
-        mid_index[e] = len(new_verts)
-        new_verts.append(0.5 * (pa + pb) + offsets[e] * normal)
-    new_verts = np.array(new_verts)
+    mid_index[split] = base.n_vertices + np.arange(len(split))
+    new_verts = np.vstack([base.vertices, mids + offsets[split, None] * normal])
 
     def expand(ring, ce):
         out = []
@@ -314,22 +388,20 @@ def _random_polygons_mesh(level, rng_seed):
     new_rings = [expand(r, ce) for r, ce in zip(base.cells, base.cell_edges)]
 
     # damp offsets that break a centroid star-shaped fan
+    groups = _ring_groups(new_rings)
     for _ in range(60):
-        bad = set()
-        for ci, ring in enumerate(new_rings):
+        bad = np.zeros(len(new_verts), dtype=bool)
+        for ids, ring in groups:
             poly = new_verts[ring]
-            c = polygon_centroid(poly)
-            d = poly - c
-            cross = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
-            if np.min(cross) <= 1e-12:
-                bad.update(int(v) for v in ring if v >= base.n_vertices)
-        if not bad:
+            d = poly - polygon_centroid(poly)[:, None, :]
+            cross = (d[..., 0] * np.roll(d[..., 1], -1, axis=-1)
+                     - d[..., 1] * np.roll(d[..., 0], -1, axis=-1))
+            bad[ring[np.min(cross, axis=-1) <= 1e-12]] = True
+        damp = bad[mid_index[split]]
+        if not damp.any():
             break
-        for e in range(base.n_edges):
-            if mid_index[e] in bad:
-                a, b = base.edges[e]
-                mid = 0.5 * (base.vertices[a] + base.vertices[b])
-                new_verts[mid_index[e]] = 0.5 * (new_verts[mid_index[e]] + mid)
+        moved = mid_index[split[damp]]
+        new_verts[moved] = 0.5 * (new_verts[moved] + mids[damp])
     return build_mesh(new_verts, new_rings, check_domain_area=1.0)
 
 
@@ -454,47 +526,59 @@ class GeometryReport:
 
 
 def _distance_to_boundary(points, verts):
-    n = len(verts)
-    dmin = np.full(len(points), np.inf)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        d = b - a
-        t = np.clip(((points - a) @ d) / (d @ d), 0.0, 1.0)
-        proj = a + t[:, None] * d[None, :]
-        dist = np.linalg.norm(points - proj, axis=1)
-        dmin = np.minimum(dmin, dist)
+    """Distance from points (..., p, 2) to the sides of rings (..., m, 2)."""
+    m = verts.shape[-2]
+    px, py = points[..., 0], points[..., 1]
+    dmin = np.full(px.shape, np.inf)
+    for i in range(m):
+        a = verts[..., i:i + 1, :]
+        d = verts[..., (i + 1) % m, None, :] - a
+        # a matmul, not x * dx + y * dy: BLAS rounds these dot products its
+        # own way (with FMA), and it does so alike for one ring or a group
+        dt = np.swapaxes(d, -1, -2)
+        t = np.clip(((points - a) @ dt)[..., 0] / (d @ dt)[..., 0], 0.0, 1.0)
+        ex = px - (a[..., 0] + t * d[..., 0])
+        ey = py - (a[..., 1] + t * d[..., 1])
+        dmin = np.minimum(dmin, np.sqrt(ex * ex + ey * ey))
     return dmin
 
 
 def _fan_jacobians(verts, centers):
     """Twice the signed area of each fan triangle (c, v_i, v_{i+1}), for
-    every center c: shape (n_centers, n_vertices)."""
-    a = verts[None, :, :] - centers[:, None, :]
-    b = np.roll(verts, -1, axis=0)[None, :, :] - centers[:, None, :]
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    rings (..., m, 2) and centers (..., n_centers, 2): shape
+    (..., n_centers, m)."""
+    x, y = verts[..., None, :, 0], verts[..., None, :, 1]
+    cx, cy = centers[..., :, None, 0], centers[..., :, None, 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    return (x - cx) * (yn - cy) - (y - cy) * (xn - cx)
 
 
 def _kernel_samples(verts):
-    """A 32 x 32 grid over the bounding box, plus the centroid."""
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
-    gx = np.linspace(lo[0], hi[0], 32)
-    gy = np.linspace(lo[1], hi[1], 32)
-    pts = np.column_stack([np.repeat(gx, 32), np.tile(gy, 32)])
-    return np.vstack([pts, polygon_centroid(verts)[None, :]])
+    """A 32 x 32 grid over each ring's bounding box, plus its centroid."""
+    lo, hi = verts.min(axis=-2), verts.max(axis=-2)
+    gx = np.linspace(lo[..., 0], hi[..., 0], 32, axis=-1)
+    gy = np.linspace(lo[..., 1], hi[..., 1], 32, axis=-1)
+    grid = np.stack([np.repeat(gx, 32, axis=-1), np.tile(gy, 32)], axis=-1)
+    return np.concatenate([grid, polygon_centroid(verts)[..., None, :]], axis=-2)
 
 
 def _star_ratio(verts):
-    """Largest inscribed-ball diameter over diameter, ball center in the kernel.
+    """Largest inscribed-ball diameter over diameter, ball center in the
+    kernel, of rings (..., m, 2); 0 where no sample lies in the kernel.
 
     Kernel membership is sampled on _kernel_samples; a center must see
     every edge from its inner side.
     """
     pts = _kernel_samples(verts)
-    kernel = (_fan_jacobians(verts, pts) >= 0).all(axis=1)
-    if not kernel.any():
-        return 0.0
-    radii = _distance_to_boundary(pts[kernel], verts)
-    return float(2.0 * np.max(radii) / polygon_diameter(verts))
+    kernel = (_fan_jacobians(verts, pts) >= 0).all(axis=-1)
+    radii = np.where(kernel, _distance_to_boundary(pts, verts), -np.inf)
+    return np.where(kernel.any(axis=-1),
+                    2.0 * radii.max(axis=-1) / polygon_diameter(verts), 0.0)
+
+
+# cells per batch in validate_geometry, bounding its (cells, samples, m)
+# temporaries to a few MB
+_VALIDATE_BATCH = 32
 
 
 def validate_geometry(mesh, rho1=0.1, rho2=0.1):
@@ -505,16 +589,18 @@ def validate_geometry(mesh, rho1=0.1, rho2=0.1):
     vertex-pair distance relative to the cell diameter.  Violations of the
     thresholds are flagged, not fatal.
     """
-    n = mesh.n_cells
-    star = np.empty(n)
-    mind = np.empty(n)
-    for c in range(n):
-        poly = mesh.cell_polygon(c)
-        star[c] = _star_ratio(poly)
-        d = poly[:, None, :] - poly[None, :, :]
-        dist = np.sqrt(np.sum(d * d, axis=2))
-        np.fill_diagonal(dist, np.inf)
-        mind[c] = float(np.min(dist)) / mesh.cell_diameters[c]
+    star = np.empty(mesh.n_cells)
+    mind = np.empty(mesh.n_cells)
+    for ids, ring in _ring_groups(mesh.cells):
+        diag = np.arange(ring.shape[1])
+        for s in range(0, len(ids), _VALIDATE_BATCH):
+            cells = ids[s:s + _VALIDATE_BATCH]
+            poly = mesh.vertices[ring[s:s + _VALIDATE_BATCH]]
+            star[cells] = _star_ratio(poly)
+            d = poly[:, :, None, :] - poly[:, None, :, :]
+            dist = np.sqrt(np.sum(d * d, axis=-1))
+            dist[:, diag, diag] = np.inf
+            mind[cells] = dist.min(axis=(1, 2)) / mesh.cell_diameters[cells]
     return GeometryReport(
         star_ratio=star, min_distance_ratio=mind,
         areas=mesh.cell_areas.copy(), diameters=mesh.cell_diameters.copy(),

@@ -41,6 +41,14 @@ def test_mesh_generate_and_check(tmp_path, capsys):
     assert "vertices=62" in text
 
 
+def test_mesh_check_reports_bad_vertex_index(tmp_path, capsys):
+    path = tmp_path / "mesh.json"
+    path.write_text('{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], '
+                    '"cells": [[0, 1, 2, 7]]}')
+    assert cli.main(["mesh", "check", "--input", str(path)]) == 1
+    assert "cell 0: vertex index out of range" in capsys.readouterr().err
+
+
 def test_solve_patch_prints_small_errors(capsys):
     rc = cli.main(["solve", "--case", "patch", "--k", "1",
                    "--family", "hexagonal", "--level", "1"])

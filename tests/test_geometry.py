@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polystokes import geometry as geo
+import oracles
 from oracles import monomial_integral
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -147,6 +148,36 @@ def test_build_mesh_rejects_bad_area():
         geo.build_mesh(UNIT_SQUARE, [[0, 1, 2, 3]], check_domain_area=2.0)
 
 
+TWO_SQUARES = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1.0]])
+
+
+@pytest.mark.parametrize("ring", [[1, 2, 3, -1], [1, 2, 3.7, 4], [1, 2, 3, 7],
+                                  ["1", "2", "3", "4"], [[1, 2], [3, 4]]],
+                         ids=["negative", "fractional", "beyond", "string",
+                              "nested"])
+def test_build_mesh_rejects_bad_ring_index(ring):
+    with pytest.raises(geo.MeshError, match="cell 1:"):
+        geo.build_mesh(TWO_SQUARES, [[0, 1, 4, 5], ring])
+
+
+@pytest.mark.parametrize("vertices", [
+    np.column_stack([UNIT_SQUARE, np.zeros(4)]), UNIT_SQUARE[:, :1],
+    UNIT_SQUARE.ravel(), np.where(UNIT_SQUARE == 1.0, np.nan, UNIT_SQUARE),
+    np.where(UNIT_SQUARE == 1.0, np.inf, UNIT_SQUARE), [[0, 0], [1, "a"]]],
+    ids=["3-columns", "1-column", "flat", "nan", "inf", "text"])
+def test_build_mesh_rejects_bad_vertices(vertices):
+    with pytest.raises(geo.MeshError, match="vertices"):
+        geo.build_mesh(vertices, [[0, 1, 2, 3]])
+
+
+def test_import_mesh_rejects_bad_index(tmp_path):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"vertices": UNIT_SQUARE.tolist(),
+                                "cells": [[0, 1, 2, -1]]}))
+    with pytest.raises(geo.MeshError, match="cell 0:"):
+        geo.import_mesh(path)
+
+
 @pytest.mark.parametrize("family", geo.MESH_FAMILIES)
 @pytest.mark.parametrize("level", [1, 2])
 def test_generated_mesh_invariants(family, level):
@@ -171,6 +202,61 @@ def test_mesh_h_decreases_with_level():
     for family in geo.MESH_FAMILIES:
         h = [geo.generate_mesh(family, lvl).h for lvl in (1, 2, 3)]
         assert h[0] > h[1] > h[2]
+
+
+def _assert_meshes_equal(mesh, ref):
+    for name in ("vertices", "edges", "boundary_vertex_flags",
+                 "boundary_edge_flags", "cell_areas", "cell_diameters"):
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert mesh.h == ref.h
+    for name in ("cells", "cell_edges"):
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert len(got) == len(want)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(got, want)), name
+
+
+@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
+@pytest.mark.parametrize("level", [1, 2])
+def test_generated_mesh_equals_per_cell_loops(family, level):
+    _assert_meshes_equal(geo.generate_mesh(family, level),
+                         oracles.generate_mesh(family, level))
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_lloyd_equals_per_cell_loop(seed):
+    points = np.random.default_rng(seed).uniform(0.02, 0.98, size=(64, 2))
+    got = geo._lloyd(points, geo.LLOYD_ITERATIONS)
+    assert geo.LLOYD_ITERATIONS == 100
+    assert np.array_equal(got, oracles.lloyd(points, 100))
+
+
+def test_grouped_shoelace_sums_in_per_ring_order():
+    # rings of 8 or more vertices are where np.sum's pairwise order and an
+    # in-order segment sum part
+    rng = np.random.default_rng(3)
+    for m in range(8, 13):
+        theta = np.sort(rng.uniform(0, 2 * np.pi, size=(40, m)), axis=1)
+        r = rng.uniform(0.5, 1.5, size=(40, m))
+        rings = (rng.uniform(-5, 5, size=(40, 1, 2))
+                 + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1))
+        want_c = np.array([oracles.polygon_centroid(p) for p in rings])
+        want_a = np.array([oracles.polygon_area(p) for p in rings])
+        assert np.array_equal(geo.polygon_centroid(rings), want_c)
+        assert np.array_equal(geo.polygon_area(rings), want_a)
+        assert all(np.array_equal(geo.polygon_centroid(p), c)
+                   for p, c in zip(rings, want_c))
+
+
+def test_ring_checks_equal_per_cell_loops():
+    rng = np.random.default_rng(5)
+    for m in range(3, 10):
+        rings = rng.uniform(0, 1, size=(60, m, 2))
+        assert np.array_equal(geo._ring_is_simple(rings),
+                              [oracles.ring_is_simple(p) for p in rings])
+        assert np.array_equal(geo.polygon_diameter(rings),
+                              [oracles.polygon_diameter(p) for p in rings])
 
 
 def test_voronoi_seed_reproducible():
@@ -199,6 +285,27 @@ def test_validate_geometry_square():
     assert rep.star_ratio[0] >= 0.5
     assert rep.min_distance_ratio[0] == pytest.approx(1 / np.sqrt(2), rel=1e-12)
     assert not rep.star_violations.any()
+
+
+def _assert_reports_equal(rep, ref):
+    for name in ("star_ratio", "min_distance_ratio", "areas", "diameters",
+                 "star_violations", "distance_violations"):
+        got, want = getattr(rep, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
+@pytest.mark.parametrize("level", [1, 2])
+def test_validate_geometry_equals_per_cell_loop(family, level):
+    mesh = geo.generate_mesh(family, level)
+    _assert_reports_equal(geo.validate_geometry(mesh),
+                          oracles.validate_geometry(mesh))
+
+
+def test_validate_geometry_equals_per_cell_loop_on_l_cell():
+    mesh = geo.build_mesh(L_CELL, [np.arange(6)])
+    _assert_reports_equal(geo.validate_geometry(mesh),
+                          oracles.validate_geometry(mesh))
 
 
 def test_validate_geometry_hexagon():
