@@ -19,6 +19,7 @@ from . import polybasis as pb
 from .assembly import assemble, condition_number, solve_stokes, with_alpha
 from .geometry import generate_mesh
 from .stokes_local import StabilizationConfig
+from .vemspace import context_groups
 
 __all__ = ["ManufacturedCase", "trig_case", "poly_case", "patch_case",
            "ErrorReport", "compute_errors", "run_convergence",
@@ -198,42 +199,57 @@ def _relative(err2, ref2):
     return float(err / ref) if ref > 1e-14 else float(err)
 
 
+def _dot(w, x):
+    """Each cell's weights dotted with its values, (g, n) . (g, n) -> (g,)."""
+    return (w[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 def compute_errors(solution, case):
-    """Projection-based error norms of a discrete solution."""
-    mesh, k = solution.mesh, solution.k
-    dof_map = solution.dof_map
-    e0u = e1u = e0p = n0u = n1u = n0p = 0.0
-    table = dof_map.cell_dof_table(mesh)
-    for c, ctx in enumerate(solution.contexts):
-        gd = table[c, :ctx.layout.n_scalar]
-        ops = ctx.operators
-        cux = ops.pizero_k @ solution.ux[gd]
-        cuy = ops.pizero_k @ solution.uy[gd]
-        cp = ops.pizero_k @ solution.p[gd]
+    """Projection-based error norms of a discrete solution.
+
+    Each cell's contributions are computed over the cells grouped by vertex
+    count and then summed in cell order.
+    """
+    k = solution.k
+    contexts = solution.contexts
+    # per cell: e0u, e1u, e0p and the exact norms n0u, n1u, n0p, squared
+    parts = np.zeros((6, len(contexts)))
+    for ids, ctx in context_groups(contexts):
+        gd = solution.cell_dofs[ids, :ctx.layout.n_scalar]
+        pz = ctx.operators.pizero_k
+        cux = pz @ solution.ux[gd][:, :, None]      # (g, nk, 1)
+        cuy = pz @ solution.uy[gd][:, :, None]
+        cp = pz @ solution.p[gd][:, :, None]
         pts, w = ctx.quad.points, ctx.quad.weights
+        phi = ctx.quad_values                      # (g, nq, nk)
         basis_k = ctx.basis.prefix(k)
-        phi = pb.evaluate(basis_k, pts)
-        gphi = pb.gradient(basis_k, pts)           # (nq, nk, 2)
+        gphi = pb.gradient(basis_k, pb.power_table(
+            k, basis_k.centroid[:, None, :], basis_k.diameter[:, None, None],
+            pts))                                  # (g, nq, nk, 2)
 
-        u = case.velocity(pts)
-        gu = case.grad_velocity(pts)
-        p = case.pressure(pts)
+        flat = pts.reshape(-1, 2)
+        u = case.velocity(flat).reshape(pts.shape)
+        gu = case.grad_velocity(flat).reshape(pts.shape + (2,))
+        p = case.pressure(flat).reshape(w.shape)
 
-        du0 = phi @ cux - u[:, 0]
-        du1 = phi @ cuy - u[:, 1]
-        dp = phi @ cp - p
-        e0u += w @ (du0 ** 2 + du1 ** 2)
-        e0p += w @ (dp ** 2)
-        n0u += w @ (u[:, 0] ** 2 + u[:, 1] ** 2)
-        n0p += w @ (p ** 2)
+        du0 = (phi @ cux)[..., 0] - u[..., 0]
+        du1 = (phi @ cuy)[..., 0] - u[..., 1]
+        dp = (phi @ cp)[..., 0] - p
+        parts[0, ids] = _dot(w, du0 ** 2 + du1 ** 2)
+        parts[2, ids] = _dot(w, dp ** 2)
+        parts[3, ids] = _dot(w, u[..., 0] ** 2 + u[..., 1] ** 2)
+        parts[5, ids] = _dot(w, p ** 2)
 
-        gh0 = np.einsum("qjd,j->qd", gphi, cux)
-        gh1 = np.einsum("qjd,j->qd", gphi, cuy)
-        d0 = gh0 - gu[:, 0, :]
-        d1 = gh1 - gu[:, 1, :]
-        e1u += w @ np.sum(d0 ** 2 + d1 ** 2, axis=1)
-        n1u += w @ np.sum(gu[:, 0, :] ** 2 + gu[:, 1, :] ** 2, axis=1)
+        gh0 = np.einsum("cqjd,cj->cqd", gphi, cux[..., 0])
+        gh1 = np.einsum("cqjd,cj->cqd", gphi, cuy[..., 0])
+        d0 = gh0 - gu[..., 0, :]
+        d1 = gh1 - gu[..., 1, :]
+        parts[1, ids] = _dot(w, np.sum(d0 ** 2 + d1 ** 2, axis=-1))
+        parts[4, ids] = _dot(w, np.sum(gu[..., 0, :] ** 2 + gu[..., 1, :] ** 2,
+                                       axis=-1))
 
+    # np.cumsum adds in order, as a running sum over the cells does
+    e0u, e1u, e0p, n0u, n1u, n0p = np.cumsum(parts, axis=1)[:, -1]
     return ErrorReport(err0_u=_relative(e0u, n0u),
                        err1_u=_relative(e1u, n1u),
                        err0_p=_relative(e0p, n0p))

@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from . import polybasis as pb
 from .geometry import gauss_lobatto_points
-from .stokes_local import StabilizationConfig, build_blocks
+from .stokes_local import LocalStokesBlocks, StabilizationConfig, build_blocks
 from .vemspace import build_element
 
 __all__ = ["GlobalDofMap", "GlobalSystem", "Solution", "build_dof_map",
@@ -124,7 +124,8 @@ class GlobalSystem:
     boundary_values: np.ndarray  # values at the constrained indices
     signs: np.ndarray            # +1 velocity rows, -1 pressure/multiplier
     contexts: list = field(repr=False, default=None)
-    cell_blocks: list = field(repr=False, default=None)
+    # stacked in cell order, zero-padded to the width of cell_dofs
+    cell_blocks: LocalStokesBlocks = field(repr=False, default=None)
     cell_dofs: np.ndarray = field(repr=False, default=None)  # cell_dof_table
     # matrix = k0 + alpha C on k0's pattern: C's entries are c_values at
     # k0.data[c_positions]; rhs, free and signs do not depend on alpha
@@ -152,6 +153,7 @@ class Solution:
     residual: float              # relative residual of the reduced solve
     n_dofs: int                  # size of the solved system
     contexts: list = field(repr=False, default=None)
+    cell_dofs: np.ndarray = field(repr=False, default=None)  # cell_dof_table
 
 
 def _boundary_scalar_data(mesh, dof_map, g):
@@ -173,33 +175,22 @@ def _boundary_scalar_data(mesh, dof_map, g):
     return np.concatenate([idx, idx + dof_map.n_scalar]), vals.T.ravel()
 
 
-def _padded(blocks, shape):
-    """The blocks zero-padded at the end of every axis to shape, stacked."""
-    out = np.zeros((len(blocks),) + shape)
-    for o, block in zip(out, blocks):
-        o[tuple(map(slice, block.shape))] = block
-    return out
-
-
 def _affine(system, condensed):
     """The system in the given form: k0, C, rhs, free set, signs and bubble
     recovery gathered once from the cell blocks, and the matrix formed."""
     dof_map, table = system.dof_map, system.cell_dofs
     n_sc, n_cells = dof_map.n_scalar, dof_map.n_cells
     n_sys = dof_map.n_system(condensed)
-    m, nb = table.shape[1], dof_map.n_bubble_cell
+    blocks = system.cell_blocks          # padded to the width of table
     A_u, B_u, F_u, A_b, B_b, C_p, w, F_b = (
-        _padded([getattr(b, name) for b in system.cell_blocks], shape)
-        for name, shape in (("A_u", (2 * m, 2 * m)), ("B_u", (m, 2 * m)),
-                            ("F_u", (2 * m,)), ("A_b", (nb, nb)),
-                            ("B_b", (m, nb)), ("C_p", (m, m)),
-                            ("mean_weights", (m,)), ("F_b", (nb,))))
+        blocks.A_u, blocks.B_u, blocks.F_u, blocks.A_b, blocks.B_b,
+        blocks.C_p, blocks.mean_weights, blocks.F_b)
 
     # global index of each local slot; padding goes to n_sys.  A cell's
     # velocity slots are its x DOFs, its y DOFs, then the padding
     prs = np.where(table < 0, n_sys, table + dof_map.pressure_offset(condensed))
     cell, j = np.nonzero(table >= 0)
-    vel = np.full((n_cells, 2 * m), n_sys)
+    vel = np.full((n_cells, 2 * table.shape[1]), n_sys)
     vel[cell, j] = table[cell, j]
     vel[cell, j + np.count_nonzero(table >= 0, axis=1)[cell]] = \
         table[cell, j] + n_sc
@@ -273,7 +264,7 @@ def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
     dof_map = build_dof_map(mesh, k)
     contexts = [build_element(mesh.vertices[cell], k, basis_kind=basis_kind,
                               quad_degree=quad_degree) for cell in mesh.cells]
-    cell_blocks = [build_blocks(ctx, config, f) for ctx in contexts]
+    cell_blocks = build_blocks(contexts, config, f)
     constrained, values = _boundary_scalar_data(mesh, dof_map, g)
     return _affine(GlobalSystem(
         mesh=mesh, k=k, config=config, basis_kind=basis_kind,
@@ -394,7 +385,8 @@ def solve(system):
     return Solution(mesh=system.mesh, k=system.k, dof_map=dof_map,
                     ux=full[:n_sc], uy=full[n_sc:2 * n_sc], p=p,
                     bubbles=bubbles, multiplier=full[-1], residual=float(res),
-                    n_dofs=system.n_dofs, contexts=system.contexts)
+                    n_dofs=system.n_dofs, contexts=system.contexts,
+                    cell_dofs=system.cell_dofs)
 
 
 def solve_stokes(mesh, k, f=None, g=None, config=None,

@@ -18,16 +18,18 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .geometry import polygon_centroid, polygon_diameter
 
 __all__ = [
     "PolyBasis",
+    "PowerTable",
     "IllConditionedBasisError",
     "poly_dim",
     "monomial_exponents",
     "build_basis",
+    "power_table",
     "evaluate",
     "gradient",
     "stiffness",
@@ -51,6 +53,28 @@ def monomial_exponents(k):
 
 
 BASIS_KINDS = ("scaled_monomial", "l2_orthonormal")
+
+
+def solve_triangular(a, b, trans=False):
+    """x with a x = b, or a^T x = b when trans, for upper-triangular float
+    matrices a (..., n, n) and b (..., n, m), stacked or not.
+
+    This is scipy.linalg.solve_triangular's LAPACK trtrs call for each
+    matrix, made the same way (a C-ordered a is passed transposed as a lower
+    factor), so it gives the same bits without its checks and wrappers,
+    which cost several times the solve on one cell.
+    """
+    if a.ndim > 2:
+        return np.stack([solve_triangular(ai, bi, trans)
+                         for ai, bi in zip(a, b)])
+    trtrs, = get_lapack_funcs(("trtrs",), (a, b))
+    if a.flags.f_contiguous:
+        x, info = trtrs(a, b, lower=False, trans=int(trans))
+    else:
+        x, info = trtrs(a.T, b, lower=True, trans=int(not trans))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -79,8 +103,8 @@ class PolyBasis:
         """The sub-basis of degree j <= degree (nesting is exact)."""
         n = poly_dim(j)
         return PolyBasis(self.kind, j, self.centroid, self.diameter,
-                         self.change_of_basis[:n, :n].copy(),
-                         self.monomial_factor[:n, :n].copy())
+                         self.change_of_basis[..., :n, :n].copy(),
+                         self.monomial_factor[..., :n, :n].copy())
 
     def orthonormal(self):
         """The basis R^-1 on the same cell: its members are orthonormal in
@@ -109,45 +133,79 @@ def _exponent_arrays(k):
 
 
 def _scaled_powers(k, centroid, diameter, points):
-    """Powers 0..k of the scaled coordinates, two (n_points, k+1) tables."""
+    """Powers 0..k of the scaled coordinates, two (..., n_points, k+1) tables."""
     scaled = (points - centroid) / diameter
     # one scalar power per degree: unlike an array of exponents it squares
     # by x * x, not pow, and the monomial bubble blocks of badly shaped cells
     # amplify that last-bit difference to 2e-10 of their scale
     # (random_polygons L2 cell 109, k=4)
     powers = np.stack([scaled ** d for d in range(k + 1)], axis=-1)
-    return powers[:, 0], powers[:, 1]
+    return powers[..., 0, :], powers[..., 1, :]
 
 
-def _scaled_monomial_values(k, centroid, diameter, points):
-    a, b = _exponent_arrays(k)
-    xp, yp = _scaled_powers(k, centroid, diameter, points)
-    return xp[:, a] * yp[:, b]
+@dataclass(frozen=True)
+class PowerTable:
+    """Powers 0..degree of the scaled coordinates of a set of points.
+
+    x and y are (..., n_points, degree+1).  Leading axes stack cells; the
+    centroid and diameter are then arrays that broadcast against the points
+    (..., n_points, 2) and against (..., n_points, 1).
+    The scaled monomials of every degree <= degree, and their gradients, are
+    products of table entries, so one table serves them all.
+    """
+
+    degree: int
+    centroid: np.ndarray
+    diameter: float | np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def values(self, k):
+        """Scaled monomials of degree <= k, (..., n_points, poly_dim(k))."""
+        a, b = _exponent_arrays(k)
+        return self.x[..., a] * self.y[..., b]
+
+    def gradients(self, k):
+        """Their gradients, (..., n_points, poly_dim(k), 2)."""
+        a, b = _exponent_arrays(k)
+        # a * x^(a-1) is zero for a = 0 whatever power it multiplies
+        dx = a * self.x[..., np.maximum(a - 1, 0)] * self.y[..., b] / self.diameter
+        dy = b * self.x[..., a] * self.y[..., np.maximum(b - 1, 0)] / self.diameter
+        return np.stack([dx, dy], axis=-1)
 
 
-def _scaled_monomial_gradients(k, centroid, diameter, points):
-    a, b = _exponent_arrays(k)
-    xp, yp = _scaled_powers(k, centroid, diameter, points)
-    # a * x^(a-1) is zero for a = 0 whatever power it multiplies
-    dx = a * xp[:, np.maximum(a - 1, 0)] * yp[:, b] / diameter
-    dy = b * xp[:, a] * yp[:, np.maximum(b - 1, 0)] / diameter
-    return np.stack([dx, dy], axis=-1)
+def power_table(degree, centroid, diameter, points):
+    """The PowerTable of degree at points (..., n_points, 2) on cells with
+    centroids (..., 1, 2) and diameters (..., 1, 1), or on one cell."""
+    return PowerTable(degree, centroid, diameter,
+                      *_scaled_powers(degree, centroid, diameter, points))
 
 
-def _monomial_laplacian_map(k, diameter):
-    """Matrix L with L[:, i] = coefficients of laplacian(m_i) in M_{k-2}."""
+@cache
+def _laplacian_exponents(k):
+    """The laplacian of the unscaled monomials of degree <= k in those of
+    degree <= k-2, read-only."""
     exps = monomial_exponents(k)
     low = {e: i for i, e in enumerate(monomial_exponents(k - 2))} if k >= 2 else {}
     L = np.zeros((poly_dim(k - 2), poly_dim(k)))
     for i, (a, b) in enumerate(exps):
         if a >= 2:
-            L[low[(a - 2, b)], i] += a * (a - 1) / diameter ** 2
+            L[low[(a - 2, b)], i] = a * (a - 1)
         if b >= 2:
-            L[low[(a, b - 2)], i] += b * (b - 1) / diameter ** 2
+            L[low[(a, b - 2)], i] = b * (b - 1)
+    L.flags.writeable = False
     return L
 
 
-def _monomial_derivative_maps(k, diameter):
+def _monomial_laplacian_map(k, diameter):
+    """Matrix L with L[:, i] = coefficients of laplacian(m_i) in M_{k-2}."""
+    return _laplacian_exponents(k) / diameter ** 2
+
+
+@cache
+def _derivative_exponents(k):
+    """d/dx and d/dy of the unscaled monomials of degree <= k as matrices
+    on their coefficients, read-only."""
     exps = monomial_exponents(k)
     idx = {e: i for i, e in enumerate(exps)}
     n = poly_dim(k)
@@ -155,20 +213,29 @@ def _monomial_derivative_maps(k, diameter):
     dy = np.zeros((n, n))
     for i, (a, b) in enumerate(exps):
         if a > 0:
-            dx[idx[(a - 1, b)], i] = a / diameter
+            dx[idx[(a - 1, b)], i] = a
         if b > 0:
-            dy[idx[(a, b - 1)], i] = b / diameter
+            dy[idx[(a, b - 1)], i] = b
+    dx.flags.writeable = dy.flags.writeable = False
     return dx, dy
+
+
+def _monomial_derivative_maps(k, diameter):
+    """The derivative matrices of the scaled monomials on cells of the
+    given diameter (a float, or an array of them)."""
+    dx, dy = _derivative_exponents(k)
+    diameter = np.asarray(diameter)[..., None, None]
+    return dx / diameter, dy / diameter
 
 
 class IllConditionedBasisError(RuntimeError):
     """The scaled monomials are numerically dependent at the quadrature points."""
 
 
-def _monomial_factor(k, centroid, diameter, quadrature):
+def _monomial_factor(k, weights, powers):
     """R of the Householder QR sqrt(W) V = Q R, with diag(R) > 0."""
-    V = _scaled_monomial_values(k, centroid, diameter, quadrature.points)
-    R = np.linalg.qr(np.sqrt(quadrature.weights)[:, None] * V, mode="r")
+    V = powers.values(k)
+    R = np.linalg.qr(np.sqrt(weights)[:, None] * V, mode="r")
     if np.linalg.cond(R) > 1e15:
         raise IllConditionedBasisError(
             "scaled monomials numerically dependent at the quadrature "
@@ -176,37 +243,50 @@ def _monomial_factor(k, centroid, diameter, quadrature):
     return np.copysign(1.0, np.diag(R))[:, None] * R
 
 
-def build_basis(verts, k, kind="scaled_monomial", *, quadrature):
+def build_basis(verts, k, kind="scaled_monomial", *, quadrature, powers=None):
     """Build the degree-k basis on a polygonal cell.
 
     The basis carries the QR factor R of its scaled monomials at the
     quadrature (see PolyBasis).  Kind 'l2_orthonormal' has change of basis
     R^-1, so its members are orthonormal in the quadrature inner product.
+    powers is the PowerTable of degree >= k at the quadrature points, on
+    the centroid and diameter of verts, for a caller that evaluates more
+    there; without it the table is built here.
     Raises IllConditionedBasisError when R is numerically singular.
     """
     if kind not in BASIS_KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
-    verts = np.asarray(verts, dtype=float)
-    centroid = polygon_centroid(verts)
-    diameter = polygon_diameter(verts)
-    R = _monomial_factor(k, centroid, diameter, quadrature)
-    basis = PolyBasis("scaled_monomial", k, centroid, diameter,
+    if powers is None:
+        verts = np.asarray(verts, dtype=float)
+        powers = power_table(k, polygon_centroid(verts),
+                             polygon_diameter(verts), quadrature.points)
+    R = _monomial_factor(k, quadrature.weights, powers)
+    basis = PolyBasis("scaled_monomial", k, powers.centroid, powers.diameter,
                       np.eye(poly_dim(k)), R)
     return basis if kind == "scaled_monomial" else basis.orthonormal()
 
 
-def evaluate(basis, points):
-    """Member values at points, shape (n_points, dimension)."""
-    V = _scaled_monomial_values(basis.degree, basis.centroid, basis.diameter,
-                                np.atleast_2d(points))
-    return V @ basis.change_of_basis
+def _powers(basis, at):
+    """at itself if it is a PowerTable (of the basis's cell, degree >=
+    basis.degree), else the table of the basis at the points at."""
+    if isinstance(at, PowerTable):
+        return at
+    return power_table(basis.degree, basis.centroid, basis.diameter,
+                       np.atleast_2d(at))
 
 
-def gradient(basis, points):
-    """Member gradients at points, shape (n_points, dimension, 2)."""
-    G = _scaled_monomial_gradients(basis.degree, basis.centroid,
-                                   basis.diameter, np.atleast_2d(points))
-    return (G.swapaxes(1, 2) @ basis.change_of_basis).swapaxes(1, 2)
+def evaluate(basis, at):
+    """Member values at points, or at a PowerTable's points, shape
+    (n_points, dimension)."""
+    return _powers(basis, at).values(basis.degree) @ basis.change_of_basis
+
+
+def gradient(basis, at):
+    """Member gradients at points, or at a PowerTable's points, shape
+    (n_points, dimension, 2)."""
+    G = _powers(basis, at).gradients(basis.degree)
+    C = basis.change_of_basis[..., None, :, :]
+    return (G.swapaxes(-1, -2) @ C).swapaxes(-1, -2)
 
 
 def laplacian_in_lower_basis(basis):
@@ -221,15 +301,17 @@ def laplacian_in_lower_basis(basis):
 
 
 def derivative_matrices(basis):
-    """(DX, DY) with DX @ c = basis coefficients of d/dx of the polynomial c."""
+    """(DX, DY) with DX @ c = basis coefficients of d/dx of the polynomial c;
+    stacked for a stacked basis."""
     dx, dy = _monomial_derivative_maps(basis.degree, basis.diameter)
     C = basis.change_of_basis
     return (solve_triangular(C, dx @ C), solve_triangular(C, dy @ C))
 
 
-def stiffness(basis, quad):
-    """Quadrature Gram matrix of the gradients of the basis members."""
-    G = gradient(basis, quad.points) * np.sqrt(quad.weights)[:, None, None]
+def stiffness(basis, weights, at):
+    """Quadrature Gram matrix of the gradients of the basis members, from
+    the quadrature weights and its points (or their PowerTable)."""
+    G = gradient(basis, at) * np.sqrt(weights)[:, None, None]
     G = G.transpose(0, 2, 1).reshape(-1, G.shape[1])
     return G.T @ G
 

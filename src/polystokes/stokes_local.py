@@ -4,74 +4,108 @@ Velocity DOFs are ordered [x-component scalar DOFs | y-component scalar
 DOFs] for the conforming part and [x bubbles | y bubbles] for the
 enrichment; there is no coupling block between the two parts.  The
 stabilizations are plain dofi-dofi sums on the projector complements.
+The blocks are computed over the cells grouped by vertex count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import math
 
 import numpy as np
 
 from . import polybasis as pb
+from .vemspace import context_groups
 
-__all__ = ["StabilizationConfig", "LocalStokesBlocks", "local_a", "local_b",
-           "local_c", "local_mean", "local_rhs", "build_blocks"]
+__all__ = ["StabilizationConfig", "LocalStokesBlocks", "build_blocks"]
 
 
 @dataclass(frozen=True)
 class StabilizationConfig:
-    """Pressure weight alpha > 0 and bubble stabilization weight >= 0."""
+    """Pressure weight alpha > 0 and bubble stabilization weight >= 0,
+    both finite."""
 
     alpha: float = 1.0
     beta_sharp: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.beta_sharp < 0:
-            raise ValueError("beta_sharp must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, "
+                             f"not {self.alpha!r}")
+        if not (math.isfinite(self.beta_sharp) and self.beta_sharp >= 0):
+            raise ValueError(f"beta_sharp must be nonnegative and finite, "
+                             f"not {self.beta_sharp!r}")
 
 
 @dataclass(frozen=True)
 class LocalStokesBlocks:
-    A_u: np.ndarray      # (2 n_sc, 2 n_sc)
-    A_b: np.ndarray      # (2 nb, 2 nb)
-    B_u: np.ndarray      # (n_sc, 2 n_sc), pressure rows
-    B_b: np.ndarray      # (n_sc, 2 nb)
-    C_p: np.ndarray      # (n_sc, n_sc)
-    mean_weights: np.ndarray   # (n_sc,), pressure-mean constraint row
-    F_u: np.ndarray = field(default=None)
-    F_b: np.ndarray = field(default=None)
+    """The blocks of every cell, stacked in cell order along the first axis.
+
+    Each cell's blocks are zero-padded at the end of every other axis to the
+    widest cell's n_sc scalar DOFs; a cell's velocity rows and columns are
+    its x DOFs, its y DOFs, then the padding.  nb = 2 (2k+1) bubble DOFs.
+    """
+
+    A_u: np.ndarray      # (n_cells, 2 n_sc, 2 n_sc)
+    A_b: np.ndarray      # (n_cells, nb, nb)
+    B_u: np.ndarray      # (n_cells, n_sc, 2 n_sc), pressure rows
+    B_b: np.ndarray      # (n_cells, n_sc, nb)
+    C_p: np.ndarray      # (n_cells, n_sc, n_sc)
+    mean_weights: np.ndarray   # (n_cells, n_sc), pressure-mean constraint rows
+    F_u: np.ndarray      # (n_cells, 2 n_sc)
+    F_b: np.ndarray      # (n_cells, nb)
+
+
+# The kernels below take a stacked ElementContext (vemspace.context_groups):
+# every array has a leading cell axis, and each product is one np.matmul
+# over the stack, which makes per cell the BLAS call (gemm, syrk, gemv or
+# dot) that the same product of one cell's 2-D arrays makes.
+
+def _t(a):
+    """Each cell's matrix transposed."""
+    return a.swapaxes(-1, -2)
+
+
+def _cellwise(x):
+    """A per-cell float (g,) shaped to scale stacked (g, m, n) blocks."""
+    return x[:, None, None]
 
 
 def _block_diag2(M):
-    n = M.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = M
-    out[n:, n:] = M
+    n = M.shape[-1]
+    out = np.zeros(M.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = M
+    out[..., n:, n:] = M
     return out
 
 
-def local_a(ctx, config=StabilizationConfig()):
+def _vecmat(v, M):
+    """Each cell's vector times its matrix, (g, m) @ (g, m, n) -> (g, n)."""
+    return (v[:, None, :] @ M)[:, 0, :]
+
+
+def _local_a(ctx, config):
     """Grad-grad blocks: consistency on the projections, dofi-dofi on the rest."""
     ops = ctx.operators
     nk = ctx.slice_hi
-    stiff_k = ctx.stiffness[:nk, :nk]
+    stiff_k = ctx.stiffness[:, :nk, :nk]
 
-    cons = ops.pinabla_k.T @ stiff_k @ ops.pinabla_k
-    comp = np.eye(ops.dof_matrix.shape[0]) - ops.dof_matrix @ ops.pinabla_k
-    A_sc = cons + comp.T @ comp
+    cons = _t(ops.pinabla_k) @ stiff_k @ ops.pinabla_k
+    comp = np.eye(ctx.layout.n_scalar) - ops.dof_matrix @ ops.pinabla_k
+    A_sc = cons + _t(comp) @ comp
     A_u = _block_diag2(A_sc)
 
-    cons_b = ops.bubble_pinabla.T @ ctx.stiffness @ ops.bubble_pinabla
+    cons_b = _t(ops.bubble_pinabla) @ ctx.stiffness @ ops.bubble_pinabla
     if config.beta_sharp > 0:
-        comp_b = np.eye(ctx.layout.n_bubble) - ops.bubble_dof_matrix @ ops.bubble_pinabla
-        cons_b = cons_b + config.beta_sharp * comp_b.T @ comp_b
+        comp_b = (np.eye(ctx.layout.n_bubble)
+                  - ops.bubble_dof_matrix @ ops.bubble_pinabla)
+        cons_b = cons_b + config.beta_sharp * _t(comp_b) @ comp_b
     A_b = _block_diag2(cons_b)
     return A_u, A_b
 
 
-def local_b(ctx):
+def _local_b(ctx):
     """Discrete divergence blocks b_h^K(v, q) = b^K(v, Pi0 q).
 
     Conforming part through integration by parts (volume term against
@@ -81,24 +115,24 @@ def local_b(ctx):
     ops = ctx.operators
     nk = ctx.slice_hi
     dx, dy = pb.derivative_matrices(ctx.basis.prefix(ctx.k))
-    mass_k = ctx.mass[:nk, :nk]
+    mass_k = ctx.mass[:, :nk, :nk]
     r_x, r_y = ops.boundary_rx, ops.boundary_ry
 
     pz = ops.pizero_k
-    vol_x = pz.T @ (dx.T @ mass_k) @ pz      # (n_p, n_sc)
-    vol_y = pz.T @ (dy.T @ mass_k) @ pz
-    bnd_x = pz.T @ r_x
-    bnd_y = pz.T @ r_y
-    B_u = np.hstack([bnd_x - vol_x, bnd_y - vol_y])
+    vol_x = _t(pz) @ (_t(dx) @ mass_k) @ pz      # (g, n_sc, n_sc)
+    vol_y = _t(pz) @ (_t(dy) @ mass_k) @ pz
+    bnd_x = _t(pz) @ r_x
+    bnd_y = _t(pz) @ r_y
+    B_u = np.concatenate([bnd_x - vol_x, bnd_y - vol_y], axis=-1)
 
     lo, hi = ctx.slice_lo, ctx.slice_hi
-    Bb_x = -ctx.area * (dx @ pz)[lo:hi, :].T   # (n_p, nb)
-    Bb_y = -ctx.area * (dy @ pz)[lo:hi, :].T
-    B_b = np.hstack([Bb_x, Bb_y])
+    Bb_x = _cellwise(-ctx.area) * _t((dx @ pz)[:, lo:hi, :])   # (g, n_sc, 2k+1)
+    Bb_y = _cellwise(-ctx.area) * _t((dy @ pz)[:, lo:hi, :])
+    B_b = np.concatenate([Bb_x, Bb_y], axis=-1)
     return B_u, B_b
 
 
-def local_c(ctx):
+def _local_c(ctx):
     """Pressure stabilization: area-scaled dofi-dofi on the L2-projection
     complement.
 
@@ -109,42 +143,52 @@ def local_c(ctx):
     stabilization is too strong by h^-2 and pollutes the velocity L2 rate.
     """
     ops = ctx.operators
-    comp = np.eye(ops.dof_matrix.shape[0]) - ops.dof_matrix @ ops.pizero_k
-    return ctx.area * (comp.T @ comp)
+    comp = np.eye(ctx.layout.n_scalar) - ops.dof_matrix @ ops.pizero_k
+    return _cellwise(ctx.area) * (_t(comp) @ comp)
 
 
-def local_mean(ctx):
+def _local_mean(ctx):
     """Integral over the cell of the L2 projection of each scalar DOF basis."""
-    nk = ctx.slice_hi
-    ints = ctx.quad.weights @ pb.evaluate(ctx.basis, ctx.quad.points)[:, :nk]
-    return ints @ ctx.operators.pizero_k
+    return _vecmat(ctx.member_integrals, ctx.operators.pizero_k)
 
 
-def local_rhs(ctx, f):
+def _local_rhs(ctx, f):
     """Load vectors (f, Pi0 v) for the scalar DOF and bubble DOF functions.
 
-    f maps an (n, 2) point array to (n, 2) values.
+    f maps an (n, 2) point array to (n, 2) values; it is called once, on
+    the quadrature points of all cells of the stack.
     """
     ops = ctx.operators
-    nk = ctx.slice_hi
     w = ctx.quad.weights
-    fv = f(ctx.quad.points)
-    phi = pb.evaluate(ctx.basis, ctx.quad.points)[:, :nk]
-    pz_vals = phi @ ops.pizero_k              # (nq, n_sc)
-    bz_vals = phi @ ops.bubble_pizero_k       # (nq, nb)
-    F_u = np.concatenate([(w * fv[:, 0]) @ pz_vals, (w * fv[:, 1]) @ pz_vals])
-    F_b = np.concatenate([(w * fv[:, 0]) @ bz_vals, (w * fv[:, 1]) @ bz_vals])
+    pts = ctx.quad.points
+    fv = f(pts.reshape(-1, 2)).reshape(pts.shape)
+    phi = ctx.quad_values
+    pz_vals = phi @ ops.pizero_k              # (g, nq, n_sc)
+    bz_vals = phi @ ops.bubble_pizero_k       # (g, nq, 2k+1)
+    F_u = np.concatenate([_vecmat(w * fv[..., 0], pz_vals),
+                          _vecmat(w * fv[..., 1], pz_vals)], axis=-1)
+    F_b = np.concatenate([_vecmat(w * fv[..., 0], bz_vals),
+                          _vecmat(w * fv[..., 1], bz_vals)], axis=-1)
     return F_u, F_b
 
 
-def build_blocks(ctx, config=StabilizationConfig(), f=None):
-    A_u, A_b = local_a(ctx, config)
-    B_u, B_b = local_b(ctx)
-    C_p = local_c(ctx)
-    if f is not None:
-        F_u, F_b = local_rhs(ctx, f)
-    else:
-        F_u = np.zeros(A_u.shape[0])
-        F_b = np.zeros(A_b.shape[0])
-    return LocalStokesBlocks(A_u=A_u, A_b=A_b, B_u=B_u, B_b=B_b, C_p=C_p,
-                             mean_weights=local_mean(ctx), F_u=F_u, F_b=F_b)
+def build_blocks(contexts, config=StabilizationConfig(), f=None):
+    """The blocks of every cell context, computed over the cells grouped by
+    vertex count and stacked in context order (see LocalStokesBlocks)."""
+    n_cells = len(contexts)
+    m = max(ctx.layout.n_scalar for ctx in contexts)
+    nb = 2 * contexts[0].layout.n_bubble
+    out = LocalStokesBlocks(
+        A_u=np.zeros((n_cells, 2 * m, 2 * m)), A_b=np.zeros((n_cells, nb, nb)),
+        B_u=np.zeros((n_cells, m, 2 * m)), B_b=np.zeros((n_cells, m, nb)),
+        C_p=np.zeros((n_cells, m, m)), mean_weights=np.zeros((n_cells, m)),
+        F_u=np.zeros((n_cells, 2 * m)), F_b=np.zeros((n_cells, nb)))
+    for ids, ctx in context_groups(contexts):
+        n = ctx.layout.n_scalar
+        out.A_u[ids, :2 * n, :2 * n], out.A_b[ids] = _local_a(ctx, config)
+        out.B_u[ids, :n, :2 * n], out.B_b[ids, :n] = _local_b(ctx)
+        out.C_p[ids, :n, :n] = _local_c(ctx)
+        out.mean_weights[ids, :n] = _local_mean(ctx)
+        if f is not None:
+            out.F_u[ids, :2 * n], out.F_b[ids] = _local_rhs(ctx, f)
+    return out

@@ -14,18 +14,22 @@ and degree-(k-2) bases).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import polybasis as pb
 from .geometry import (
+    _next,
+    _size_groups,
     edge_quadrature,
     gauss_legendre_rule,
     gauss_lobatto_points,
     polygon_area,
+    polygon_centroid,
+    polygon_diameter,
     polygon_quadrature,
 )
 
@@ -35,6 +39,7 @@ __all__ = [
     "ElementContext",
     "build_element",
     "build_layout",
+    "context_groups",
     "interpolate_scalar",
     "interpolate_velocity",
 ]
@@ -85,7 +90,11 @@ class LocalOperators:
 
 @dataclass(frozen=True)
 class ElementContext:
-    """Everything local solvers need about one cell."""
+    """Everything local solvers need about one cell.
+
+    context_groups stacks the contexts of cells with equal vertex count into
+    one ElementContext whose arrays and floats carry a leading cell axis.
+    """
 
     verts: np.ndarray
     k: int
@@ -99,6 +108,11 @@ class ElementContext:
     operators: LocalOperators
     slice_lo: int
     slice_hi: int
+    # (n_qpoints, dim P_k): the degree-k members of basis at quad.points,
+    # evaluate(basis, quad.points)[:, :dim P_k]
+    quad_values: np.ndarray
+    # (dim P_k,): their integrals, quad.weights @ quad_values
+    member_integrals: np.ndarray
 
 
 @functools.cache
@@ -134,7 +148,7 @@ def _boundary_trace(verts, k, n_scalar):
     and its k-1 interior nodes.
     """
     nv = len(verts)
-    ends = np.roll(verts, -1, axis=0)
+    ends = _next(verts, axis=0)
     rule = edge_quadrature(verts, ends, 2 * k + 3)
     d = ends - verts
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(d, axis=1)[:, None]
@@ -149,7 +163,7 @@ def _boundary_trace(verts, k, n_scalar):
             np.repeat(normals, nq, axis=0), phi.reshape(-1, n_scalar))
 
 
-def _build_operators(verts, k, basis, quad, layout, edge_nodes, area):
+def _build_operators(verts, k, basis, quad, at_quad, layout, edge_nodes, area):
     """Projectors, DOF matrices, mass and stiffness in the cell's basis.
 
     Every Gram system is solved in the orthonormal basis q = m R^-1 (mass
@@ -173,13 +187,14 @@ def _build_operators(verts, k, basis, quad, layout, edge_nodes, area):
     else:
         A, T = basis.monomial_factor, ortho.change_of_basis
     mass = A.T @ A
-    stiff_o = pb.stiffness(ortho, quad)
+    stiff_o = pb.stiffness(ortho, quad.weights, at_quad)
     ortho_k = ortho.prefix(k)
 
     # boundary functionals ------------------------------------------------
     pts, w, nrm, phi = _boundary_trace(verts, k, nsc)
-    vals = pb.evaluate(ortho, pts)                             # (n_pts, nk2)
-    grads = pb.gradient(ortho_k, pts)                          # (n_pts, nk, 2)
+    at_edges = pb.power_table(k + 2, basis.centroid, basis.diameter, pts)
+    vals = pb.evaluate(ortho, at_edges)                        # (n_pts, nk2)
+    grads = pb.gradient(ortho_k, at_edges)                     # (n_pts, nk, 2)
     dn = grads[:, :, 0] * nrm[:, :1] + grads[:, :, 1] * nrm[:, 1:]
     w_phi = w[:, None] * phi
     perimeter = w.sum()
@@ -215,7 +230,7 @@ def _build_operators(verts, k, basis, quad, layout, edge_nodes, area):
     c = np.zeros((nk, nsc))
     c[:nlow, moment0:] = area * np.eye(nlow)
     c[sl, :] = (Ak.T @ pinabla_o)[sl, :]
-    pizero = solve_triangular(Ak, solve_triangular(Ak, c, trans="T"))
+    pizero = pb.solve_triangular(Ak, pb.solve_triangular(Ak, c, trans=True))
 
     # bubble projectors ----------------------------------------------------
     lap_k2 = pb.laplacian_in_lower_basis(ortho)               # (nk, nk2)
@@ -246,18 +261,53 @@ def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
     if quad_degree is None:
         quad_degree = 2 * k + 6
     quad = polygon_quadrature(verts, quad_degree)
-    basis = pb.build_basis(verts, k + 2, basis_kind, quadrature=quad)
+    # the one table of powers at the quadrature points: the basis's QR, the
+    # stiffness and quad_values all read it
+    at_quad = pb.power_table(k + 2, polygon_centroid(verts),
+                             polygon_diameter(verts), quad.points)
+    basis = pb.build_basis(verts, k + 2, basis_kind, quadrature=quad,
+                           powers=at_quad)
     layout = build_layout(verts, k)
     gl = gauss_lobatto_points(k + 1)[1:-1]
     edge_nodes = (verts[:, None, :] + 0.5 * (gl[:, None] + 1.0)
-                  * (np.roll(verts, -1, axis=0) - verts)[:, None, :])
+                  * (_next(verts, axis=0) - verts)[:, None, :])
     area = float(polygon_area(verts))
-    ops, mass, stiff = _build_operators(verts, k, basis, quad, layout,
-                                        edge_nodes, area)
+    ops, mass, stiff = _build_operators(verts, k, basis, quad, at_quad,
+                                        layout, edge_nodes, area)
+    nk = pb.poly_dim(k)
+    values = pb.evaluate(basis, at_quad)[:, :nk]
     return ElementContext(verts=verts, k=k, basis=basis, quad=quad,
                           layout=layout, area=area, mass=mass,
                           stiffness=stiff, edge_nodes=edge_nodes, operators=ops,
-                          slice_lo=pb.poly_dim(k - 2), slice_hi=pb.poly_dim(k))
+                          slice_lo=pb.poly_dim(k - 2), slice_hi=nk,
+                          quad_values=np.ascontiguousarray(values),
+                          # from the strided slice: OpenBLAS's gemv rounds
+                          # differently on a contiguous matrix of fewer than
+                          # 4 columns (k = 1)
+                          member_integrals=quad.weights @ values)
+
+
+def _stacked(items):
+    """Equal-shaped items stacked along a new first axis, dataclasses field
+    by field; ints and strings, equal within a group, are kept once."""
+    first = items[0]
+    if dataclasses.is_dataclass(first):
+        return type(first)(**{f.name: _stacked([getattr(x, f.name)
+                                                for x in items])
+                              for f in dataclasses.fields(first)})
+    if isinstance(first, (np.ndarray, float)):
+        # np.stack keeps each item's memory layout (np.array does not), and
+        # OpenBLAS rounds some products differently on another layout
+        return np.stack(items)
+    return first
+
+
+def context_groups(contexts):
+    """The contexts grouped by vertex count: (positions, stacked context)
+    pairs, in increasing vertex count.  All contexts share k, the basis
+    kind and the quadrature degree."""
+    for _, ids in _size_groups([ctx.layout.n_vertex for ctx in contexts]):
+        yield ids, _stacked([contexts[i] for i in ids])
 
 
 def interpolate_scalar(ctx, f):
@@ -268,7 +318,7 @@ def interpolate_scalar(ctx, f):
     dofs[:len(nodes)] = f(nodes)
     if lay.n_moment:
         vals = f(ctx.quad.points)
-        phi = pb.evaluate(ctx.basis, ctx.quad.points)[:, :lay.n_moment]
+        phi = ctx.quad_values[:, :lay.n_moment]
         dofs[len(nodes):] = (ctx.quad.weights * vals) @ phi / ctx.area
     return dofs
 

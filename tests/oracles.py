@@ -9,6 +9,7 @@ import numpy as np
 from scipy.spatial import Voronoi
 
 from polystokes import geometry as geo
+from polystokes import polybasis as pb
 from polystokes.geometry import gauss_lobatto_points
 
 
@@ -116,6 +117,140 @@ def boundary_scalar_data(mesh, dof_map, g):
     vals = np.concatenate(vals)
     return (np.concatenate([idx, idx + dof_map.n_scalar]),
             np.concatenate([vals[:, 0], vals[:, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# local blocks and error norms, one cell at a time
+# ---------------------------------------------------------------------------
+# The library computes these over cell contexts stacked by vertex count; the
+# per-cell code below is the reference they must equal bit for bit.
+
+def _block_diag2(M):
+    n = M.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n] = M
+    out[n:, n:] = M
+    return out
+
+
+def local_a(ctx, config):
+    ops = ctx.operators
+    nk = ctx.slice_hi
+    stiff_k = ctx.stiffness[:nk, :nk]
+
+    cons = ops.pinabla_k.T @ stiff_k @ ops.pinabla_k
+    comp = np.eye(ops.dof_matrix.shape[0]) - ops.dof_matrix @ ops.pinabla_k
+    A_sc = cons + comp.T @ comp
+    A_u = _block_diag2(A_sc)
+
+    cons_b = ops.bubble_pinabla.T @ ctx.stiffness @ ops.bubble_pinabla
+    if config.beta_sharp > 0:
+        comp_b = np.eye(ctx.layout.n_bubble) - ops.bubble_dof_matrix @ ops.bubble_pinabla
+        cons_b = cons_b + config.beta_sharp * comp_b.T @ comp_b
+    A_b = _block_diag2(cons_b)
+    return A_u, A_b
+
+
+def local_b(ctx):
+    ops = ctx.operators
+    nk = ctx.slice_hi
+    dx, dy = pb.derivative_matrices(ctx.basis.prefix(ctx.k))
+    mass_k = ctx.mass[:nk, :nk]
+    r_x, r_y = ops.boundary_rx, ops.boundary_ry
+
+    pz = ops.pizero_k
+    vol_x = pz.T @ (dx.T @ mass_k) @ pz
+    vol_y = pz.T @ (dy.T @ mass_k) @ pz
+    bnd_x = pz.T @ r_x
+    bnd_y = pz.T @ r_y
+    B_u = np.hstack([bnd_x - vol_x, bnd_y - vol_y])
+
+    lo, hi = ctx.slice_lo, ctx.slice_hi
+    Bb_x = -ctx.area * (dx @ pz)[lo:hi, :].T
+    Bb_y = -ctx.area * (dy @ pz)[lo:hi, :].T
+    B_b = np.hstack([Bb_x, Bb_y])
+    return B_u, B_b
+
+
+def local_c(ctx):
+    ops = ctx.operators
+    comp = np.eye(ops.dof_matrix.shape[0]) - ops.dof_matrix @ ops.pizero_k
+    return ctx.area * (comp.T @ comp)
+
+
+def local_mean(ctx):
+    nk = ctx.slice_hi
+    ints = ctx.quad.weights @ pb.evaluate(ctx.basis, ctx.quad.points)[:, :nk]
+    return ints @ ctx.operators.pizero_k
+
+
+def local_rhs(ctx, f):
+    ops = ctx.operators
+    nk = ctx.slice_hi
+    w = ctx.quad.weights
+    fv = f(ctx.quad.points)
+    phi = pb.evaluate(ctx.basis, ctx.quad.points)[:, :nk]
+    pz_vals = phi @ ops.pizero_k
+    bz_vals = phi @ ops.bubble_pizero_k
+    F_u = np.concatenate([(w * fv[:, 0]) @ pz_vals, (w * fv[:, 1]) @ pz_vals])
+    F_b = np.concatenate([(w * fv[:, 0]) @ bz_vals, (w * fv[:, 1]) @ bz_vals])
+    return F_u, F_b
+
+
+def build_blocks(ctx, config, f=None):
+    """One cell's blocks, unpadded: a dict of A_u, A_b, B_u, B_b, C_p,
+    mean_weights, F_u and F_b."""
+    A_u, A_b = local_a(ctx, config)
+    B_u, B_b = local_b(ctx)
+    if f is not None:
+        F_u, F_b = local_rhs(ctx, f)
+    else:
+        F_u = np.zeros(A_u.shape[0])
+        F_b = np.zeros(A_b.shape[0])
+    return dict(A_u=A_u, A_b=A_b, B_u=B_u, B_b=B_b, C_p=local_c(ctx),
+                mean_weights=local_mean(ctx), F_u=F_u, F_b=F_b)
+
+
+def compute_errors(solution, case):
+    """The ErrorReport floats (err0_u, err1_u, err0_p), one cell at a time."""
+    mesh, k = solution.mesh, solution.k
+    dof_map = solution.dof_map
+    e0u = e1u = e0p = n0u = n1u = n0p = 0.0
+    for c, ctx in enumerate(solution.contexts):
+        gd = cell_scalar_dofs(mesh, dof_map, c)
+        ops = ctx.operators
+        cux = ops.pizero_k @ solution.ux[gd]
+        cuy = ops.pizero_k @ solution.uy[gd]
+        cp = ops.pizero_k @ solution.p[gd]
+        pts, w = ctx.quad.points, ctx.quad.weights
+        basis_k = ctx.basis.prefix(k)
+        phi = pb.evaluate(basis_k, pts)
+        gphi = pb.gradient(basis_k, pts)           # (nq, nk, 2)
+
+        u = case.velocity(pts)
+        gu = case.grad_velocity(pts)
+        p = case.pressure(pts)
+
+        du0 = phi @ cux - u[:, 0]
+        du1 = phi @ cuy - u[:, 1]
+        dp = phi @ cp - p
+        e0u += w @ (du0 ** 2 + du1 ** 2)
+        e0p += w @ (dp ** 2)
+        n0u += w @ (u[:, 0] ** 2 + u[:, 1] ** 2)
+        n0p += w @ (p ** 2)
+
+        gh0 = np.einsum("qjd,j->qd", gphi, cux)
+        gh1 = np.einsum("qjd,j->qd", gphi, cuy)
+        d0 = gh0 - gu[:, 0, :]
+        d1 = gh1 - gu[:, 1, :]
+        e1u += w @ np.sum(d0 ** 2 + d1 ** 2, axis=1)
+        n1u += w @ np.sum(gu[:, 0, :] ** 2 + gu[:, 1, :] ** 2, axis=1)
+
+    def relative(err2, ref2):
+        err, ref = np.sqrt(err2), np.sqrt(ref2)
+        return float(err / ref) if ref > 1e-14 else float(err)
+
+    return relative(e0u, n0u), relative(e1u, n1u), relative(e0p, n0p)
 
 
 # ---------------------------------------------------------------------------

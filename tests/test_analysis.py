@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from polystokes import analysis as an
 from polystokes import assembly as asm
 from polystokes import geometry as geo
+from polystokes import polybasis as pb
 
 ALL_CASES = ["test1", "test2", "patch_k1", "patch_k2", "patch_k3"]
 
@@ -173,3 +175,37 @@ def test_rate_recovers_synthetic_order(err, order):
     e2 = err * (h2 / h1) ** order
     got = an._rate(e1, h1, e2, h2)
     assert got == pytest.approx(order, rel=1e-9)
+
+
+@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
+@pytest.mark.parametrize("case_name", ["test1", "test2", "patch_k2"])
+def test_compute_errors_equals_per_cell_oracle(family, case_name):
+    # contributions computed per vertex-count group, summed in cell order
+    case = an.get_case(case_name)
+    mesh = geo.generate_mesh(family, 1)
+    for kind in ("scaled_monomial", "l2_orthonormal"):
+        sol = asm.solve_stokes(mesh, 2, f=case.forcing, g=case.velocity,
+                               basis_kind=kind)
+        rep = an.compute_errors(sol, case)
+        assert (rep.err0_u, rep.err1_u, rep.err0_p) == \
+            oracles.compute_errors(sol, case)
+
+
+def test_power_tables_once_per_point_set(monkeypatch):
+    # one table per cell at its quadrature points, edge points and DOF
+    # nodes, and one per vertex-count group for the error gradients
+    calls = []
+    real = pb._scaled_powers
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(pb, "_scaled_powers", counted)
+    case = an.get_case("test1")
+    mesh = geo.generate_mesh("hexagonal", 2)
+    system = asm.assemble(mesh, 3, f=case.forcing, g=case.velocity,
+                          condensed=True)
+    an.compute_errors(asm.solve(system), case)
+    groups = len({len(ring) for ring in mesh.cells})
+    assert len(calls) <= 3 * len(mesh.cells) + groups

@@ -113,3 +113,19 @@ def test_solve_no_condense_matches(capsys):
 def test_parse_int_list():
     assert cli._parse_int_list("1..4") == [1, 2, 3, 4]
     assert cli._parse_int_list("2,5,7") == [2, 5, 7]
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--case", "test1", "--family", "hexagonal", "--level", "1",
+     "--k", "1", "--alpha", "nan"],
+    ["solve", "--case", "test1", "--family", "hexagonal", "--level", "1",
+     "--k", "1", "--beta-sharp", "inf"],
+    ["alpha-sweep", "--family", "hexagonal", "--level", "1", "--k", "1",
+     "--alphas", "nan"],
+], ids=["alpha-nan", "beta-sharp-inf", "sweep-alpha-nan"])
+def test_non_finite_weights_exit_1(args, tmp_path, capsys):
+    # NaN passed the old sign checks and ended in a singular-factor traceback
+    if args[0] == "alpha-sweep":
+        args = args + ["--output", str(tmp_path / "sweep.csv")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")

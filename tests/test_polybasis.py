@@ -133,7 +133,7 @@ def test_laplacian_in_lower_basis(kind):
 
 def test_stiffness_constant_row_zero():
     basis, quad = _basis(2)
-    assert np.abs(pb.stiffness(basis, quad)[0, :]).max() < 1e-14
+    assert np.abs(pb.stiffness(basis, quad.weights, quad.points)[0, :]).max() < 1e-14
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -161,3 +161,45 @@ def test_basis_change_roundtrip(k, seed):
     mono = rng.standard_normal(pb.poly_dim(k))
     back = basis.basis_to_monomial(basis.monomial_to_basis(mono))
     assert back == pytest.approx(mono, rel=1e-10, abs=1e-12)
+
+
+def test_power_table_serves_lower_degrees_and_stacked_cells():
+    # one table of degree 5 gives every degree's values and gradients with
+    # the bits of a table of that degree; a stack of cells gives each
+    # cell's own table
+    basis, quad = _basis(5, "l2_orthonormal")
+    table = pb.power_table(5, basis.centroid, basis.diameter, quad.points)
+    for j in (0, 1, 3, 5):
+        sub = basis.prefix(j)
+        assert np.array_equal(pb.evaluate(sub, table),
+                              pb.evaluate(sub, quad.points))
+        assert np.array_equal(pb.gradient(sub, table),
+                              pb.gradient(sub, quad.points))
+    other, quad2 = _basis(5, "l2_orthonormal", verts=1.7 * PENTAGON + 0.3)
+    pts = np.stack([quad.points, quad2.points])
+    centroids = np.stack([basis.centroid, other.centroid])[:, None]
+    diameters = np.array([basis.diameter, other.diameter])[:, None, None]
+    stacked = pb.power_table(3, centroids, diameters, pts)
+    for i, b in enumerate((basis, other)):
+        one = pb.power_table(3, b.centroid, b.diameter, pts[i])
+        assert np.array_equal(stacked.values(3)[i], one.values(3))
+        assert np.array_equal(stacked.gradients(3)[i], one.gradients(3))
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_solve_triangular_equals_scipy(trans):
+    # the same trtrs call scipy makes, for C- and F-ordered factors and for
+    # slices of them, alone or stacked
+    from scipy import linalg
+    rng = np.random.default_rng(3)
+    R = np.triu(rng.standard_normal((7, 7))) + 4 * np.eye(7)
+    B = rng.standard_normal((7, 5))
+    for a in (R, np.asfortranarray(R), R[:5, :5], np.asfortranarray(R)[:5, :5]):
+        b = B[:len(a)]
+        assert np.array_equal(pb.solve_triangular(a, b, trans),
+                              linalg.solve_triangular(a, b, trans=int(trans)))
+    stacked = np.stack([R, 2 * R])
+    got = pb.solve_triangular(stacked, np.stack([B, B]), trans)
+    for i in range(2):
+        assert np.array_equal(got[i], linalg.solve_triangular(
+            stacked[i], B, trans=int(trans)))

@@ -1,11 +1,16 @@
 """Element matrices: symmetry, consistency, kernels, scaling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import oracles
+from polystokes import geometry as geo
 from polystokes import polybasis as pb
 from polystokes import stokes_local as sl
 from polystokes import vemspace as vs
+from polystokes.analysis import get_case
 from oracles import monomial_integral
 
 PENTAGON = np.array([[0.0, 0.0], [0.7, 0.1], [1.1, 0.6], [0.5, 1.2],
@@ -13,11 +18,24 @@ PENTAGON = np.array([[0.0, 0.0], [0.7, 0.1], [1.1, 0.6], [0.5, 1.2],
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def _blocks(ctx, config=sl.StabilizationConfig(), f=None):
+    """One cell's blocks: build_blocks on a one-cell list pads nothing."""
+    b = sl.build_blocks([ctx], config, f)
+    return sl.LocalStokesBlocks(*(getattr(b, fd.name)[0]
+                                  for fd in dataclasses.fields(b)))
+
+
 def test_stabilization_config_validation():
     with pytest.raises(ValueError):
         sl.StabilizationConfig(alpha=0.0)
     with pytest.raises(ValueError):
         sl.StabilizationConfig(beta_sharp=-1.0)
+    # NaN passes both comparisons, and neither weight may be infinite
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            sl.StabilizationConfig(alpha=bad)
+        with pytest.raises(ValueError):
+            sl.StabilizationConfig(beta_sharp=bad)
     cfg = sl.StabilizationConfig(alpha=0.5, beta_sharp=2.0)
     assert cfg.alpha == 0.5 and cfg.beta_sharp == 2.0
 
@@ -25,7 +43,7 @@ def test_stabilization_config_validation():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_blocks_symmetric(k):
     ctx = vs.build_element(PENTAGON, k)
-    A_u, A_b = sl.local_a(ctx)
+    A_u, A_b = _blocks(ctx).A_u, _blocks(ctx).A_b
     assert np.abs(A_u - A_u.T).max() <= 1e-13 * max(np.abs(A_u).max(), 1.0)
     assert np.abs(A_b - A_b.T).max() <= 1e-13 * max(np.abs(A_b).max(), 1.0)
 
@@ -33,7 +51,7 @@ def test_a_blocks_symmetric(k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_positive_semidefinite_with_constant_kernel(k):
     ctx = vs.build_element(PENTAGON, k)
-    A_u, _ = sl.local_a(ctx)
+    A_u = _blocks(ctx).A_u
     eigs = np.linalg.eigvalsh(A_u)
     assert eigs.min() > -1e-12
     # per-component constant velocity is in the kernel
@@ -50,7 +68,7 @@ def test_a_consistency_on_polynomials(k):
     ctx = vs.build_element(PENTAGON, k)
     ops = ctx.operators
     nk = ctx.slice_hi
-    A_u, _ = sl.local_a(ctx)
+    A_u = _blocks(ctx).A_u
     rng = np.random.default_rng(k)
     p_co = rng.standard_normal(nk)
     q_co = rng.standard_normal(nk)
@@ -67,7 +85,7 @@ def test_a_consistency_on_polynomials(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_c_symmetric_and_polynomial_kernel(k):
     ctx = vs.build_element(PENTAGON, k)
-    C = sl.local_c(ctx)
+    C = _blocks(ctx).C_p
     assert np.abs(C - C.T).max() <= 1e-14 * max(np.abs(C).max(), 1.0)
     rng = np.random.default_rng(7)
     q = ctx.operators.dof_matrix @ rng.standard_normal(ctx.slice_hi)
@@ -77,7 +95,7 @@ def test_c_symmetric_and_polynomial_kernel(k):
 def test_c_positive_on_nonpolynomial_mode():
     # a single vertex hat on a pentagon at k=1 is not a polynomial
     ctx = vs.build_element(PENTAGON, 1)
-    C = sl.local_c(ctx)
+    C = _blocks(ctx).C_p
     q = np.zeros(ctx.layout.n_scalar)
     q[0] = 1.0
     assert q @ C @ q > 1e-6
@@ -89,7 +107,7 @@ def test_b_consistency_polynomial_pair(k):
     # DOFs, B matches the exact integral of q div v
     ctx = vs.build_element(UNIT_SQUARE, k)
     ops = ctx.operators
-    B_u, _ = sl.local_b(ctx)
+    B_u = _blocks(ctx).B_u
     # v = (x^k, 0), q = x^(k-1): int q div v = k int x^(2k-2)
     def u(p):
         z = np.zeros((len(p), 2))
@@ -107,7 +125,7 @@ def test_b_consistency_polynomial_pair(k):
 def test_b_bubble_vanishes_for_low_order_pressure():
     # bubble divergence pairing uses only the top-degree pressure slice
     ctx = vs.build_element(PENTAGON, 2)
-    _, B_b = sl.local_b(ctx)
+    B_b = _blocks(ctx).B_b
     # constant pressure: zero pairing (bubbles vanish on the boundary)
     qd = vs.interpolate_scalar(ctx, lambda p: np.ones(len(p)))
     assert np.abs(qd @ B_b).max() < 1e-12
@@ -118,19 +136,21 @@ def test_scaling_of_blocks(k):
     # scaling coordinates by s leaves A unchanged and multiplies B by s
     ctx1 = vs.build_element(PENTAGON, k)
     ctx2 = vs.build_element(2.0 * PENTAGON, k)
-    A1, Ab1 = sl.local_a(ctx1)
-    A2, Ab2 = sl.local_a(ctx2)
+    b1, b2 = _blocks(ctx1), _blocks(ctx2)
+    A1, Ab1 = b1.A_u, b1.A_b
+    A2, Ab2 = b2.A_u, b2.A_b
     assert A2 == pytest.approx(A1, rel=1e-10, abs=1e-11)
     assert Ab2 == pytest.approx(Ab1, rel=1e-10, abs=1e-11)
-    B1, Bb1 = sl.local_b(ctx1)
-    B2, Bb2 = sl.local_b(ctx2)
+    B1, Bb1 = b1.B_u, b1.B_b
+    B2, Bb2 = b2.B_u, b2.B_b
     assert B2 == pytest.approx(2.0 * B1, rel=1e-10, abs=1e-11)
     assert Bb2 == pytest.approx(2.0 * Bb1, rel=1e-10, abs=1e-11)
 
 
 def test_rhs_zero_forcing():
     ctx = vs.build_element(PENTAGON, 1)
-    F_u, F_b = sl.local_rhs(ctx, lambda p: np.zeros((len(p), 2)))
+    b = _blocks(ctx, f=lambda p: np.zeros((len(p), 2)))
+    F_u, F_b = b.F_u, b.F_b
     assert np.all(F_u == 0.0) and np.all(F_b == 0.0)
 
 
@@ -139,7 +159,7 @@ def test_rhs_constant_forcing_partition_of_unity(k):
     # sum over one component's scalar DOFs of (f, pizero phi_i) = c |K|
     ctx = vs.build_element(PENTAGON, k)
     c1, c2 = 2.0, -3.0
-    F_u, _ = sl.local_rhs(ctx, lambda p: np.tile([c1, c2], (len(p), 1)))
+    F_u = _blocks(ctx, f=lambda p: np.tile([c1, c2], (len(p), 1))).F_u
     n = ctx.layout.n_scalar
     # partition of unity: DOFs of the constant 1 give sum_i dof_i(1) phi_i = 1
     ones = vs.interpolate_scalar(ctx, lambda p: np.ones(len(p)))
@@ -151,8 +171,8 @@ def test_rhs_constant_forcing_partition_of_unity(k):
 
 def test_beta_sharp_adds_bubble_stabilization():
     ctx = vs.build_element(PENTAGON, 1)
-    _, Ab0 = sl.local_a(ctx, sl.StabilizationConfig(beta_sharp=0.0))
-    _, Ab1 = sl.local_a(ctx, sl.StabilizationConfig(beta_sharp=1.0))
+    Ab0 = _blocks(ctx, sl.StabilizationConfig(beta_sharp=0.0)).A_b
+    Ab1 = _blocks(ctx, sl.StabilizationConfig(beta_sharp=1.0)).A_b
     diff = Ab1 - Ab0
     assert np.abs(diff).max() > 0.0
     eigs = np.linalg.eigvalsh(0.5 * (diff + diff.T))
@@ -160,14 +180,62 @@ def test_beta_sharp_adds_bubble_stabilization():
 
 
 def test_build_blocks_shapes():
+    # cells stacked in list order, padded to the widest cell
+    small = vs.build_element(UNIT_SQUARE, 2)
     ctx = vs.build_element(PENTAGON, 2)
-    blocks = sl.build_blocks(ctx, f=lambda p: np.ones((len(p), 2)))
+    blocks = sl.build_blocks([ctx, small, ctx],
+                             f=lambda p: np.ones((len(p), 2)))
     n = ctx.layout.n_scalar
     nb = ctx.layout.n_bubble
-    assert blocks.A_u.shape == (2 * n, 2 * n)
-    assert blocks.A_b.shape == (2 * nb, 2 * nb)
-    assert blocks.B_u.shape == (n, 2 * n)
-    assert blocks.B_b.shape == (n, 2 * nb)
-    assert blocks.C_p.shape == (n, n)
-    assert blocks.F_u.shape == (2 * n,)
-    assert blocks.F_b.shape == (2 * nb,)
+    assert blocks.A_u.shape == (3, 2 * n, 2 * n)
+    assert blocks.A_b.shape == (3, 2 * nb, 2 * nb)
+    assert blocks.B_u.shape == (3, n, 2 * n)
+    assert blocks.B_b.shape == (3, n, 2 * nb)
+    assert blocks.C_p.shape == (3, n, n)
+    assert blocks.mean_weights.shape == (3, n)
+    assert blocks.F_u.shape == (3, 2 * n)
+    assert blocks.F_b.shape == (3, 2 * nb)
+    m = small.layout.n_scalar
+    one = _blocks(small, f=lambda p: np.ones((len(p), 2)))
+    assert np.array_equal(blocks.A_u[1, :2 * m, :2 * m], one.A_u)
+    assert not blocks.A_u[1, 2 * m:].any() and not blocks.A_u[1, :, 2 * m:].any()
+    assert np.array_equal(blocks.B_u[1, :m, :2 * m], one.B_u)
+    assert not blocks.B_u[1, m:].any() and not blocks.B_u[1, :, 2 * m:].any()
+    assert np.array_equal(blocks.F_u[1, :2 * m], one.F_u)
+    assert not blocks.F_u[1, 2 * m:].any()
+
+
+_MESHES = {}
+
+
+def _mesh(family, level):
+    if (family, level) not in _MESHES:
+        _MESHES[family, level] = geo.generate_mesh(family, level)
+    return _MESHES[family, level]
+
+
+@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
+def test_stacked_blocks_equal_per_cell_oracle(family):
+    # voronoi and random_polygons mix vertex counts in cell order, so the
+    # groups' results are scattered back to interleaved cells
+    forcing = get_case("test1").forcing
+    for level in (1, 2):
+        mesh = _mesh(family, level)
+        for k in (1, 2, 3, 4):
+            for kind in ("scaled_monomial", "l2_orthonormal"):
+                contexts = [vs.build_element(mesh.vertices[c], k,
+                                             basis_kind=kind)
+                            for c in mesh.cells]
+                for beta, f in ((0.0, None), (1.0, forcing)):
+                    config = sl.StabilizationConfig(beta_sharp=beta)
+                    blocks = sl.build_blocks(contexts, config, f)
+                    for c, ctx in enumerate(contexts):
+                        want = oracles.build_blocks(ctx, config, f)
+                        for name, block in want.items():
+                            got = getattr(blocks, name)[c]
+                            inside = tuple(map(slice, block.shape))
+                            assert np.array_equal(got[inside], block), \
+                                (family, level, k, kind, beta, c, name)
+                            got = got.copy()
+                            got[inside] = 0.0
+                            assert not got.any()

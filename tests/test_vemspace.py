@@ -193,3 +193,27 @@ def test_projector_identity_random_cells(verts, k):
     nk = ctx.slice_hi
     assert np.abs(ops.pinabla_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-9
     assert np.abs(ops.pizero_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stored_quadrature_values(kind, k):
+    # the context keeps the degree-k values the blocks read, and
+    # interpolation reads its moments from them with unchanged bits
+    ctx = vs.build_element(PENTAGON, k, basis_kind=kind)
+    nk = ctx.slice_hi
+    full = pb.evaluate(ctx.basis, ctx.quad.points)
+    assert np.array_equal(ctx.quad_values, full[:, :nk])
+    assert np.array_equal(ctx.member_integrals,
+                          ctx.quad.weights @ full[:, :nk])
+
+    def f(p):
+        return np.sin(p[:, 0]) + p[:, 1] ** 3
+
+    lay = ctx.layout
+    nodes = np.vstack([ctx.verts, ctx.edge_nodes.reshape(-1, 2)])
+    want = np.empty(lay.n_scalar)
+    want[:len(nodes)] = f(nodes)
+    want[len(nodes):] = ((ctx.quad.weights * f(ctx.quad.points))
+                         @ full[:, :lay.n_moment] / ctx.area)
+    assert np.array_equal(vs.interpolate_scalar(ctx, f), want)
