@@ -18,7 +18,6 @@ LocalStokesBlocks, zero-padded to the widest cell) give the same digests.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 
 import numpy as np
@@ -27,6 +26,8 @@ from polystokes import assemble, compute_errors, generate_mesh, get_case, solve
 from polystokes.analysis import run_alpha_sweep
 
 FAMILIES = ("hexagonal", "voronoi", "random_polygons", "diamond")
+LEVELS = (1, 2)
+KS = (1, 2, 3)
 BASES = ("scaled_monomial", "l2_orthonormal")
 BLOCK_FIELDS = ("A_u", "A_b", "B_u", "B_b", "C_p", "mean_weights", "F_u",
                 "F_b")
@@ -57,18 +58,12 @@ def cell_blocks(system):
             yield getattr(blocks, name)[c][tuple(map(slice, shapes[name]))]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--levels", default="1,2")
-    parser.add_argument("--ks", default="1,2,3")
-    args = parser.parse_args(argv)
-    levels = [int(v) for v in args.levels.split(",")]
-    ks = [int(v) for v in args.ks.split(",")]
+def main():
     case = get_case("test1")
     for family in FAMILIES:
-        for level in levels:
+        for level in LEVELS:
             mesh = generate_mesh(family, level)
-            for k in ks:
+            for k in KS:
                 for basis in BASES:
                     system = assemble(mesh, k, f=case.forcing,
                                       g=case.velocity, basis_kind=basis,

@@ -71,19 +71,10 @@ def _ring_groups(rings):
             for m, ids in _size_groups([len(r) for r in rings])]
 
 
-def _next(a, axis=-1):
-    """np.roll(a, -1, axis) for axis 0 or -1: each entry's successor along
-    the axis, cyclically.  The same copy without np.roll's overhead, which
-    is most of its cost on one cell."""
-    if axis == 0:
-        return np.concatenate((a[1:], a[:1]))
-    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
-
-
 def _shoelace(verts):
     """Ring coordinates, their successors and the shoelace cross terms."""
     x, y = verts[..., 0], verts[..., 1]
-    xn, yn = _next(x), _next(y)
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     return x, y, xn, yn, x * yn - xn * y
 
 
@@ -405,7 +396,8 @@ def _random_polygons_mesh(level, rng_seed):
         for ids, ring in groups:
             poly = new_verts[ring]
             d = poly - polygon_centroid(poly)[:, None, :]
-            cross = d[..., 0] * _next(d[..., 1]) - d[..., 1] * _next(d[..., 0])
+            cross = (d[..., 0] * np.roll(d[..., 1], -1, axis=-1)
+                     - d[..., 1] * np.roll(d[..., 0], -1, axis=-1))
             bad[ring[np.min(cross, axis=-1) <= 1e-12]] = True
         damp = bad[mid_index[split]]
         if not damp.any():
@@ -559,7 +551,7 @@ def _fan_jacobians(verts, centers):
     (..., n_centers, m)."""
     x, y = verts[..., None, :, 0], verts[..., None, :, 1]
     cx, cy = centers[..., :, None, 0], centers[..., :, None, 1]
-    xn, yn = _next(x), _next(y)
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     return (x - cx) * (yn - cy) - (y - cy) * (xn - cx)
 
 
@@ -680,7 +672,7 @@ def polygon_quadrature(verts, exactness_degree):
                              "lies strictly inside its kernel")
         c, jac = centers[best], jacs[best]
     a = verts - c
-    b = _next(verts, axis=0) - c
+    b = np.roll(verts, -1, axis=0) - c
     pts = (c + ref_pts[None, :, 0:1] * a[:, None, :]
            + ref_pts[None, :, 1:2] * b[:, None, :])
     return QuadratureRule(pts.reshape(-1, 2), (jac[:, None] * ref_w).ravel(),

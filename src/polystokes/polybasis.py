@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-
-from .geometry import polygon_centroid, polygon_diameter
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "PolyBasis",
@@ -53,28 +51,6 @@ def monomial_exponents(k):
 
 
 BASIS_KINDS = ("scaled_monomial", "l2_orthonormal")
-
-
-def solve_triangular(a, b, trans=False):
-    """x with a x = b, or a^T x = b when trans, for upper-triangular float
-    matrices a (..., n, n) and b (..., n, m), stacked or not.
-
-    This is scipy.linalg.solve_triangular's LAPACK trtrs call for each
-    matrix, made the same way (a C-ordered a is passed transposed as a lower
-    factor), so it gives the same bits without its checks and wrappers,
-    which cost several times the solve on one cell.
-    """
-    if a.ndim > 2:
-        return np.stack([solve_triangular(ai, bi, trans)
-                         for ai, bi in zip(a, b)])
-    trtrs, = get_lapack_funcs(("trtrs",), (a, b))
-    if a.flags.f_contiguous:
-        x, info = trtrs(a, b, lower=False, trans=int(trans))
-    else:
-        x, info = trtrs(a.T, b, lower=True, trans=int(not trans))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -243,24 +219,19 @@ def _monomial_factor(k, weights, powers):
     return np.copysign(1.0, np.diag(R))[:, None] * R
 
 
-def build_basis(verts, k, kind="scaled_monomial", *, quadrature, powers=None):
-    """Build the degree-k basis on a polygonal cell.
+def build_basis(powers, weights, kind="scaled_monomial"):
+    """Build the basis of degree powers.degree on the cell of a PowerTable.
 
-    The basis carries the QR factor R of its scaled monomials at the
+    powers is the table at a quadrature's points and weights its weights.
+    The basis carries the QR factor R of its scaled monomials at that
     quadrature (see PolyBasis).  Kind 'l2_orthonormal' has change of basis
     R^-1, so its members are orthonormal in the quadrature inner product.
-    powers is the PowerTable of degree >= k at the quadrature points, on
-    the centroid and diameter of verts, for a caller that evaluates more
-    there; without it the table is built here.
     Raises IllConditionedBasisError when R is numerically singular.
     """
     if kind not in BASIS_KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
-    if powers is None:
-        verts = np.asarray(verts, dtype=float)
-        powers = power_table(k, polygon_centroid(verts),
-                             polygon_diameter(verts), quadrature.points)
-    R = _monomial_factor(k, quadrature.weights, powers)
+    k = powers.degree
+    R = _monomial_factor(k, weights, powers)
     basis = PolyBasis("scaled_monomial", k, powers.centroid, powers.diameter,
                       np.eye(poly_dim(k)), R)
     return basis if kind == "scaled_monomial" else basis.orthonormal()

@@ -19,10 +19,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import polybasis as pb
 from .geometry import (
-    _next,
     _size_groups,
     edge_quadrature,
     gauss_legendre_rule,
@@ -148,7 +148,7 @@ def _boundary_trace(verts, k, n_scalar):
     and its k-1 interior nodes.
     """
     nv = len(verts)
-    ends = _next(verts, axis=0)
+    ends = np.roll(verts, -1, axis=0)
     rule = edge_quadrature(verts, ends, 2 * k + 3)
     d = ends - verts
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(d, axis=1)[:, None]
@@ -230,7 +230,7 @@ def _build_operators(verts, k, basis, quad, at_quad, layout, edge_nodes, area):
     c = np.zeros((nk, nsc))
     c[:nlow, moment0:] = area * np.eye(nlow)
     c[sl, :] = (Ak.T @ pinabla_o)[sl, :]
-    pizero = pb.solve_triangular(Ak, pb.solve_triangular(Ak, c, trans=True))
+    pizero = solve_triangular(Ak, solve_triangular(Ak, c, trans="T"))
 
     # bubble projectors ----------------------------------------------------
     lap_k2 = pb.laplacian_in_lower_basis(ortho)               # (nk, nk2)
@@ -265,12 +265,11 @@ def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
     # stiffness and quad_values all read it
     at_quad = pb.power_table(k + 2, polygon_centroid(verts),
                              polygon_diameter(verts), quad.points)
-    basis = pb.build_basis(verts, k + 2, basis_kind, quadrature=quad,
-                           powers=at_quad)
+    basis = pb.build_basis(at_quad, quad.weights, basis_kind)
     layout = build_layout(verts, k)
     gl = gauss_lobatto_points(k + 1)[1:-1]
     edge_nodes = (verts[:, None, :] + 0.5 * (gl[:, None] + 1.0)
-                  * (_next(verts, axis=0) - verts)[:, None, :])
+                  * (np.roll(verts, -1, axis=0) - verts)[:, None, :])
     area = float(polygon_area(verts))
     ops, mass, stiff = _build_operators(verts, k, basis, quad, at_quad,
                                         layout, edge_nodes, area)
