@@ -49,8 +49,10 @@ def cell_blocks(system):
         for b in blocks:
             yield from (getattr(b, name) for name in BLOCK_FIELDS)
         return
-    for c, ctx in enumerate(system.contexts):
-        n, nb = ctx.layout.n_scalar, 2 * ctx.layout.n_bubble
+    layouts = {int(c): batch.layout for batch in system.batches
+               for c in batch.cells}
+    for c in range(len(layouts)):
+        n, nb = layouts[c].n_scalar, 2 * layouts[c].n_bubble
         shapes = {"A_u": (2 * n, 2 * n), "A_b": (nb, nb), "B_u": (n, 2 * n),
                   "B_b": (n, nb), "C_p": (n, n), "mean_weights": (n,),
                   "F_u": (2 * n,), "F_b": (nb,)}

@@ -19,7 +19,6 @@ from . import polybasis as pb
 from .assembly import assemble, condition_number, solve_stokes, with_alpha
 from .geometry import generate_mesh
 from .stokes_local import StabilizationConfig
-from .vemspace import context_groups
 
 __all__ = ["ManufacturedCase", "trig_case", "poly_case", "patch_case",
            "ErrorReport", "compute_errors", "run_convergence",
@@ -207,14 +206,14 @@ def _dot(w, x):
 def compute_errors(solution, case):
     """Projection-based error norms of a discrete solution.
 
-    Each cell's contributions are computed over the cells grouped by vertex
-    count and then summed in cell order.
+    Each cell's contributions are computed over the element batches the
+    solution was assembled from and then summed in cell order.
     """
     k = solution.k
-    contexts = solution.contexts
     # per cell: e0u, e1u, e0p and the exact norms n0u, n1u, n0p, squared
-    parts = np.zeros((6, len(contexts)))
-    for ids, ctx in context_groups(contexts):
+    parts = np.zeros((6, solution.dof_map.n_cells))
+    for ctx in solution.batches:
+        ids = ctx.cells
         gd = solution.cell_dofs[ids, :ctx.layout.n_scalar]
         pz = ctx.operators.pizero_k
         cux = pz @ solution.ux[gd][:, :, None]      # (g, nk, 1)

@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 from . import polybasis as pb
 from .geometry import gauss_lobatto_points
 from .stokes_local import LocalStokesBlocks, StabilizationConfig, build_blocks
-from .vemspace import build_element
+from .vemspace import build_batches, build_element
 
 __all__ = ["GlobalDofMap", "GlobalSystem", "Solution", "build_dof_map",
            "assemble", "condense", "solve", "solve_stokes",
@@ -123,7 +123,7 @@ class GlobalSystem:
     constrained: np.ndarray      # global velocity indices fixed by the data
     boundary_values: np.ndarray  # values at the constrained indices
     signs: np.ndarray            # +1 velocity rows, -1 pressure/multiplier
-    contexts: list = field(repr=False, default=None)
+    batches: list = field(repr=False, default=None)   # vemspace.ElementBatch
     # stacked in cell order, zero-padded to the width of cell_dofs
     cell_blocks: LocalStokesBlocks = field(repr=False, default=None)
     cell_dofs: np.ndarray = field(repr=False, default=None)  # cell_dof_table
@@ -152,7 +152,7 @@ class Solution:
     multiplier: float
     residual: float              # relative residual of the reduced solve
     n_dofs: int                  # size of the solved system
-    contexts: list = field(repr=False, default=None)
+    batches: list = field(repr=False, default=None)   # vemspace.ElementBatch
     cell_dofs: np.ndarray = field(repr=False, default=None)  # cell_dof_table
 
 
@@ -252,7 +252,7 @@ def _affine(system, condensed):
 
 
 def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
-             quad_degree=None, condensed=False):
+             condensed=False):
     """Assemble the global Stokes system (uncondensed by default).
 
     f: body force, (n, 2) points -> (n, 2) values (defaults to zero);
@@ -262,15 +262,16 @@ def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
     if config is None:
         config = StabilizationConfig()
     dof_map = build_dof_map(mesh, k)
-    contexts = [build_element(mesh.vertices[cell], k, basis_kind=basis_kind,
-                              quad_degree=quad_degree) for cell in mesh.cells]
-    cell_blocks = build_blocks(contexts, config, f)
+    batches = build_batches([build_element(mesh.vertices[cell], k,
+                                           basis_kind=basis_kind)
+                             for cell in mesh.cells])
+    cell_blocks = build_blocks(batches, config, f)
     constrained, values = _boundary_scalar_data(mesh, dof_map, g)
     return _affine(GlobalSystem(
         mesh=mesh, k=k, config=config, basis_kind=basis_kind,
         condensed=condensed, dof_map=dof_map, matrix=None, rhs=None,
         free=None, constrained=constrained, boundary_values=values,
-        signs=None, contexts=contexts, cell_blocks=cell_blocks,
+        signs=None, batches=batches, cell_blocks=cell_blocks,
         cell_dofs=dof_map.cell_dof_table(mesh)), condensed)
 
 
@@ -385,15 +386,15 @@ def solve(system):
     return Solution(mesh=system.mesh, k=system.k, dof_map=dof_map,
                     ux=full[:n_sc], uy=full[n_sc:2 * n_sc], p=p,
                     bubbles=bubbles, multiplier=full[-1], residual=float(res),
-                    n_dofs=system.n_dofs, contexts=system.contexts,
+                    n_dofs=system.n_dofs, batches=system.batches,
                     cell_dofs=system.cell_dofs)
 
 
 def solve_stokes(mesh, k, f=None, g=None, config=None,
-                 basis_kind="scaled_monomial", quad_degree=None):
+                 basis_kind="scaled_monomial"):
     """Assemble (condensed) and solve in one call."""
     system = assemble(mesh, k, f=f, g=g, config=config, basis_kind=basis_kind,
-                      quad_degree=quad_degree, condensed=True)
+                      condensed=True)
     return solve(system)
 
 

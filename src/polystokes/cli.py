@@ -19,11 +19,23 @@ BASIS_KINDS = {"monomial": "scaled_monomial", "ortho": "l2_orthonormal"}
 
 
 def _parse_int_list(text):
-    """Parse '1,2,5' or '1..4' into a list of ints."""
+    """Parse '1,2,5' or '1..4' into a list of ints; a reversed range such
+    as '3..1' raises ValueError instead of giving an empty list."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     return [int(t) for t in text.split(",")]
+
+
+def _basis_kind(name):
+    """The library's basis kind for a --basis name."""
+    if name not in BASIS_KINDS:
+        raise ValueError(f"unknown basis {name!r}; choose from "
+                         f"{', '.join(sorted(BASIS_KINDS))}")
+    return BASIS_KINDS[name]
 
 
 def _parse_float_list(text):
@@ -168,7 +180,7 @@ def _cmd_convergence(args):
 
 def _cmd_alpha_sweep(args):
     k_list = _parse_int_list(args.k)
-    kinds = tuple(BASIS_KINDS[b] for b in args.basis.split(","))
+    kinds = tuple(_basis_kind(b) for b in args.basis.split(","))
     alphas = (tuple(_parse_float_list(args.alphas)) if args.alphas
               else analysis.DEFAULT_ALPHAS)
     rows = []

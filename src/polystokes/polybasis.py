@@ -88,7 +88,7 @@ class PolyBasis:
         if self.kind == "l2_orthonormal":
             return self
         R = self.monomial_factor
-        C = solve_triangular(R, np.eye(len(R)))
+        C = solve_triangular(R, np.eye(R.shape[-1]))
         return PolyBasis("l2_orthonormal", self.degree, self.centroid,
                          self.diameter, C, R)
 
@@ -174,8 +174,14 @@ def _laplacian_exponents(k):
 
 
 def _monomial_laplacian_map(k, diameter):
-    """Matrix L with L[:, i] = coefficients of laplacian(m_i) in M_{k-2}."""
-    return _laplacian_exponents(k) / diameter ** 2
+    """Matrix L with L[:, i] = coefficients of laplacian(m_i) in M_{k-2},
+    on cells of the given diameter (a float, or an array of them)."""
+    diameter = np.asarray(diameter, dtype=float)
+    # each h^2 by libm pow, as a float's ** 2 takes it: numpy's square of
+    # an array rounds differently in the last bit for some h
+    squares = np.reshape([h ** 2 for h in diameter.ravel().tolist()],
+                         diameter.shape)
+    return _laplacian_exponents(k) / squares[..., None, None]
 
 
 @cache
@@ -261,14 +267,15 @@ def gradient(basis, at):
 
 
 def laplacian_in_lower_basis(basis):
-    """Coefficients of each member's laplacian in the degree-(k-2) prefix."""
+    """Coefficients of each member's laplacian in the degree-(k-2) prefix;
+    stacked for a stacked basis."""
     k = basis.degree
     L = _monomial_laplacian_map(k, basis.diameter)
     mono = L @ basis.change_of_basis
     n_low = poly_dim(k - 2)
     if n_low == 0:
         return mono
-    return solve_triangular(basis.change_of_basis[:n_low, :n_low], mono)
+    return solve_triangular(basis.change_of_basis[..., :n_low, :n_low], mono)
 
 
 def derivative_matrices(basis):
@@ -281,10 +288,12 @@ def derivative_matrices(basis):
 
 def stiffness(basis, weights, at):
     """Quadrature Gram matrix of the gradients of the basis members, from
-    the quadrature weights and its points (or their PowerTable)."""
-    G = gradient(basis, at) * np.sqrt(weights)[:, None, None]
-    G = G.transpose(0, 2, 1).reshape(-1, G.shape[1])
-    return G.T @ G
+    the quadrature weights and its points (or their PowerTable); stacked
+    for a stacked basis, weights and table."""
+    G = gradient(basis, at) * np.sqrt(weights)[..., None, None]
+    # (..., n_points, 2, n) -> (..., 2 n_points, n): one syrk per cell
+    G = G.swapaxes(-1, -2).reshape(G.shape[:-3] + (-1, G.shape[-2]))
+    return G.swapaxes(-1, -2) @ G
 
 
 def harmonic_subspace(basis, k):

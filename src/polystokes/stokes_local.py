@@ -4,7 +4,7 @@ Velocity DOFs are ordered [x-component scalar DOFs | y-component scalar
 DOFs] for the conforming part and [x bubbles | y bubbles] for the
 enrichment; there is no coupling block between the two parts.  The
 stabilizations are plain dofi-dofi sums on the projector complements.
-The blocks are computed over the cells grouped by vertex count.
+The blocks are computed over the element batches of vemspace.build_batches.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from . import polybasis as pb
-from .vemspace import context_groups
 
 __all__ = ["StabilizationConfig", "LocalStokesBlocks", "build_blocks"]
 
@@ -57,8 +56,8 @@ class LocalStokesBlocks:
     F_b: np.ndarray      # (n_cells, nb)
 
 
-# The kernels below take a stacked ElementContext (vemspace.context_groups):
-# every array has a leading cell axis, and each product is one np.matmul
+# The kernels below take an ElementBatch (vemspace.build_batches): every
+# array has a leading cell axis, and each product is one np.matmul
 # over the stack, which makes per cell the BLAS call (gemm, syrk, gemv or
 # dot) that the same product of one cell's 2-D arrays makes.
 
@@ -172,19 +171,19 @@ def _local_rhs(ctx, f):
     return F_u, F_b
 
 
-def build_blocks(contexts, config=StabilizationConfig(), f=None):
-    """The blocks of every cell context, computed over the cells grouped by
-    vertex count and stacked in context order (see LocalStokesBlocks)."""
-    n_cells = len(contexts)
-    m = max(ctx.layout.n_scalar for ctx in contexts)
-    nb = 2 * contexts[0].layout.n_bubble
+def build_blocks(batches, config=StabilizationConfig(), f=None):
+    """The blocks of every cell of the element batches, computed over each
+    batch and stacked in cell order (see LocalStokesBlocks)."""
+    n_cells = sum(len(batch.cells) for batch in batches)
+    m = max(batch.layout.n_scalar for batch in batches)
+    nb = 2 * batches[0].layout.n_bubble
     out = LocalStokesBlocks(
         A_u=np.zeros((n_cells, 2 * m, 2 * m)), A_b=np.zeros((n_cells, nb, nb)),
         B_u=np.zeros((n_cells, m, 2 * m)), B_b=np.zeros((n_cells, m, nb)),
         C_p=np.zeros((n_cells, m, m)), mean_weights=np.zeros((n_cells, m)),
         F_u=np.zeros((n_cells, 2 * m)), F_b=np.zeros((n_cells, nb)))
-    for ids, ctx in context_groups(contexts):
-        n = ctx.layout.n_scalar
+    for ctx in batches:
+        ids, n = ctx.cells, ctx.layout.n_scalar
         out.A_u[ids, :2 * n, :2 * n], out.A_b[ids] = _local_a(ctx, config)
         out.B_u[ids, :n, :2 * n], out.B_b[ids, :n] = _local_b(ctx)
         out.C_p[ids, :n, :n] = _local_c(ctx)

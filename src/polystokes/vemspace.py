@@ -10,6 +10,10 @@ images; nothing is ever evaluated inside the cell.
 All projector matrices map DOF vectors to coefficient vectors in the cell's
 polynomial basis of degree k+2 (whose graded prefixes serve as the degree-k
 and degree-(k-2) bases).
+
+Element construction is split at the basis: build_element makes one cell's
+quadrature and basis, and build_batches stacks cells of equal vertex count
+and computes their projectors and matrices over the stack.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ __all__ = [
     "LocalDofLayout",
     "LocalOperators",
     "ElementContext",
+    "ElementBatch",
     "build_element",
+    "build_batches",
     "build_layout",
-    "context_groups",
     "interpolate_scalar",
     "interpolate_velocity",
 ]
@@ -66,16 +71,17 @@ class LocalDofLayout:
 
 @dataclass(frozen=True)
 class LocalOperators:
-    """Projector and DOF matrices for one cell.
+    """Projector and DOF matrices of a cell, stacked in an ElementBatch.
 
-    pinabla_k: (dim P_k, n_scalar) energy projection of each scalar DOF
-    basis function; pizero_k: same shape, L2 projection; bubble_pinabla:
-    (dim P_{k+2}, 2k+1) energy projection of the bubble DOF basis;
-    bubble_pizero_k: (dim P_k, 2k+1); dof_matrix: (n_scalar, dim P_k) DOF
-    values of the polynomial members; bubble_dof_matrix: (2k+1, dim P_{k+2})
-    bubble-moment values of the degree-(k+2) members; boundary_rx,
-    boundary_ry: (dim P_k, n_scalar) boundary integrals of each scalar DOF
-    basis function times each degree-k member times n_x, resp. n_y.
+    Per cell: pinabla_k: (dim P_k, n_scalar) energy projection of each
+    scalar DOF basis function; pizero_k: same shape, L2 projection;
+    bubble_pinabla: (dim P_{k+2}, 2k+1) energy projection of the bubble DOF
+    basis; bubble_pizero_k: (dim P_k, 2k+1); dof_matrix: (n_scalar, dim P_k)
+    DOF values of the polynomial members; bubble_dof_matrix: (2k+1,
+    dim P_{k+2}) bubble-moment values of the degree-(k+2) members;
+    boundary_rx, boundary_ry: (dim P_k, n_scalar) boundary integrals of each
+    scalar DOF basis function times each degree-k member times n_x, resp.
+    n_y.
     """
 
     pinabla_k: np.ndarray
@@ -90,11 +96,8 @@ class LocalOperators:
 
 @dataclass(frozen=True)
 class ElementContext:
-    """Everything local solvers need about one cell.
-
-    context_groups stacks the contexts of cells with equal vertex count into
-    one ElementContext whose arrays and floats carry a leading cell axis.
-    """
+    """One cell's quadrature, basis, DOF layout, area and edge nodes: the
+    per-cell inputs of build_batches."""
 
     verts: np.ndarray
     k: int
@@ -102,17 +105,42 @@ class ElementContext:
     quad: object
     layout: LocalDofLayout
     area: float
+    edge_nodes: np.ndarray       # (n_edges, k-1, 2) interior trace nodes
+
+    @property
+    def slice_lo(self):
+        """Start of the degree-(k-1, k) slice of the basis, dim P_{k-2}."""
+        return pb.poly_dim(self.k - 2)
+
+    @property
+    def slice_hi(self):
+        """Its end, dim P_k."""
+        return pb.poly_dim(self.k)
+
+
+@dataclass(frozen=True)
+class ElementBatch(ElementContext):
+    """Cells of equal vertex count, stacked, with their operators.
+
+    Every array and float of the ElementContext fields, and every field
+    added here, carries a leading cell axis; ints and strings, equal within
+    a batch, are kept once.
+    """
+
+    cells: np.ndarray            # positions in the list given to build_batches
     mass: np.ndarray             # (dim P_{k+2})^2 Gram matrices
     stiffness: np.ndarray
-    edge_nodes: np.ndarray       # (n_edges, k-1, 2) interior trace nodes
     operators: LocalOperators
-    slice_lo: int
-    slice_hi: int
     # (n_qpoints, dim P_k): the degree-k members of basis at quad.points,
     # evaluate(basis, quad.points)[:, :dim P_k]
     quad_values: np.ndarray
     # (dim P_k,): their integrals, quad.weights @ quad_values
     member_integrals: np.ndarray
+
+
+# Cells per batch.  One stack of a whole vertex-count group raised the peak
+# RSS of the hexagonal L1-3, k=3 benchmark by 11%; batches of this size by 2%.
+_BATCH = 32
 
 
 @functools.cache
@@ -138,131 +166,13 @@ def build_layout(verts, k):
                           n_moment=pb.poly_dim(k - 2), n_bubble=2 * k + 1)
 
 
-def _boundary_trace(verts, k, n_scalar):
-    """Edge quadrature of all edges, stacked, and the boundary trace matrix.
-
-    Returns the points (n_e * nq, 2), weights (n_e * nq,) and outward unit
-    normals (n_e * nq, 2) at every edge quadrature point, and the value of
-    every scalar DOF basis function there, (n_e * nq, n_scalar).  Edge e
-    runs from vertex e to vertex e+1; its trace DOFs are those two vertices
-    and its k-1 interior nodes.
-    """
-    nv = len(verts)
-    ends = np.roll(verts, -1, axis=0)
-    rule = edge_quadrature(verts, ends, 2 * k + 3)
-    d = ends - verts
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(d, axis=1)[:, None]
-    e = np.arange(nv)
-    trace = np.column_stack([e, nv + e[:, None] * (k - 1) + np.arange(k - 1),
-                             (e + 1) % nv])                       # (n_e, k+1)
-    lagrange = _lagrange_matrix(k)
-    nq = len(lagrange)
-    phi = np.zeros((nv, nq, n_scalar))
-    phi[e[:, None, None], np.arange(nq)[:, None], trace[:, None, :]] = lagrange
-    return (rule.points.reshape(-1, 2), rule.weights.ravel(),
-            np.repeat(normals, nq, axis=0), phi.reshape(-1, n_scalar))
-
-
-def _build_operators(verts, k, basis, quad, at_quad, layout, edge_nodes, area):
-    """Projectors, DOF matrices, mass and stiffness in the cell's basis.
-
-    Every Gram system is solved in the orthonormal basis q = m R^-1 (mass
-    matrix I), which conditions like R rather than like R^T R.  A member of
-    the cell's basis is p = q A, with A = R for scaled monomials and A = I
-    for the orthonormal kind.  So coefficients map back by T = A^-1 and
-    moment DOFs of p are A^T times those of q: a projector is T Pi^orth S,
-    with S = diag(I, T_low^T) on the moment DOFs.
-    """
-    nk = pb.poly_dim(k)
-    nk2 = pb.poly_dim(k + 2)
-    nlow = pb.poly_dim(k - 2)
-    nsc = layout.n_scalar
-    nv = layout.n_vertex
-    sl = slice(nlow, nk)
-    moment0 = nv + layout.n_edge
-
-    ortho = basis.orthonormal()
-    if basis.kind == "l2_orthonormal":
-        A = T = np.eye(nk2)
-    else:
-        A, T = basis.monomial_factor, ortho.change_of_basis
-    mass = A.T @ A
-    stiff_o = pb.stiffness(ortho, quad.weights, at_quad)
-    ortho_k = ortho.prefix(k)
-
-    # boundary functionals ------------------------------------------------
-    pts, w, nrm, phi = _boundary_trace(verts, k, nsc)
-    at_edges = pb.power_table(k + 2, basis.centroid, basis.diameter, pts)
-    vals = pb.evaluate(ortho, at_edges)                        # (n_pts, nk2)
-    grads = pb.gradient(ortho_k, at_edges)                     # (n_pts, nk, 2)
-    dn = grads[:, :, 0] * nrm[:, :1] + grads[:, :, 1] * nrm[:, 1:]
-    w_phi = w[:, None] * phi
-    perimeter = w.sum()
-    p0_basis = w @ vals / perimeter   # boundary mean of each basis member
-    p0_dof = w @ phi / perimeter      # boundary mean of each DOF basis function
-    bnd_flux = dn.T @ w_phi           # \oint phi (grad q_i . n)
-    r_x = (vals[:, :nk] * nrm[:, :1]).T @ w_phi               # \oint phi q_i n_x
-    r_y = (vals[:, :nk] * nrm[:, 1:]).T @ w_phi
-
-    # DOF matrix of the degree-k members ----------------------------------
-    D = np.empty((nsc, nk))
-    D[:moment0] = pb.evaluate(basis.prefix(k),
-                              np.vstack([verts, edge_nodes.reshape(-1, 2)]))
-    D[moment0:] = mass[:nlow, :nk] / area
-
-    # elliptic projector on the scalar space ------------------------------
-    lap_k = pb.laplacian_in_lower_basis(ortho_k)              # (nlow, nk)
-    G = stiff_o[:nk, :nk].copy()
-    G[0, :] = p0_basis[:nk]
-    B = bnd_flux.copy()
-    if nlow:
-        B[:, moment0:] -= area * lap_k.T
-    B[0, :] = p0_dof
-    S = np.eye(nsc)
-    S[moment0:, moment0:] = T[:nlow, :nlow].T
-    pinabla_o = np.linalg.solve(G, B) @ S
-    pinabla = T[:nk, :nk] @ pinabla_o
-
-    # L2 projector via the enhancement identity ---------------------------
-    # The constraint is imposed against the kind's own degree-(k-1, k)
-    # members, so it is solved in the kind's basis: M_k = A_k^T A_k.
-    Ak = A[:nk, :nk]
-    c = np.zeros((nk, nsc))
-    c[:nlow, moment0:] = area * np.eye(nlow)
-    c[sl, :] = (Ak.T @ pinabla_o)[sl, :]
-    pizero = solve_triangular(Ak, solve_triangular(Ak, c, trans="T"))
-
-    # bubble projectors ----------------------------------------------------
-    lap_k2 = pb.laplacian_in_lower_basis(ortho)               # (nk, nk2)
-    G2 = stiff_o.copy()
-    G2[0, :] = p0_basis
-    # -\int b lap(q_i): only the slice moments of b are nonzero (value 1/|K| scale)
-    RB = -area * lap_k2[sl, :].T
-    RB[0, :] = 0.0                                             # \oint pinabla b = 0
-    # bubbles have zero moments against P_{k-2}, so the slice moments of q
-    # are T[sl, sl]^T times those of p; Pi0_k b is their exact L2 projection
-    Sb = T[sl, sl].T
-    bubble_pinabla = T @ np.linalg.solve(G2, RB) @ Sb
-    bubble_pizero = area * T[:nk, sl] @ Sb
-
-    Db = mass[sl, :] / area                                    # (nb, nk2)
-
-    ops = LocalOperators(pinabla_k=pinabla, pizero_k=pizero,
-                         bubble_pinabla=bubble_pinabla,
-                         bubble_pizero_k=bubble_pizero,
-                         dof_matrix=D, bubble_dof_matrix=Db,
-                         boundary_rx=Ak.T @ r_x, boundary_ry=Ak.T @ r_y)
-    return ops, mass, A.T @ stiff_o @ A
-
-
 def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
-    """Build the full per-cell context: basis, quadrature, DOFs, projectors."""
+    """One cell's quadrature, basis (QR of its scaled monomials), DOF layout,
+    area and edge nodes.  Raises IllConditionedBasisError as build_basis."""
     verts = np.asarray(verts, dtype=float)
     if quad_degree is None:
         quad_degree = 2 * k + 6
     quad = polygon_quadrature(verts, quad_degree)
-    # the one table of powers at the quadrature points: the basis's QR, the
-    # stiffness and quad_values all read it
     at_quad = pb.power_table(k + 2, polygon_centroid(verts),
                              polygon_diameter(verts), quad.points)
     basis = pb.build_basis(at_quad, quad.weights, basis_kind)
@@ -270,20 +180,9 @@ def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
     gl = gauss_lobatto_points(k + 1)[1:-1]
     edge_nodes = (verts[:, None, :] + 0.5 * (gl[:, None] + 1.0)
                   * (np.roll(verts, -1, axis=0) - verts)[:, None, :])
-    area = float(polygon_area(verts))
-    ops, mass, stiff = _build_operators(verts, k, basis, quad, at_quad,
-                                        layout, edge_nodes, area)
-    nk = pb.poly_dim(k)
-    values = pb.evaluate(basis, at_quad)[:, :nk]
     return ElementContext(verts=verts, k=k, basis=basis, quad=quad,
-                          layout=layout, area=area, mass=mass,
-                          stiffness=stiff, edge_nodes=edge_nodes, operators=ops,
-                          slice_lo=pb.poly_dim(k - 2), slice_hi=nk,
-                          quad_values=np.ascontiguousarray(values),
-                          # from the strided slice: OpenBLAS's gemv rounds
-                          # differently on a contiguous matrix of fewer than
-                          # 4 columns (k = 1)
-                          member_integrals=quad.weights @ values)
+                          layout=layout, area=float(polygon_area(verts)),
+                          edge_nodes=edge_nodes)
 
 
 def _stacked(items):
@@ -301,23 +200,187 @@ def _stacked(items):
     return first
 
 
-def context_groups(contexts):
-    """The contexts grouped by vertex count: (positions, stacked context)
-    pairs, in increasing vertex count.  All contexts share k, the basis
-    kind and the quadrature degree."""
+def build_batches(contexts):
+    """The cells of the contexts in batches of at most _BATCH cells of equal
+    vertex count, in increasing vertex count, each with its projectors and
+    matrices.  All contexts share k, the basis kind and the quadrature
+    degree."""
+    batches = []
     for _, ids in _size_groups([ctx.layout.n_vertex for ctx in contexts]):
-        yield ids, _stacked([contexts[i] for i in ids])
+        for s in range(0, len(ids), _BATCH):
+            cells = ids[s:s + _BATCH]
+            batches.append(_build_batch(cells, _stacked([contexts[i]
+                                                         for i in cells])))
+    return batches
+
+
+# The kernels below take stacked contexts: every array has a leading cell
+# axis, and each product is one np.matmul over the stack, which makes per
+# cell the BLAS call that the same product of one cell's 2-D arrays makes,
+# on operands of the same memory layout.
+
+def _t(a):
+    """Each cell's matrix transposed."""
+    return a.swapaxes(-1, -2)
+
+
+def _vecmat(v, M):
+    """Each cell's vector times its matrix (or a shared one), one gemv per
+    cell: (g, m) @ (g, m, n) -> (g, n)."""
+    return (v[:, None, :] @ M)[:, 0, :]
+
+
+@functools.cache
+def _edge_trace(nv, k):
+    """Value of every scalar DOF basis function of a cell with nv vertices
+    at its edge quadrature points, (nv * nq, n_scalar), read-only.  Edge e
+    runs from vertex e to vertex e+1; its trace DOFs are those two vertices
+    and its k-1 interior nodes."""
+    n_scalar = build_layout(range(nv), k).n_scalar
+    e = np.arange(nv)
+    trace = np.column_stack([e, nv + e[:, None] * (k - 1) + np.arange(k - 1),
+                             (e + 1) % nv])                       # (n_e, k+1)
+    lagrange = _lagrange_matrix(k)
+    nq = len(lagrange)
+    phi = np.zeros((nv, nq, n_scalar))
+    phi[e[:, None, None], np.arange(nq)[:, None], trace[:, None, :]] = lagrange
+    phi = phi.reshape(-1, n_scalar)
+    phi.flags.writeable = False
+    return phi
+
+
+def _boundary(ctx):
+    """Points (g, n_pts, 2), weights (g, n_pts) and outward unit normals
+    (g, n_pts, 2) of the degree-(2k+3) quadrature of every edge."""
+    verts = ctx.verts
+    ends = np.roll(verts, -1, axis=1)
+    rule = edge_quadrature(verts, ends, 2 * ctx.k + 3)
+    d = ends - verts
+    normals = (np.stack([d[..., 1], -d[..., 0]], axis=-1)
+               / np.linalg.norm(d, axis=-1)[..., None])
+    g, _, nq = rule.weights.shape
+    return (rule.points.reshape(g, -1, 2), rule.weights.reshape(g, -1),
+            np.repeat(normals, nq, axis=1))
+
+
+def _build_batch(cells, ctx):
+    """Projectors, DOF matrices, mass and stiffness of the stacked contexts
+    in their bases.
+
+    Every Gram system is solved in the orthonormal basis q = m R^-1 (mass
+    matrix I), which conditions like R rather than like R^T R.  A member of
+    the cell's basis is p = q A, with A = R for scaled monomials and A = I
+    for the orthonormal kind.  So coefficients map back by T = A^-1 and
+    moment DOFs of p are A^T times those of q: a projector is T Pi^orth S,
+    with S = diag(I, T_low^T) on the moment DOFs.
+    """
+    k, lay, basis = ctx.k, ctx.layout, ctx.basis
+    g = len(cells)
+    nk = pb.poly_dim(k)
+    nk2 = pb.poly_dim(k + 2)
+    nlow = pb.poly_dim(k - 2)
+    nsc = lay.n_scalar
+    sl = slice(nlow, nk)
+    moment0 = lay.n_vertex + lay.n_edge
+    area = ctx.area[:, None, None]
+    centroid = basis.centroid[:, None, :]
+    diameter = basis.diameter[:, None, None]
+
+    ortho = basis.orthonormal()
+    if basis.kind == "l2_orthonormal":
+        A = T = np.broadcast_to(np.eye(nk2), (g, nk2, nk2))
+    else:
+        A, T = basis.monomial_factor, ortho.change_of_basis
+    mass = _t(A) @ A
+    at_quad = pb.power_table(k + 2, centroid, diameter, ctx.quad.points)
+    stiff_o = pb.stiffness(ortho, ctx.quad.weights, at_quad)
+    ortho_k = ortho.prefix(k)
+
+    # boundary functionals ------------------------------------------------
+    pts, w, nrm = _boundary(ctx)
+    phi = _edge_trace(lay.n_vertex, k)             # the same for every cell
+    at_edges = pb.power_table(k + 2, centroid, diameter, pts)
+    vals = pb.evaluate(ortho, at_edges)                        # (g, n_pts, nk2)
+    grads = pb.gradient(ortho_k, at_edges)                     # (g, n_pts, nk, 2)
+    dn = grads[..., 0] * nrm[..., :1] + grads[..., 1] * nrm[..., 1:]
+    w_phi = w[..., None] * phi
+    perimeter = w.sum(axis=1)[:, None]
+    p0_basis = _vecmat(w, vals) / perimeter   # boundary mean of each basis member
+    p0_dof = _vecmat(w, phi) / perimeter      # ... of each DOF basis function
+    bnd_flux = _t(dn) @ w_phi                 # \oint phi (grad q_i . n)
+    r_x = _t(vals[..., :nk] * nrm[..., :1]) @ w_phi           # \oint phi q_i n_x
+    r_y = _t(vals[..., :nk] * nrm[..., 1:]) @ w_phi
+
+    # DOF matrix of the degree-k members ----------------------------------
+    nodes = np.concatenate([ctx.verts, ctx.edge_nodes.reshape(g, -1, 2)],
+                           axis=1)
+    D = np.empty((g, nsc, nk))
+    D[:, :moment0] = pb.evaluate(basis.prefix(k),
+                                 pb.power_table(k, centroid, diameter, nodes))
+    D[:, moment0:] = mass[:, :nlow, :nk] / area
+
+    # elliptic projector on the scalar space ------------------------------
+    lap_k = pb.laplacian_in_lower_basis(ortho_k)              # (g, nlow, nk)
+    G = stiff_o[:, :nk, :nk].copy()
+    G[:, 0, :] = p0_basis[:, :nk]
+    B = bnd_flux.copy()
+    if nlow:
+        B[:, :, moment0:] -= area * _t(lap_k)
+    B[:, 0, :] = p0_dof
+    S = np.tile(np.eye(nsc), (g, 1, 1))
+    S[:, moment0:, moment0:] = _t(T[:, :nlow, :nlow])
+    pinabla_o = np.linalg.solve(G, B) @ S
+    pinabla = T[:, :nk, :nk] @ pinabla_o
+
+    # L2 projector via the enhancement identity ---------------------------
+    # The constraint is imposed against the kind's own degree-(k-1, k)
+    # members, so it is solved in the kind's basis: M_k = A_k^T A_k.
+    Ak = A[:, :nk, :nk]
+    c = np.zeros((g, nk, nsc))
+    c[:, :nlow, moment0:] = area * np.eye(nlow)
+    c[:, sl, :] = (_t(Ak) @ pinabla_o)[:, sl, :]
+    pizero = solve_triangular(Ak, solve_triangular(Ak, c, trans="T"))
+
+    # bubble projectors ----------------------------------------------------
+    lap_k2 = pb.laplacian_in_lower_basis(ortho)               # (g, nk, nk2)
+    G2 = stiff_o.copy()
+    G2[:, 0, :] = p0_basis
+    # -\int b lap(q_i): only the slice moments of b are nonzero (value 1/|K| scale)
+    RB = -area * _t(lap_k2[:, sl, :])
+    RB[:, 0, :] = 0.0                                          # \oint pinabla b = 0
+    # bubbles have zero moments against P_{k-2}, so the slice moments of q
+    # are T[sl, sl]^T times those of p; Pi0_k b is their exact L2 projection
+    Sb = _t(T[:, sl, sl])
+    bubble_pinabla = T @ np.linalg.solve(G2, RB) @ Sb
+    bubble_pizero = area * T[:, :nk, sl] @ Sb
+
+    ops = LocalOperators(pinabla_k=pinabla, pizero_k=pizero,
+                         bubble_pinabla=bubble_pinabla,
+                         bubble_pizero_k=bubble_pizero,
+                         dof_matrix=D, bubble_dof_matrix=mass[:, sl, :] / area,
+                         boundary_rx=_t(Ak) @ r_x, boundary_ry=_t(Ak) @ r_y)
+    values = pb.evaluate(basis, at_quad)[..., :nk]
+    return ElementBatch(
+        **{f.name: getattr(ctx, f.name)
+           for f in dataclasses.fields(ElementContext)},
+        cells=cells, mass=mass, stiffness=_t(A) @ stiff_o @ A, operators=ops,
+        quad_values=np.ascontiguousarray(values),
+        # one gemv per cell on the strided slice: OpenBLAS's gemv rounds
+        # differently on a contiguous matrix of fewer than 4 columns (k = 1)
+        member_integrals=np.array([wc @ vc for wc, vc
+                                   in zip(ctx.quad.weights, values)]))
 
 
 def interpolate_scalar(ctx, f):
-    """Scalar DOF vector interpolating f (point values plus scaled moments)."""
+    """Scalar DOF vector interpolating f (point values plus scaled moments)
+    on one cell (an ElementContext)."""
     lay = ctx.layout
     nodes = np.vstack([ctx.verts, ctx.edge_nodes.reshape(-1, 2)])
     dofs = np.empty(lay.n_scalar)
     dofs[:len(nodes)] = f(nodes)
     if lay.n_moment:
         vals = f(ctx.quad.points)
-        phi = ctx.quad_values[:, :lay.n_moment]
+        phi = pb.evaluate(ctx.basis, ctx.quad.points)[:, :lay.n_moment]
         dofs[len(nodes):] = (ctx.quad.weights * vals) @ phi / ctx.area
     return dofs
 

@@ -5,12 +5,16 @@ boundary with exact 1D Gauss quadrature per edge, sharing no code with the
 library's fan-triangulation quadrature.
 """
 
+import dataclasses
+
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.spatial import Voronoi
 
 from polystokes import geometry as geo
 from polystokes import polybasis as pb
-from polystokes.geometry import gauss_lobatto_points
+from polystokes import vemspace as vs
+from polystokes.geometry import edge_quadrature, gauss_lobatto_points
 
 
 def monomial_integral(verts, a, b):
@@ -120,10 +124,147 @@ def boundary_scalar_data(mesh, dof_map, g):
 
 
 # ---------------------------------------------------------------------------
+# one cell's element: the batch step on that cell, and its per-cell reference
+# ---------------------------------------------------------------------------
+
+def unstacked(batch, i):
+    """Cell i of an ElementBatch (or of any stacked dataclass): every array
+    indexed at i, ints and strings kept."""
+    if dataclasses.is_dataclass(batch):
+        return type(batch)(**{f.name: unstacked(getattr(batch, f.name), i)
+                              for f in dataclasses.fields(batch)})
+    return batch[i] if isinstance(batch, np.ndarray) else batch
+
+
+def element(ctx):
+    """One cell's ElementContext with its operators, mass, stiffness and
+    quadrature values: vemspace.build_batches run on that cell alone."""
+    (batch,) = vs.build_batches([ctx])
+    return unstacked(batch, 0)
+
+
+def cell_elements(batches):
+    """(cell, one-cell view) for every cell of the batches, in cell order."""
+    return sorted(((int(c), unstacked(batch, i)) for batch in batches
+                   for i, c in enumerate(batch.cells)), key=lambda x: x[0])
+
+
+def boundary_trace(verts, k, n_scalar):
+    """Edge quadrature of all edges, stacked, and the boundary trace matrix.
+
+    Returns the points (n_e * nq, 2), weights (n_e * nq,) and outward unit
+    normals (n_e * nq, 2) at every edge quadrature point, and the value of
+    every scalar DOF basis function there, (n_e * nq, n_scalar).  Edge e
+    runs from vertex e to vertex e+1; its trace DOFs are those two vertices
+    and its k-1 interior nodes.
+    """
+    nv = len(verts)
+    ends = np.roll(verts, -1, axis=0)
+    rule = edge_quadrature(verts, ends, 2 * k + 3)
+    d = ends - verts
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(d, axis=1)[:, None]
+    e = np.arange(nv)
+    trace = np.column_stack([e, nv + e[:, None] * (k - 1) + np.arange(k - 1),
+                             (e + 1) % nv])                       # (n_e, k+1)
+    lagrange = vs._lagrange_matrix(k)
+    nq = len(lagrange)
+    phi = np.zeros((nv, nq, n_scalar))
+    phi[e[:, None, None], np.arange(nq)[:, None], trace[:, None, :]] = lagrange
+    return (rule.points.reshape(-1, 2), rule.weights.ravel(),
+            np.repeat(normals, nq, axis=0), phi.reshape(-1, n_scalar))
+
+
+def build_operators(ctx):
+    """One cell's operators, mass, stiffness, quadrature values and member
+    integrals, computed for that cell alone: the reference that the batches
+    of vemspace.build_batches must equal bit for bit.
+
+    Every Gram system is solved in the orthonormal basis q = m R^-1, and a
+    projector is T Pi^orth S (see vemspace._build_batch).
+    """
+    verts, k, basis, quad = ctx.verts, ctx.k, ctx.basis, ctx.quad
+    layout, edge_nodes, area = ctx.layout, ctx.edge_nodes, ctx.area
+    at_quad = pb.power_table(k + 2, basis.centroid, basis.diameter,
+                             quad.points)
+    nk = pb.poly_dim(k)
+    nk2 = pb.poly_dim(k + 2)
+    nlow = pb.poly_dim(k - 2)
+    nsc = layout.n_scalar
+    nv = layout.n_vertex
+    sl = slice(nlow, nk)
+    moment0 = nv + layout.n_edge
+
+    ortho = basis.orthonormal()
+    if basis.kind == "l2_orthonormal":
+        A = T = np.eye(nk2)
+    else:
+        A, T = basis.monomial_factor, ortho.change_of_basis
+    mass = A.T @ A
+    stiff_o = pb.stiffness(ortho, quad.weights, at_quad)
+    ortho_k = ortho.prefix(k)
+
+    pts, w, nrm, phi = boundary_trace(verts, k, nsc)
+    at_edges = pb.power_table(k + 2, basis.centroid, basis.diameter, pts)
+    vals = pb.evaluate(ortho, at_edges)
+    grads = pb.gradient(ortho_k, at_edges)
+    dn = grads[:, :, 0] * nrm[:, :1] + grads[:, :, 1] * nrm[:, 1:]
+    w_phi = w[:, None] * phi
+    perimeter = w.sum()
+    p0_basis = w @ vals / perimeter
+    p0_dof = w @ phi / perimeter
+    bnd_flux = dn.T @ w_phi
+    r_x = (vals[:, :nk] * nrm[:, :1]).T @ w_phi
+    r_y = (vals[:, :nk] * nrm[:, 1:]).T @ w_phi
+
+    D = np.empty((nsc, nk))
+    D[:moment0] = pb.evaluate(basis.prefix(k),
+                              np.vstack([verts, edge_nodes.reshape(-1, 2)]))
+    D[moment0:] = mass[:nlow, :nk] / area
+
+    lap_k = pb.laplacian_in_lower_basis(ortho_k)
+    G = stiff_o[:nk, :nk].copy()
+    G[0, :] = p0_basis[:nk]
+    B = bnd_flux.copy()
+    if nlow:
+        B[:, moment0:] -= area * lap_k.T
+    B[0, :] = p0_dof
+    S = np.eye(nsc)
+    S[moment0:, moment0:] = T[:nlow, :nlow].T
+    pinabla_o = np.linalg.solve(G, B) @ S
+    pinabla = T[:nk, :nk] @ pinabla_o
+
+    Ak = A[:nk, :nk]
+    c = np.zeros((nk, nsc))
+    c[:nlow, moment0:] = area * np.eye(nlow)
+    c[sl, :] = (Ak.T @ pinabla_o)[sl, :]
+    pizero = solve_triangular(Ak, solve_triangular(Ak, c, trans="T"))
+
+    lap_k2 = pb.laplacian_in_lower_basis(ortho)
+    G2 = stiff_o.copy()
+    G2[0, :] = p0_basis
+    RB = -area * lap_k2[sl, :].T
+    RB[0, :] = 0.0
+    Sb = T[sl, sl].T
+    bubble_pinabla = T @ np.linalg.solve(G2, RB) @ Sb
+    bubble_pizero = area * T[:nk, sl] @ Sb
+
+    ops = vs.LocalOperators(pinabla_k=pinabla, pizero_k=pizero,
+                            bubble_pinabla=bubble_pinabla,
+                            bubble_pizero_k=bubble_pizero,
+                            dof_matrix=D, bubble_dof_matrix=mass[sl, :] / area,
+                            boundary_rx=Ak.T @ r_x, boundary_ry=Ak.T @ r_y)
+    values = pb.evaluate(basis, at_quad)[:, :nk]
+    return dict(operators=ops, mass=mass, stiffness=A.T @ stiff_o @ A,
+                quad_values=np.ascontiguousarray(values),
+                member_integrals=quad.weights @ values)
+
+
+# ---------------------------------------------------------------------------
 # local blocks and error norms, one cell at a time
 # ---------------------------------------------------------------------------
-# The library computes these over cell contexts stacked by vertex count; the
-# per-cell code below is the reference they must equal bit for bit.
+# The library computes these over element batches; the per-cell code below,
+# on the one-cell views of the batches, is the reference they must equal
+# bit for bit.
 
 def _block_diag2(M):
     n = M.shape[0]
@@ -216,7 +357,7 @@ def compute_errors(solution, case):
     mesh, k = solution.mesh, solution.k
     dof_map = solution.dof_map
     e0u = e1u = e0p = n0u = n1u = n0p = 0.0
-    for c, ctx in enumerate(solution.contexts):
+    for c, ctx in cell_elements(solution.batches):
         gd = cell_scalar_dofs(mesh, dof_map, c)
         ops = ctx.operators
         cux = ops.pizero_k @ solution.ux[gd]

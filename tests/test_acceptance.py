@@ -18,7 +18,7 @@ import polystokes.assembly as asm
 import polystokes.geometry as geo
 import polystokes.polybasis as pb
 import polystokes.vemspace as vs
-from oracles import projector_defect
+from oracles import cell_elements, element, projector_defect
 
 
 def _report(criterion, label, ok, detail=""):
@@ -35,8 +35,9 @@ def test_criterion_1_projector_identities():
         for level in (1, 2):
             mesh = geo.generate_mesh(family, level)
             for k in (1, 2, 3, 4):
-                for c, cell in enumerate(mesh.cells):
-                    ctx = vs.build_element(mesh.vertices[cell], k)
+                batches = vs.build_batches([vs.build_element(mesh.vertices[cell], k)
+                                            for cell in mesh.cells])
+                for c, ctx in cell_elements(batches):
                     defect = projector_defect(ctx)
                     if defect > worst:
                         worst, where = defect, f"{family} L{level} k={k} cell {c}"
@@ -58,7 +59,7 @@ def test_criterion_2_bubble_harmonic_orthogonality():
     worst = 0.0
     for verts in cells:
         for k in (1, 2):
-            ctx = vs.build_element(verts, k)
+            ctx = element(vs.build_element(verts, k))
             H = pb.harmonic_subspace(ctx.basis, k + 2)
             pair = H.T @ ctx.stiffness @ ctx.operators.bubble_pinabla
             scale = (np.linalg.norm(ctx.stiffness) * np.abs(H).max()
@@ -82,7 +83,7 @@ def test_criterion_3_patch():
             uy = np.full(dm.n_scalar, np.nan)
             p = np.full(dm.n_scalar, np.nan)
             table = dm.cell_dof_table(mesh)
-            for c, ctx in enumerate(sol.contexts):
+            for c, ctx in cell_elements(sol.batches):
                 gd = table[c, :ctx.layout.n_scalar]
                 ux[gd] = vs.interpolate_scalar(ctx, lambda q: case.velocity(q)[:, 0])
                 uy[gd] = vs.interpolate_scalar(ctx, lambda q: case.velocity(q)[:, 1])
@@ -204,12 +205,13 @@ def test_criterion_7_interpolation_order():
         for level in (2, 3, 4, 5):
             mesh = geo.generate_mesh("hexagonal", level)
             e2 = 0.0
-            for cell in mesh.cells:
-                # degree 2k+2 integrates everything the interpolation path
-                # touches exactly (degree-2k mass Gram, degree-(2k-2)
-                # moments and stiffness)
-                ctx = vs.build_element(mesh.vertices[cell], k,
-                                       quad_degree=2 * k + 2)
+            # degree 2k+2 integrates everything the interpolation path
+            # touches exactly (degree-2k mass Gram, degree-(2k-2) moments
+            # and stiffness)
+            batches = vs.build_batches([
+                vs.build_element(mesh.vertices[cell], k, quad_degree=2 * k + 2)
+                for cell in mesh.cells])
+            for _, ctx in cell_elements(batches):
                 dofs = vs.interpolate_scalar(ctx, f)
                 coef = ctx.operators.pizero_k @ dofs
                 vals = pb.evaluate(ctx.basis, ctx.quad.points)[:, :ctx.slice_hi] @ coef

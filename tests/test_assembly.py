@@ -13,7 +13,7 @@ from polystokes import assembly as asm
 from polystokes import geometry as geo
 from polystokes.stokes_local import StabilizationConfig
 
-from oracles import (boundary_scalar_data, cell_scalar_dofs,
+from oracles import (boundary_scalar_data, cell_elements, cell_scalar_dofs,
                      dense_condition_number)
 
 
@@ -116,7 +116,7 @@ def test_solver_residual_and_pressure_mean():
     # discrete pressure mean: sum over cells of the projected pressure
     table = sol.dof_map.cell_dof_table(mesh)
     total = 0.0
-    for c, ctx in enumerate(sol.contexts):
+    for c, ctx in cell_elements(sol.batches):
         import polystokes.polybasis as pb
         nk = ctx.slice_hi
         ints = ctx.quad.weights @ pb.evaluate(ctx.basis, ctx.quad.points)[:, :nk]

@@ -113,6 +113,33 @@ def test_solve_no_condense_matches(capsys):
 def test_parse_int_list():
     assert cli._parse_int_list("1..4") == [1, 2, 3, 4]
     assert cli._parse_int_list("2,5,7") == [2, 5, 7]
+    assert cli._parse_int_list("3..3") == [3]
+    with pytest.raises(ValueError, match="empty range"):
+        cli._parse_int_list("3..1")
+
+
+@pytest.mark.parametrize("args", [
+    ["convergence", "--cases", "test1", "--families", "hexagonal",
+     "--levels", "3..1", "--k", "1"],
+    ["alpha-sweep", "--family", "hexagonal", "--level", "1", "--k", "2..1"],
+], ids=["convergence-levels", "alpha-sweep-k"])
+def test_reversed_range_exits_1(args, tmp_path, capsys):
+    # a reversed range used to write a header-only CSV and exit 0
+    out = tmp_path / "out.csv"
+    assert cli.main(args + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: empty range")
+    assert not out.exists()
+
+
+def test_unknown_basis_names_the_choices(tmp_path, capsys):
+    # the bare KeyError printed only "error: 'foo'"
+    rc = cli.main(["alpha-sweep", "--family", "hexagonal", "--level", "1",
+                   "--k", "1", "--basis", "monomial,foo",
+                   "--output", str(tmp_path / "sweep.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown basis 'foo'")
+    assert "monomial" in err and "ortho" in err
 
 
 @pytest.mark.parametrize("args", [

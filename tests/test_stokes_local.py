@@ -19,8 +19,8 @@ UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def _blocks(ctx, config=sl.StabilizationConfig(), f=None):
-    """One cell's blocks: build_blocks on a one-cell list pads nothing."""
-    b = sl.build_blocks([ctx], config, f)
+    """One cell's blocks: build_blocks on a one-cell batch pads nothing."""
+    b = sl.build_blocks(vs.build_batches([ctx]), config, f)
     return sl.LocalStokesBlocks(*(getattr(b, fd.name)[0]
                                   for fd in dataclasses.fields(b)))
 
@@ -66,7 +66,8 @@ def test_a_consistency_on_polynomials(k):
     # for polynomial DOF vectors the stabilization part vanishes and the
     # block reduces to the exact grad-grad pairing of the polynomials
     ctx = vs.build_element(PENTAGON, k)
-    ops = ctx.operators
+    el = oracles.element(ctx)
+    ops = el.operators
     nk = ctx.slice_hi
     A_u = _blocks(ctx).A_u
     rng = np.random.default_rng(k)
@@ -74,7 +75,7 @@ def test_a_consistency_on_polynomials(k):
     q_co = rng.standard_normal(nk)
     vp = np.concatenate([ops.dof_matrix @ p_co, np.zeros(ctx.layout.n_scalar)])
     vq = np.concatenate([ops.dof_matrix @ q_co, np.zeros(ctx.layout.n_scalar)])
-    want = p_co @ ctx.stiffness[:nk, :nk] @ q_co
+    want = p_co @ el.stiffness[:nk, :nk] @ q_co
     assert vp @ A_u @ vq == pytest.approx(want, rel=1e-10, abs=1e-11)
     # the complement term alone is exactly zero on polynomial DOF vectors
     comp = ops.dof_matrix @ ops.pinabla_k @ (ops.dof_matrix @ p_co) \
@@ -88,7 +89,8 @@ def test_c_symmetric_and_polynomial_kernel(k):
     C = _blocks(ctx).C_p
     assert np.abs(C - C.T).max() <= 1e-14 * max(np.abs(C).max(), 1.0)
     rng = np.random.default_rng(7)
-    q = ctx.operators.dof_matrix @ rng.standard_normal(ctx.slice_hi)
+    q = oracles.element(ctx).operators.dof_matrix @ rng.standard_normal(
+        ctx.slice_hi)
     assert np.abs(C @ q).max() < 1e-11
 
 
@@ -106,7 +108,6 @@ def test_b_consistency_polynomial_pair(k):
     # for v = interpolated polynomial velocity and q = polynomial pressure
     # DOFs, B matches the exact integral of q div v
     ctx = vs.build_element(UNIT_SQUARE, k)
-    ops = ctx.operators
     B_u = _blocks(ctx).B_u
     # v = (x^k, 0), q = x^(k-1): int q div v = k int x^(2k-2)
     def u(p):
@@ -183,7 +184,7 @@ def test_build_blocks_shapes():
     # cells stacked in list order, padded to the widest cell
     small = vs.build_element(UNIT_SQUARE, 2)
     ctx = vs.build_element(PENTAGON, 2)
-    blocks = sl.build_blocks([ctx, small, ctx],
+    blocks = sl.build_blocks(vs.build_batches([ctx, small, ctx]),
                              f=lambda p: np.ones((len(p), 2)))
     n = ctx.layout.n_scalar
     nb = ctx.layout.n_bubble
@@ -223,13 +224,14 @@ def test_stacked_blocks_equal_per_cell_oracle(family):
         mesh = _mesh(family, level)
         for k in (1, 2, 3, 4):
             for kind in ("scaled_monomial", "l2_orthonormal"):
-                contexts = [vs.build_element(mesh.vertices[c], k,
-                                             basis_kind=kind)
-                            for c in mesh.cells]
+                batches = vs.build_batches([
+                    vs.build_element(mesh.vertices[c], k, basis_kind=kind)
+                    for c in mesh.cells])
+                elements = oracles.cell_elements(batches)
                 for beta, f in ((0.0, None), (1.0, forcing)):
                     config = sl.StabilizationConfig(beta_sharp=beta)
-                    blocks = sl.build_blocks(contexts, config, f)
-                    for c, ctx in enumerate(contexts):
+                    blocks = sl.build_blocks(batches, config, f)
+                    for c, ctx in elements:
                         want = oracles.build_blocks(ctx, config, f)
                         for name, block in want.items():
                             got = getattr(blocks, name)[c]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polystokes import geometry as geo
 from polystokes import polybasis as pb
 from polystokes import vemspace as vs
+import oracles
 from oracles import projector_defect
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -33,7 +34,7 @@ def test_layout_rejects_k0():
 @pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_projectors_reproduce_polynomials(k, kind):
-    ctx = vs.build_element(PENTAGON, k, basis_kind=kind)
+    ctx = oracles.element(vs.build_element(PENTAGON, k, basis_kind=kind))
     ops = ctx.operators
     nk = ctx.slice_hi
     assert np.abs(ops.pinabla_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-11
@@ -48,7 +49,8 @@ def test_projectors_on_badly_shaped_cell(kind):
     mesh = geo.generate_mesh("random_polygons", 2)
     cell = mesh.cells[109]
     assert len(cell) == 12
-    ctx = vs.build_element(mesh.vertices[cell], 4, basis_kind=kind)
+    ctx = oracles.element(vs.build_element(mesh.vertices[cell], 4,
+                                           basis_kind=kind))
     assert projector_defect(ctx) <= 1e-11
 
 
@@ -57,7 +59,7 @@ def test_projectors_on_star_cell_off_centroid_kernel(k):
     # L-shaped cell whose centroid lies outside its kernel, so its
     # quadrature fans from another kernel point
     verts = np.array([[0, 0], [3, 0], [3, 0.6], [1, 0.6], [1, 1.6], [0, 1.6]])
-    ctx = vs.build_element(verts, k)
+    ctx = oracles.element(vs.build_element(verts, k))
     ops = ctx.operators
     nk = ctx.slice_hi
     assert np.abs(ops.pinabla_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-11
@@ -67,7 +69,7 @@ def test_projectors_on_star_cell_off_centroid_kernel(k):
 
 def test_pinabla_square_example():
     # unit square, k=1: vertex values (0,0,1,0) project to -1/4 + x/2 + y/2
-    ctx = vs.build_element(UNIT_SQUARE, 1)
+    ctx = oracles.element(vs.build_element(UNIT_SQUARE, 1))
     coef = ctx.operators.pinabla_k @ np.array([0.0, 0.0, 1.0, 0.0])
     pts = np.array([[0.3, 0.4], [0.9, 0.1], [0.0, 0.0]])
     got = pb.evaluate(ctx.basis.prefix(1), pts) @ coef
@@ -79,7 +81,7 @@ def test_pinabla_square_example():
 def test_pizero_is_l2_projection(k):
     # interpolate a non-polynomial and check quadrature orthogonality of
     # the residual moments encoded in the DOFs themselves
-    ctx = vs.build_element(UNIT_SQUARE, k)
+    ctx = oracles.element(vs.build_element(UNIT_SQUARE, k))
 
     def f(p):
         return np.sin(p[:, 0] + 0.5 * p[:, 1])
@@ -98,7 +100,7 @@ def test_pizero_is_l2_projection(k):
 @pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_interpolated_polynomial_projects_to_itself(k, kind):
-    ctx = vs.build_element(PENTAGON, k, basis_kind=kind)
+    ctx = oracles.element(vs.build_element(PENTAGON, k, basis_kind=kind))
     rng = np.random.default_rng(k)
     coeffs = rng.standard_normal(ctx.slice_hi)
 
@@ -116,7 +118,7 @@ def test_interpolated_polynomial_projects_to_itself(k, kind):
 def test_bubble_projection_energy_orthogonal_to_pk(k):
     # grad of the projected bubble is orthogonal to grad P_k: the bubble
     # vanishes on the boundary and its P_(k-2) moments are zero
-    ctx = vs.build_element(PENTAGON, k)
+    ctx = oracles.element(vs.build_element(PENTAGON, k))
     nk = ctx.slice_hi
     pair = ctx.stiffness[:nk, :] @ ctx.operators.bubble_pinabla
     scale = np.linalg.norm(ctx.stiffness) * np.abs(ctx.operators.bubble_pinabla).max()
@@ -126,7 +128,7 @@ def test_bubble_projection_energy_orthogonal_to_pk(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_bubble_projection_orthogonal_to_harmonics(k):
     # harmonic polynomials of degree <= k+2 pair to zero in energy
-    ctx = vs.build_element(PENTAGON, k)
+    ctx = oracles.element(vs.build_element(PENTAGON, k))
     H = pb.harmonic_subspace(ctx.basis, k + 2)
     pair = H.T @ ctx.stiffness @ ctx.operators.bubble_pinabla
     scale = (np.linalg.norm(ctx.stiffness) * np.abs(H).max()
@@ -136,7 +138,7 @@ def test_bubble_projection_orthogonal_to_harmonics(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_bubble_pizero_moments(k):
-    ctx = vs.build_element(PENTAGON, k)
+    ctx = oracles.element(vs.build_element(PENTAGON, k))
     nk = ctx.slice_hi
     lo, hi = ctx.slice_lo, ctx.slice_hi
     got = ctx.mass[lo:hi, :nk] @ ctx.operators.bubble_pizero_k / ctx.area
@@ -188,7 +190,7 @@ def star_polygons(draw):
 @given(star_polygons(), st.integers(min_value=1, max_value=3))
 @settings(max_examples=20, deadline=None)
 def test_projector_identity_random_cells(verts, k):
-    ctx = vs.build_element(verts, k)
+    ctx = oracles.element(vs.build_element(verts, k))
     ops = ctx.operators
     nk = ctx.slice_hi
     assert np.abs(ops.pinabla_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-9
@@ -200,7 +202,7 @@ def test_projector_identity_random_cells(verts, k):
 def test_stored_quadrature_values(kind, k):
     # the context keeps the degree-k values the blocks read, and
     # interpolation reads its moments from them with unchanged bits
-    ctx = vs.build_element(PENTAGON, k, basis_kind=kind)
+    ctx = oracles.element(vs.build_element(PENTAGON, k, basis_kind=kind))
     nk = ctx.slice_hi
     full = pb.evaluate(ctx.basis, ctx.quad.points)
     assert np.array_equal(ctx.quad_values, full[:, :nk])
@@ -217,3 +219,42 @@ def test_stored_quadrature_values(kind, k):
     want[len(nodes):] = ((ctx.quad.weights * f(ctx.quad.points))
                          @ full[:, :lay.n_moment] / ctx.area)
     assert np.array_equal(vs.interpolate_scalar(ctx, f), want)
+
+
+OPERATOR_FIELDS = ("pinabla_k", "pizero_k", "bubble_pinabla", "bubble_pizero_k",
+                   "dof_matrix", "bubble_dof_matrix", "boundary_rx",
+                   "boundary_ry")
+
+
+@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
+def test_batches_equal_per_cell_oracle(family):
+    # every operator, mass, stiffness, quad_values and member_integrals of
+    # the stacked batches equals the per-cell reference bit for bit; the
+    # 224 hexagons of hexagonal L3 span several batches of one vertex count
+    levels = (1, 2, 3) if family == "hexagonal" else (1, 2)
+    for level in levels:
+        mesh = geo.generate_mesh(family, level)
+        for k in (1, 2, 3, 4):
+            for kind in ("scaled_monomial", "l2_orthonormal"):
+                contexts = [vs.build_element(mesh.vertices[c], k,
+                                             basis_kind=kind)
+                            for c in mesh.cells]
+                batches = vs.build_batches(contexts)
+                assert all(len(b.cells) <= vs._BATCH for b in batches)
+                sizes = [b.layout.n_vertex for b in batches]
+                assert sizes == sorted(sizes)
+                if level == 3:
+                    assert sizes.count(6) > 1
+                elements = oracles.cell_elements(batches)
+                assert [c for c, _ in elements] == list(range(len(mesh.cells)))
+                for c, el in elements:
+                    want = oracles.build_operators(contexts[c])
+                    where = (family, level, k, kind, c)
+                    for name in OPERATOR_FIELDS:
+                        assert np.array_equal(getattr(el.operators, name),
+                                              getattr(want["operators"], name)), \
+                            (where, name)
+                    for name in ("mass", "stiffness", "quad_values",
+                                 "member_integrals"):
+                        assert np.array_equal(getattr(el, name), want[name]), \
+                            (where, name)
