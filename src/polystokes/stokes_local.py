@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from . import polybasis as pb
+from .vemspace import _t, _vecmat
 
 __all__ = ["StabilizationConfig", "LocalStokesBlocks", "build_blocks"]
 
@@ -61,11 +62,6 @@ class LocalStokesBlocks:
 # over the stack, which makes per cell the BLAS call (gemm, syrk, gemv or
 # dot) that the same product of one cell's 2-D arrays makes.
 
-def _t(a):
-    """Each cell's matrix transposed."""
-    return a.swapaxes(-1, -2)
-
-
 def _cellwise(x):
     """A per-cell float (g,) shaped to scale stacked (g, m, n) blocks."""
     return x[:, None, None]
@@ -77,11 +73,6 @@ def _block_diag2(M):
     out[..., :n, :n] = M
     out[..., n:, n:] = M
     return out
-
-
-def _vecmat(v, M):
-    """Each cell's vector times its matrix, (g, m) @ (g, m, n) -> (g, n)."""
-    return (v[:, None, :] @ M)[:, 0, :]
 
 
 def _local_a(ctx, config):

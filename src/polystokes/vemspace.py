@@ -138,8 +138,9 @@ class ElementBatch(ElementContext):
     member_integrals: np.ndarray
 
 
-# Cells per batch.  One stack of a whole vertex-count group raised the peak
-# RSS of the hexagonal L1-3, k=3 benchmark by 11%; batches of this size by 2%.
+# Cells per batch, which bounds the stacked temporaries.  A hexagonal L5,
+# k=2 solve with whole vertex-count groups as batches peaked at 414 MiB and
+# assembled in 1.32 s; with batches of 32 cells, 408 MiB and 1.11 s.
 _BATCH = 32
 
 
@@ -231,12 +232,12 @@ def _vecmat(v, M):
 
 
 @functools.cache
-def _edge_trace(nv, k):
-    """Value of every scalar DOF basis function of a cell with nv vertices
-    at its edge quadrature points, (nv * nq, n_scalar), read-only.  Edge e
+def _edge_trace(layout):
+    """Value of every scalar DOF basis function of a cell with this layout
+    at its edge quadrature points, (n_e * nq, n_scalar), read-only.  Edge e
     runs from vertex e to vertex e+1; its trace DOFs are those two vertices
     and its k-1 interior nodes."""
-    n_scalar = build_layout(range(nv), k).n_scalar
+    nv, k, n_scalar = layout.n_vertex, layout.k, layout.n_scalar
     e = np.arange(nv)
     trace = np.column_stack([e, nv + e[:, None] * (k - 1) + np.arange(k - 1),
                              (e + 1) % nv])                       # (n_e, k+1)
@@ -298,7 +299,7 @@ def _build_batch(cells, ctx):
 
     # boundary functionals ------------------------------------------------
     pts, w, nrm = _boundary(ctx)
-    phi = _edge_trace(lay.n_vertex, k)             # the same for every cell
+    phi = _edge_trace(lay)                         # the same for every cell
     at_edges = pb.power_table(k + 2, centroid, diameter, pts)
     vals = pb.evaluate(ortho, at_edges)                        # (g, n_pts, nk2)
     grads = pb.gradient(ortho_k, at_edges)                     # (g, n_pts, nk, 2)
