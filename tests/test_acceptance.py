@@ -35,8 +35,9 @@ def test_criterion_1_projector_identities():
         for level in (1, 2):
             mesh = geo.generate_mesh(family, level)
             for k in (1, 2, 3, 4):
-                batches = vs.build_batches([vs.build_element(mesh.vertices[cell], k)
-                                            for cell in mesh.cells])
+                batches = vs.build_batches([
+                    vs.build_element(mesh.vertices[cell], k)
+                    for cell in mesh.cells])
                 for c, ctx in cell_elements(batches):
                     defect = projector_defect(ctx)
                     if defect > worst:
