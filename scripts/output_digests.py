@@ -11,9 +11,8 @@ Run it on two checkouts with one BLAS thread and compare the outputs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digests.py
 
-Cell blocks are hashed cell by cell without padding, so checkouts that
-store them per cell (a list of LocalStokesBlocks) and stacked (one
-LocalStokesBlocks, zero-padded to the widest cell) give the same digests.
+The cell blocks are rebuilt from the system's batches and hashed cell by
+cell without their zero padding.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ import hashlib
 
 import numpy as np
 
-from polystokes import assemble, compute_errors, generate_mesh, get_case, solve
+from polystokes import (assemble, build_blocks, compute_errors, generate_mesh,
+                        get_case, solve)
 from polystokes.analysis import run_alpha_sweep
 
 FAMILIES = ("hexagonal", "voronoi", "random_polygons", "diamond")
@@ -42,13 +42,9 @@ def digest(*arrays):
     return h.hexdigest()[:16]
 
 
-def cell_blocks(system):
+def cell_blocks(system, forcing):
     """Every cell's blocks, unpadded, field by field in cell order."""
-    blocks = system.cell_blocks
-    if isinstance(blocks, list):
-        for b in blocks:
-            yield from (getattr(b, name) for name in BLOCK_FIELDS)
-        return
+    blocks = build_blocks(system.batches, system.config, forcing)
     layouts = {int(c): batch.layout for batch in system.batches
                for c in batch.cells}
     for c in range(len(layouts)):
@@ -73,7 +69,8 @@ def main():
                     sol = solve(system)
                     rep = compute_errors(sol, case)
                     tag = f"{family} L{level} k={k} {basis}"
-                    print(tag, "blocks", digest(*cell_blocks(system)))
+                    print(tag, "blocks",
+                          digest(*cell_blocks(system, case.forcing)))
                     print(tag, "system", digest(
                         system.k0.data, system.k0.indices, system.k0.indptr,
                         system.c_values, system.rhs, system.free,

@@ -7,7 +7,7 @@ from .polybasis import PolyBasis, build_basis, poly_dim
 from .vemspace import (ElementBatch, ElementContext, build_batches,
                        build_element, interpolate_scalar, interpolate_velocity)
 from .stokes_local import StabilizationConfig, build_blocks
-from .assembly import (GlobalSystem, Solution, assemble, condense, solve,
+from .assembly import (GlobalSystem, Solution, assemble, solve,
                        solve_stokes, condition_number, export_matrix,
                        with_alpha)
 from .analysis import (ManufacturedCase, ErrorReport, get_case, compute_errors,

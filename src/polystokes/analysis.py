@@ -209,12 +209,12 @@ def compute_errors(solution, case):
     Each cell's contributions are computed over the element batches the
     solution was assembled from and then summed in cell order.
     """
-    k = solution.k
+    k = solution.dof_map.k
     # per cell: e0u, e1u, e0p and the exact norms n0u, n1u, n0p, squared
     parts = np.zeros((6, solution.dof_map.n_cells))
     for ctx in solution.batches:
         ids = ctx.cells
-        gd = solution.cell_dofs[ids, :ctx.layout.n_scalar]
+        gd = solution.dof_map.cell_dofs[ids, :ctx.layout.n_scalar]
         pz = ctx.operators.pizero_k
         cux = pz @ solution.ux[gd][:, :, None]      # (g, nk, 1)
         cuy = pz @ solution.uy[gd][:, :, None]
@@ -255,7 +255,7 @@ def compute_errors(solution, case):
 
 
 def _rate(prev_err, prev_h, err, h):
-    if prev_err is None or err <= 0 or prev_err <= 0:
+    if err <= 0 or prev_err <= 0:
         return float("nan")
     return float(np.log(prev_err / err) / np.log(prev_h / h))
 
@@ -284,14 +284,12 @@ def run_convergence(family, levels, k, case, basis_kind="scaled_monomial",
             "family": family, "level": level, "k": k, "h": mesh.h,
             "n_dofs": sol.n_dofs,
             "err0_u": rep.err0_u, "err1_u": rep.err1_u, "err0_p": rep.err0_p,
-            "rate0_u": _rate(prev and prev["err0_u"], prev and prev["h"],
-                             rep.err0_u, mesh.h) if prev else float("nan"),
-            "rate1_u": _rate(prev and prev["err1_u"], prev and prev["h"],
-                             rep.err1_u, mesh.h) if prev else float("nan"),
-            "rate0_p": _rate(prev and prev["err0_p"], prev and prev["h"],
-                             rep.err0_p, mesh.h) if prev else float("nan"),
             "seconds": seconds,
         }
+        for norm in ("0_u", "1_u", "0_p"):
+            row["rate" + norm] = (_rate(prev["err" + norm], prev["h"],
+                                        row["err" + norm], mesh.h)
+                                  if prev else float("nan"))
         rows.append(row)
         prev = row
     return rows
@@ -320,8 +318,9 @@ def run_alpha_sweep(family, level, k, alphas=DEFAULT_ALPHAS,
 def write_csv(path, rows, fields):
     """Write rows (dicts) to CSV with full-precision, repr-stable floats."""
     def fmt(v):
-        if isinstance(v, float):
-            return repr(v)
+        # repr of a numpy float names its type under numpy 2
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
         return v
 
     with open(path, "w", newline="") as fh:

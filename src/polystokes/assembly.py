@@ -25,11 +25,11 @@ import scipy.sparse.linalg as spla
 
 from . import polybasis as pb
 from .geometry import gauss_lobatto_points
-from .stokes_local import LocalStokesBlocks, StabilizationConfig, build_blocks
+from .stokes_local import StabilizationConfig, build_blocks
 from .vemspace import build_batches, build_element
 
 __all__ = ["GlobalDofMap", "GlobalSystem", "Solution", "build_dof_map",
-           "assemble", "condense", "solve", "solve_stokes",
+           "assemble", "solve", "solve_stokes",
            "condition_number", "export_matrix"]
 
 # A relative residual above this marks a failed solve: every workload of the
@@ -55,6 +55,9 @@ class GlobalDofMap:
     n_edges: int
     n_cells: int
     n_moment: int                # moments per cell, dim P_{k-2}
+    # global scalar indices in local DOF order, one row per cell: the first
+    # ctx.layout.n_scalar entries of row c belong to cell c, the rest are -1
+    cell_dofs: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n_scalar(self):
@@ -77,44 +80,37 @@ class GlobalDofMap:
     def pressure_offset(self, condensed):
         return 2 * self.n_scalar + (0 if condensed else self.n_bubble)
 
-    def cell_dof_table(self, mesh):
-        """Global scalar indices in local DOF order, one row per cell: the
-        first ctx.layout.n_scalar entries of row c belong to cell c, and the
-        rest of the row is -1."""
-        k, n_cells, n_moment = self.k, self.n_cells, self.n_moment
-        nv = np.array([len(ring) for ring in mesh.cells])
-        ring = np.concatenate(mesh.cells)
-        edge = np.concatenate(mesh.cell_edges)
-        cell = np.repeat(np.arange(n_cells), nv)
-        pos = np.arange(len(ring)) - np.repeat(np.cumsum(nv) - nv, nv)
-        table = np.full((n_cells, k * nv.max() + n_moment), -1, dtype=np.int64)
-        table[cell, pos] = ring
-        # k-1 edge nodes after the vertices, reversed where the ring
-        # traverses the edge from its higher to its lower vertex
-        j = np.arange(k - 1)
-        along = np.where((mesh.edges[edge, 0] == ring)[:, None], j, k - 2 - j)
-        table[cell[:, None], (nv[cell] + pos * (k - 1))[:, None] + j] = \
-            self.n_vertices + edge[:, None] * (k - 1) + along
-        moments = (self.n_vertices + self.n_edges * (k - 1)
-                   + np.arange(n_cells * n_moment).reshape(n_cells, n_moment))
-        table[np.arange(n_cells)[:, None],
-              (k * nv)[:, None] + np.arange(n_moment)] = moments
-        return table
-
 
 def build_dof_map(mesh, k):
+    """The DOF counts of the mesh at degree k and its cell→DOF table."""
+    n_cells, n_moment = len(mesh.cells), pb.poly_dim(k - 2)
+    nv = np.array([len(ring) for ring in mesh.cells])
+    ring = np.concatenate(mesh.cells)
+    edge = np.concatenate(mesh.cell_edges)
+    cell = np.repeat(np.arange(n_cells), nv)
+    pos = np.arange(len(ring)) - np.repeat(np.cumsum(nv) - nv, nv)
+    table = np.full((n_cells, k * nv.max() + n_moment), -1, dtype=np.int64)
+    table[cell, pos] = ring
+    # k-1 edge nodes after the vertices, reversed where the ring traverses
+    # the edge from its higher to its lower vertex
+    j = np.arange(k - 1)
+    along = np.where((mesh.edges[edge, 0] == ring)[:, None], j, k - 2 - j)
+    table[cell[:, None], (nv[cell] + pos * (k - 1))[:, None] + j] = \
+        mesh.n_vertices + edge[:, None] * (k - 1) + along
+    moments = (mesh.n_vertices + mesh.n_edges * (k - 1)
+               + np.arange(n_cells * n_moment).reshape(n_cells, n_moment))
+    table[np.arange(n_cells)[:, None],
+          (k * nv)[:, None] + np.arange(n_moment)] = moments
     return GlobalDofMap(k=k, n_vertices=mesh.n_vertices, n_edges=mesh.n_edges,
-                        n_cells=len(mesh.cells), n_moment=pb.poly_dim(k - 2))
+                        n_cells=n_cells, n_moment=n_moment, cell_dofs=table)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalSystem:
     """Assembled, Dirichlet-eliminated linear system (plus cell data)."""
 
     mesh: object
-    k: int
     config: StabilizationConfig
-    basis_kind: str
     condensed: bool
     dof_map: GlobalDofMap
     matrix: sp.csc_matrix        # reduced system over the free unknowns
@@ -123,27 +119,24 @@ class GlobalSystem:
     constrained: np.ndarray      # global velocity indices fixed by the data
     boundary_values: np.ndarray  # values at the constrained indices
     signs: np.ndarray            # +1 velocity rows, -1 pressure/multiplier
-    batches: list = field(repr=False, default=None)   # vemspace.ElementBatch
-    # stacked in cell order, zero-padded to the width of cell_dofs
-    cell_blocks: LocalStokesBlocks = field(repr=False, default=None)
-    cell_dofs: np.ndarray = field(repr=False, default=None)  # cell_dof_table
+    batches: list = field(repr=False)   # vemspace.ElementBatch
     # matrix = k0 + alpha C on k0's pattern: C's entries are c_values at
     # k0.data[c_positions]; rhs, free and signs do not depend on alpha
-    k0: sp.csc_matrix = field(repr=False, default=None)
-    c_positions: np.ndarray = field(repr=False, default=None)
-    c_values: np.ndarray = field(repr=False, default=None)
-    # condensed: (inv(A_b) B_b^T, inv(A_b) F_b) per cell, padded like cell_dofs
-    recovery: tuple = field(repr=False, default=None)
+    k0: sp.csc_matrix = field(repr=False)
+    c_positions: np.ndarray = field(repr=False)
+    c_values: np.ndarray = field(repr=False)
+    # condensed: (inv(A_b) B_b^T, inv(A_b) F_b) per cell, padded like
+    # dof_map.cell_dofs; uncondensed: None
+    recovery: tuple = field(repr=False)
 
     @property
     def n_dofs(self):
         return self.matrix.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Solution:
     mesh: object
-    k: int
     dof_map: GlobalDofMap
     ux: np.ndarray               # scalar DOF values, x-velocity component
     uy: np.ndarray
@@ -152,8 +145,7 @@ class Solution:
     multiplier: float
     residual: float              # relative residual of the reduced solve
     n_dofs: int                  # size of the solved system
-    batches: list = field(repr=False, default=None)   # vemspace.ElementBatch
-    cell_dofs: np.ndarray = field(repr=False, default=None)  # cell_dof_table
+    batches: list = field(repr=False)   # vemspace.ElementBatch
 
 
 def _boundary_scalar_data(mesh, dof_map, g):
@@ -175,13 +167,13 @@ def _boundary_scalar_data(mesh, dof_map, g):
     return np.concatenate([idx, idx + dof_map.n_scalar]), vals.T.ravel()
 
 
-def _affine(system, condensed):
-    """The system in the given form: k0, C, rhs, free set, signs and bubble
-    recovery gathered once from the cell blocks, and the matrix formed."""
-    dof_map, table = system.dof_map, system.cell_dofs
+def _affine(dof_map, blocks, constrained, boundary_values, condensed):
+    """rhs, free, signs, k0, c_positions, c_values and recovery of the
+    system in the given form, gathered once from the stacked cell blocks
+    (padded to the width of dof_map.cell_dofs)."""
+    table = dof_map.cell_dofs
     n_sc, n_cells = dof_map.n_scalar, dof_map.n_cells
     n_sys = dof_map.n_system(condensed)
-    blocks = system.cell_blocks          # padded to the width of table
     A_u, B_u, F_u, A_b, B_b, C_p, w, F_b = (
         blocks.A_u, blocks.B_u, blocks.F_u, blocks.A_b, blocks.B_b,
         blocks.C_p, blocks.mean_weights, blocks.F_b)
@@ -212,12 +204,12 @@ def _affine(system, condensed):
                (prs, vel, B_u), (prs, mult, w[:, :, None]),
                (mult, prs, w[:, None, :])]
 
-    free = np.setdiff1d(np.arange(n_sys), system.constrained)
+    free = np.setdiff1d(np.arange(n_sys), constrained)
     n = len(free)
     reduced = np.full(n_sys + 1, -1)     # -1: constrained or padding
     reduced[free] = np.arange(n)
     fixed = np.zeros(n_sys + 1)
-    fixed[system.constrained] = system.boundary_values
+    fixed[constrained] = boundary_values
 
     # the Dirichlet data moves to the right-hand side
     loads += [(r, -(v @ fixed[c][:, :, None])[:, :, 0]) for r, c, v in blocks]
@@ -242,13 +234,16 @@ def _affine(system, condensed):
     k0 = csc(*(np.concatenate(part) for part in
                zip(*(between_free(*block) for block in blocks))))
     C = csc(*between_free(prs, prs, C_p))
-    c_positions = np.searchsorted(keys(k0), keys(C))
-    c_values = C.data
     signs = np.where(free < dof_map.pressure_offset(condensed), 1.0, -1.0)
-    system = replace(system, condensed=condensed, rhs=rhs, free=free,
-                     signs=signs, k0=k0, c_positions=c_positions,
-                     c_values=c_values, recovery=recovery)
-    return with_alpha(system, system.config.alpha)
+    return (rhs, free, signs, k0, np.searchsorted(keys(k0), keys(C)), C.data,
+            recovery)
+
+
+def _matrix(k0, c_positions, c_values, alpha):
+    """k0 + alpha C on k0's pattern."""
+    data = k0.data.copy()
+    data[c_positions] += alpha * c_values
+    return sp.csc_matrix((data, k0.indices, k0.indptr), k0.shape)
 
 
 def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
@@ -265,29 +260,25 @@ def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
     batches = build_batches([build_element(mesh.vertices[cell], k,
                                            basis_kind=basis_kind)
                              for cell in mesh.cells])
-    cell_blocks = build_blocks(batches, config, f)
     constrained, values = _boundary_scalar_data(mesh, dof_map, g)
-    return _affine(GlobalSystem(
-        mesh=mesh, k=k, config=config, basis_kind=basis_kind,
-        condensed=condensed, dof_map=dof_map, matrix=None, rhs=None,
-        free=None, constrained=constrained, boundary_values=values,
-        signs=None, batches=batches, cell_blocks=cell_blocks,
-        cell_dofs=dof_map.cell_dof_table(mesh)), condensed)
+    # the cell blocks are dropped once gathered
+    rhs, free, signs, k0, c_positions, c_values, recovery = _affine(
+        dof_map, build_blocks(batches, config, f), constrained, values,
+        condensed)
+    return GlobalSystem(
+        mesh=mesh, config=config, condensed=condensed, dof_map=dof_map,
+        matrix=_matrix(k0, c_positions, c_values, config.alpha), rhs=rhs,
+        free=free, constrained=constrained, boundary_values=values,
+        signs=signs, batches=batches, k0=k0, c_positions=c_positions,
+        c_values=c_values, recovery=recovery)
 
 
 def with_alpha(system, alpha):
     """The system for a different pressure weight: matrix = k0 + alpha C
     from the data gathered once by assemble."""
-    data = system.k0.data.copy()
-    data[system.c_positions] += alpha * system.c_values
     return replace(system, config=replace(system.config, alpha=alpha),
-                   matrix=sp.csc_matrix((data, system.k0.indices,
-                                         system.k0.indptr), system.k0.shape))
-
-
-def condense(system):
-    """Eliminate the bubble DOFs cell by cell; solve recovers them."""
-    return system if system.condensed else _affine(system, True)
+                   matrix=_matrix(system.k0, system.c_positions,
+                                  system.c_values, alpha))
 
 
 # SuperLU options in the order solve tries them.  The first is LU without
@@ -380,14 +371,13 @@ def solve(system):
     if system.condensed:
         W, g = system.recovery
         bubbles = g + np.einsum("cbi,ci->cb", W,
-                                np.append(p, 0.0)[system.cell_dofs])
+                                np.append(p, 0.0)[dof_map.cell_dofs])
     else:
         bubbles = full[2 * n_sc:p_off].reshape(dof_map.n_cells, -1)
-    return Solution(mesh=system.mesh, k=system.k, dof_map=dof_map,
-                    ux=full[:n_sc], uy=full[n_sc:2 * n_sc], p=p,
-                    bubbles=bubbles, multiplier=full[-1], residual=float(res),
-                    n_dofs=system.n_dofs, batches=system.batches,
-                    cell_dofs=system.cell_dofs)
+    return Solution(mesh=system.mesh, dof_map=dof_map, ux=full[:n_sc],
+                    uy=full[n_sc:2 * n_sc], p=p, bubbles=bubbles,
+                    multiplier=full[-1], residual=float(res),
+                    n_dofs=system.n_dofs, batches=system.batches)
 
 
 def solve_stokes(mesh, k, f=None, g=None, config=None,
@@ -434,5 +424,7 @@ def condition_number(system):
 
 
 def export_matrix(system, path):
-    """Write the reduced system matrix in Matrix Market format."""
-    scipy.io.mmwrite(str(path), system.matrix.tocoo())
+    """Write the reduced system matrix in Matrix Market format to path
+    (mmwrite given a file name would append .mtx to it)."""
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, system.matrix.tocoo())

@@ -7,6 +7,7 @@ random families draw from a seeded numpy Generator.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -620,17 +621,14 @@ class QuadratureRule:
     exactness_degree: int
 
 
-_TRIANGLE_RULES = {}
-
-
+@functools.cache
 def triangle_rule(degree):
-    """Rule on the reference triangle {x,y>=0, x+y<=1}, exact to degree.
+    """Rule on the reference triangle {x,y>=0, x+y<=1}, exact to degree,
+    as read-only points and weights shared by every caller.
 
     Collapsed-coordinate construction: Gauss-Jacobi(1,0) radially and
     Gauss-Legendre transversally absorb the Duffy Jacobian exactly.
     """
-    if degree in _TRIANGLE_RULES:
-        return _TRIANGLE_RULES[degree]
     from scipy.special import roots_jacobi, roots_legendre
     n = max(1, (degree + 2) // 2)
     xj, wj = roots_jacobi(n, 1.0, 0.0)   # weight (1-u) on [-1,1]
@@ -644,9 +642,9 @@ def triangle_rule(degree):
     x = U.ravel()
     y = (V * (1.0 - U)).ravel()
     w = (WU * WV).ravel()
-    rule = (np.column_stack([x, y]), w)
-    _TRIANGLE_RULES[degree] = rule
-    return rule
+    pts = np.column_stack([x, y])
+    pts.flags.writeable = w.flags.writeable = False
+    return pts, w
 
 
 def polygon_quadrature(verts, exactness_degree):
@@ -679,15 +677,13 @@ def polygon_quadrature(verts, exactness_degree):
                           exactness_degree)
 
 
-_LEGENDRE_RULES = {}
-
-
+@functools.cache
 def gauss_legendre_rule(exactness_degree):
-    """Gauss-Legendre points and weights on [-1, 1], exact to the degree."""
-    n = max(1, (exactness_degree + 2) // 2)
-    if n not in _LEGENDRE_RULES:
-        _LEGENDRE_RULES[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGENDRE_RULES[n]
+    """Gauss-Legendre points and weights on [-1, 1], exact to the degree,
+    read-only and shared by every caller."""
+    x, w = np.polynomial.legendre.leggauss(max(1, (exactness_degree + 2) // 2))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def edge_quadrature(p0, p1, exactness_degree):
@@ -705,13 +701,10 @@ def edge_quadrature(p0, p1, exactness_degree):
     return QuadratureRule(pts, 0.5 * w * length[..., None], exactness_degree)
 
 
-_LOBATTO_CACHE = {}
-
-
+@functools.cache
 def gauss_lobatto_points(n):
-    """n Gauss-Lobatto points on [-1,1] (endpoints included), n >= 2."""
-    if n in _LOBATTO_CACHE:
-        return _LOBATTO_CACHE[n]
+    """n Gauss-Lobatto points on [-1,1] (endpoints included), n >= 2,
+    read-only and shared by every caller."""
     if n < 2:
         raise ValueError("need at least 2 Lobatto points")
     if n == 2:
@@ -719,5 +712,5 @@ def gauss_lobatto_points(n):
     else:
         interior = np.polynomial.legendre.Legendre.basis(n - 1).deriv().roots()
         pts = np.concatenate([[-1.0], np.sort(interior), [1.0]])
-    _LOBATTO_CACHE[n] = pts
+    pts.flags.writeable = False
     return pts

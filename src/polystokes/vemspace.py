@@ -186,26 +186,32 @@ def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
                           edge_nodes=edge_nodes)
 
 
-def _stacked(items):
+def _stacked(items, name=""):
     """Equal-shaped items stacked along a new first axis, dataclasses field
-    by field; ints and strings, equal within a group, are kept once."""
+    by field; ints and strings are kept once.  Raises ValueError naming the
+    field when those differ between the items."""
     first = items[0]
     if dataclasses.is_dataclass(first):
         return type(first)(**{f.name: _stacked([getattr(x, f.name)
-                                                for x in items])
+                                                for x in items],
+                                               name + "." + f.name)
                               for f in dataclasses.fields(first)})
     if isinstance(first, (np.ndarray, float)):
         # np.stack keeps each item's memory layout (np.array does not), and
         # OpenBLAS rounds some products differently on another layout
         return np.stack(items)
+    for x in items:
+        if x != first:
+            raise ValueError(f"cells of one batch differ in {name[1:]}: "
+                             f"{first!r} and {x!r}")
     return first
 
 
 def build_batches(contexts):
     """The cells of the contexts in batches of at most _BATCH cells of equal
     vertex count, in increasing vertex count, each with its projectors and
-    matrices.  All contexts share k, the basis kind and the quadrature
-    degree."""
+    matrices.  All contexts must share k, the basis kind and the quadrature
+    degree: ValueError otherwise."""
     batches = []
     for _, ids in _size_groups([ctx.layout.n_vertex for ctx in contexts]):
         for s in range(0, len(ids), _BATCH):

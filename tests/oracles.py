@@ -354,7 +354,7 @@ def build_blocks(ctx, config, f=None):
 
 def compute_errors(solution, case):
     """The ErrorReport floats (err0_u, err1_u, err0_p), one cell at a time."""
-    mesh, k = solution.mesh, solution.k
+    mesh, k = solution.mesh, solution.dof_map.k
     dof_map = solution.dof_map
     e0u = e1u = e0p = n0u = n1u = n0p = 0.0
     for c, ctx in cell_elements(solution.batches):

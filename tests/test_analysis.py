@@ -156,7 +156,8 @@ def test_alpha_plateau_pinned_factor():
 
 
 def test_write_csv_deterministic(tmp_path):
-    rows = [{"a": 1, "b": 0.1 + 0.2}, {"a": 2, "b": float("nan")}]
+    rows = [{"a": 1, "b": 0.1 + 0.2}, {"a": 2, "b": float("nan")},
+            {"a": 3, "b": np.float64(0.001)}]
     p1, p2 = tmp_path / "x.csv", tmp_path / "y.csv"
     an.write_csv(p1, rows, ["a", "b"])
     an.write_csv(p2, rows, ["a", "b"])
@@ -164,6 +165,8 @@ def test_write_csv_deterministic(tmp_path):
     text = p1.read_text()
     assert text.splitlines()[0] == "a,b"
     assert "0.30000000000000004" in text
+    assert text.splitlines()[3] == "3,0.001"
+    assert "np.float64" not in text
 
 
 @given(st.floats(min_value=1e-8, max_value=1.0),

@@ -46,7 +46,7 @@ def test_shared_edge_dofs_conform():
     owners = [c for c in range(len(mesh.cells)) if e in list(mesh.cell_edges[c])]
     assert len(owners) == 2
     seen = []
-    table = dm.cell_dof_table(mesh)
+    table = dm.cell_dofs
     for c in owners:
         gd = table[c]
         ring = mesh.cells[c]
@@ -70,7 +70,7 @@ def test_dof_table_and_boundary_data_match_loops(family):
     g = an.get_case("test1").velocity
     for k in (1, 2, 3, 4):
         dm = asm.build_dof_map(mesh, k)
-        table = dm.cell_dof_table(mesh)
+        table = dm.cell_dofs
         for c in range(dm.n_cells):
             want = cell_scalar_dofs(mesh, dm, c)
             assert np.array_equal(table[c, :len(want)], want), (k, c)
@@ -93,9 +93,11 @@ def test_zero_data_gives_zero_solution():
 def test_condensation_equivalence(k):
     mesh = geo.generate_mesh("hexagonal", 2)
     case = an.get_case("test1")
-    full = asm.assemble(mesh, k, f=case.forcing, g=case.velocity)
+    full, cond = (asm.assemble(mesh, k, f=case.forcing, g=case.velocity,
+                               condensed=condensed)
+                  for condensed in (False, True))
     sol_full = asm.solve(full)
-    sol_cond = asm.solve(asm.condense(full))
+    sol_cond = asm.solve(cond)
 
     def rel(a, b):
         return np.linalg.norm(np.ravel(a) - np.ravel(b)) / np.linalg.norm(np.ravel(b))
@@ -105,7 +107,7 @@ def test_condensation_equivalence(k):
     assert rel(sol_full.p, sol_cond.p) < 1e-10
     assert rel(sol_full.bubbles, sol_cond.bubbles) < 1e-10
     # condensation removes exactly the bubble unknowns
-    assert full.n_dofs - asm.condense(full).n_dofs == full.dof_map.n_bubble
+    assert full.n_dofs - cond.n_dofs == full.dof_map.n_bubble
 
 
 def test_solver_residual_and_pressure_mean():
@@ -114,7 +116,7 @@ def test_solver_residual_and_pressure_mean():
     sol = asm.solve_stokes(mesh, 2, f=case.forcing, g=case.velocity)
     assert sol.residual <= 1e-10
     # discrete pressure mean: sum over cells of the projected pressure
-    table = sol.dof_map.cell_dof_table(mesh)
+    table = sol.dof_map.cell_dofs
     total = 0.0
     for c, ctx in cell_elements(sol.batches):
         import polystokes.polybasis as pb
@@ -219,7 +221,7 @@ def _assert_identical(a, b):
 
 
 def test_with_alpha_matches_fresh_assembly():
-    # with_alpha, condense and assemble share one scatter, so the rebuilt
+    # with_alpha and assemble share one scatter, so the rebuilt
     # systems equal fresh assemblies bit for bit
     mesh = geo.generate_mesh("hexagonal", 1)
     case = an.get_case("test1")
@@ -233,7 +235,6 @@ def test_with_alpha_matches_fresh_assembly():
 
         base = build(1.0, True)
         _assert_identical(asm.with_alpha(base, 1e-3), build(1e-3, True))
-        _assert_identical(asm.condense(build(1.0, False)), base)
         _assert_identical(asm.with_alpha(build(1.0, False), 1e-3),
                           build(1e-3, False))
 
@@ -274,28 +275,34 @@ def _solve_quietly(system):
 def extreme_systems():
     """test1 systems where the no-pivot factor is least accurate: tiny alpha
     on the badly shaped random polygons, and the alpha and beta_sharp ends
-    on hexagons; (label, alpha, uncondensed system) triples."""
+    on hexagons; (label, alpha, uncondensed and condensed system)
+    triples."""
     case = an.get_case("test1")
 
     def build(mesh, k, beta_sharp):
-        return asm.assemble(mesh, k, f=case.forcing, g=case.velocity,
-                            config=StabilizationConfig(beta_sharp=beta_sharp))
+        config = StabilizationConfig(beta_sharp=beta_sharp)
+        return [asm.assemble(mesh, k, f=case.forcing, g=case.velocity,
+                             config=config, condensed=condensed)
+                for condensed in (False, True)]
+
+    def at(systems, alpha):
+        return [asm.with_alpha(system, alpha) for system in systems]
 
     rp = build(geo.generate_mesh("random_polygons", 2, rng_seed=1), 3, 0.0)
     hexagons = geo.generate_mesh("hexagonal", 2)
-    out = [("random_polygons L2 k=3", 1e-15, asm.with_alpha(rp, 1e-15))]
+    out = [("random_polygons L2 k=3", 1e-15, at(rp, 1e-15))]
     for beta_sharp in (0.0, 1.0):
         hx = build(hexagons, 2, beta_sharp)
         out += [(f"hexagonal L2 k=2 beta_sharp={beta_sharp}", alpha,
-                 asm.with_alpha(hx, alpha)) for alpha in (1e-15, 1.0, 1e3)]
+                 at(hx, alpha)) for alpha in (1e-15, 1.0, 1e3)]
     return out
 
 
 def test_solve_symmetric_factor_at_the_extremes(extreme_systems, monkeypatch):
     # one no-pivot factor on the symmetric ordering, refined within the
     # bound: no COLAMD fallback and no warning, condensed or not
-    for label, alpha, full in extreme_systems:
-        for system in (full, asm.condense(full)):
+    for label, alpha, systems in extreme_systems:
+        for system in systems:
             calls = _spy_splu(monkeypatch)
             sol = _solve_quietly(system)
             assert calls == [asm.FACTORIZATIONS[0]], label
@@ -351,11 +358,15 @@ def test_solve_falls_back_to_colamd(first, monkeypatch):
 
 
 def test_export_matrix(tmp_path):
+    # the file lands at the path given, whatever its extension
+    import scipy.io
     mesh = geo.generate_mesh("hexagonal", 1)
     system = asm.assemble(mesh, 1, g=_zero_g, condensed=True)
-    path = tmp_path / "system.mtx"
-    asm.export_matrix(system, path)
-    import scipy.io
-    back = scipy.io.mmread(path)
-    assert np.abs((back.tocsc() - system.matrix)).max() == 0.0
+    for name in ("system.mtx", "K.txt"):
+        path = tmp_path / name
+        asm.export_matrix(system, path)
+        back = scipy.io.mmread(path)
+        assert np.abs((back.tocsc() - system.matrix)).max() == 0.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["K.txt",
+                                                          "system.mtx"]
 

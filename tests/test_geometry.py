@@ -114,6 +114,16 @@ def test_gauss_lobatto_points():
     assert pts4 == pytest.approx([-1.0, -1 / np.sqrt(5), 1 / np.sqrt(5), 1.0])
 
 
+def test_cached_rules_are_read_only():
+    # every caller gets the same arrays, so none may write into them
+    for arrays in (geo.triangle_rule(5), geo.gauss_legendre_rule(5),
+                   (geo.gauss_lobatto_points(3),)):
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[1] = 0.5
+    assert geo.gauss_lobatto_points(3)[1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # mesh construction and invariants
 # ---------------------------------------------------------------------------

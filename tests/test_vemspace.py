@@ -258,3 +258,17 @@ def test_batches_equal_per_cell_oracle(family):
                                  "member_integrals"):
                         assert np.array_equal(getattr(el, name), want[name]), \
                             (where, name)
+
+
+def test_build_batches_refuses_mixed_cells():
+    # cells of equal vertex count share a batch, which keeps one basis kind
+    # and one quadrature degree: cells that differ in them are refused
+    mixed = {"basis.kind": [vs.build_element(PENTAGON, 2),
+                            vs.build_element(PENTAGON, 2, "l2_orthonormal")],
+             # degrees 10 and 11 give rules of the same size
+             "quad.exactness_degree": [
+                 vs.build_element(PENTAGON, 2),
+                 vs.build_element(PENTAGON, 2, quad_degree=11)]}
+    for name, contexts in mixed.items():
+        with pytest.raises(ValueError, match=name):
+            vs.build_batches(contexts)
