@@ -5,7 +5,9 @@ Prints one line per (family, level, k, basis) and output group: the cell
 blocks, the gathered system (k0, c_values, rhs, free, signs), the solution
 (ux, uy, p, bubbles) and the ErrorReport floats of the condensed `test1`
 solve, then the `cond` of every point of the benchmark's alpha sweep
-(voronoi L1, mesh seed 0, k=1-2, both bases, the 13 default alphas).
+(voronoi L1, mesh seed 0, k=1-2, both bases, the 13 default alphas), then
+one line per (family, level) for the mesh itself (vertices, rings,
+cell_edges, edges, boundary flags, cell areas and diameters, h).
 
 Run it on two checkouts with one BLAS thread and compare the outputs:
 
@@ -42,6 +44,12 @@ def digest(*arrays):
     return h.hexdigest()[:16]
 
 
+def mesh_digest(mesh):
+    return digest(mesh.vertices, *mesh.cells, *mesh.cell_edges, mesh.edges,
+                  mesh.boundary_vertex_flags, mesh.boundary_edge_flags,
+                  mesh.cell_areas, mesh.cell_diameters, mesh.h)
+
+
 def cell_blocks(system, forcing):
     """Every cell's blocks, unpadded, field by field in cell order."""
     blocks = build_blocks(system.batches, system.config, forcing)
@@ -58,9 +66,11 @@ def cell_blocks(system, forcing):
 
 def main():
     case = get_case("test1")
+    meshes = []
     for family in FAMILIES:
         for level in LEVELS:
             mesh = generate_mesh(family, level)
+            meshes.append((f"{family} L{level}", mesh))
             for k in KS:
                 for basis in BASES:
                     system = assemble(mesh, k, f=case.forcing,
@@ -83,6 +93,8 @@ def main():
                 + run_alpha_sweep("voronoi", 1, 2)):
         print(f"alpha_sweep voronoi L1 k={row['k']} {row['basis']} "
               f"alpha={row['alpha']!r} cond {row['cond']!r}")
+    for tag, mesh in meshes:
+        print(tag, "mesh", mesh_digest(mesh))
 
 
 if __name__ == "__main__":

@@ -109,16 +109,20 @@ def build_dof_map(mesh, k):
 class GlobalSystem:
     """Assembled, Dirichlet-eliminated linear system (plus cell data)."""
 
-    mesh: object
+    mesh: object = field(repr=False)
     config: StabilizationConfig
     condensed: bool
     dof_map: GlobalDofMap
     matrix: sp.csc_matrix        # reduced system over the free unknowns
-    rhs: np.ndarray
-    free: np.ndarray             # global indices of the reduced unknowns
-    constrained: np.ndarray      # global velocity indices fixed by the data
-    boundary_values: np.ndarray  # values at the constrained indices
-    signs: np.ndarray            # +1 velocity rows, -1 pressure/multiplier
+    rhs: np.ndarray = field(repr=False)
+    # global indices of the reduced unknowns
+    free: np.ndarray = field(repr=False)
+    # global velocity indices fixed by the data
+    constrained: np.ndarray = field(repr=False)
+    # values at the constrained indices
+    boundary_values: np.ndarray = field(repr=False)
+    # +1 velocity rows, -1 pressure/multiplier
+    signs: np.ndarray = field(repr=False)
     batches: list = field(repr=False)   # vemspace.ElementBatch
     # matrix = k0 + alpha C on k0's pattern: C's entries are c_values at
     # k0.data[c_positions]; rhs, free and signs do not depend on alpha
@@ -136,12 +140,15 @@ class GlobalSystem:
 
 @dataclass(frozen=True)
 class Solution:
-    mesh: object
+    mesh: object = field(repr=False)
     dof_map: GlobalDofMap
-    ux: np.ndarray               # scalar DOF values, x-velocity component
-    uy: np.ndarray
-    p: np.ndarray                # pressure scalar DOF values
-    bubbles: np.ndarray          # (n_cells, 2*(2k+1)), x bubbles then y
+    # scalar DOF values, x-velocity component
+    ux: np.ndarray = field(repr=False)
+    uy: np.ndarray = field(repr=False)
+    # pressure scalar DOF values
+    p: np.ndarray = field(repr=False)
+    # (n_cells, 2*(2k+1)), x bubbles then y
+    bubbles: np.ndarray = field(repr=False)
     multiplier: float
     residual: float              # relative residual of the reduced solve
     n_dofs: int                  # size of the solved system

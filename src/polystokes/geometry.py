@@ -65,6 +65,17 @@ def _size_groups(sizes):
     return [(m, np.flatnonzero(sizes == m)) for m in np.unique(sizes)]
 
 
+def _first_appearance(rows):
+    """Number the distinct rows of an array in order of first appearance:
+    the number of every row and the position of each number's first row."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return number[inverse.ravel()], first[order]
+
+
 def _ring_groups(rings):
     """Rings grouped by vertex count: (cell ids, (g, m) vertex indices) pairs."""
     return [(ids, np.array([rings[i] for i in ids],
@@ -137,8 +148,8 @@ class PolygonalMesh:
     boundary_vertex_flags: np.ndarray
     boundary_edge_flags: np.ndarray
     h: float
-    cell_areas: np.ndarray = field(repr=False, default=None)
-    cell_diameters: np.ndarray = field(repr=False, default=None)
+    cell_areas: np.ndarray = field(repr=False)
+    cell_diameters: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self):
@@ -152,9 +163,6 @@ class PolygonalMesh:
     def n_cells(self):
         return len(self.cells)
 
-    def cell_polygon(self, c):
-        return self.vertices[self.cells[c]]
-
 
 def build_mesh(vertices, cells, check_domain_area=None):
     """Assemble a PolygonalMesh and enforce its invariants.
@@ -163,6 +171,8 @@ def build_mesh(vertices, cells, check_domain_area=None):
     relative.
     """
     vertices, rings = _checked_input(vertices, cells)
+    if not rings:
+        raise MeshError("mesh has no cells")
 
     n_k = len(rings)
     areas = np.zeros(n_k)
@@ -187,22 +197,16 @@ def build_mesh(vertices, cells, check_domain_area=None):
                             f"(area {areas[ci]:g})")
         raise MeshError(f"cell {ci}: ring is self-intersecting")
 
-    edge_index = {}
-    edge_count = {}
-    cell_edges = []
-    for ci, ring in enumerate(rings):
-        ce = np.empty(len(ring), dtype=np.int64)
-        for i in range(len(ring)):
-            a, b = int(ring[i]), int(ring[(i + 1) % len(ring)])
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_index:
-                edge_index[key] = len(edge_index)
-            ce[i] = edge_index[key]
-            edge_count[key] = edge_count.get(key, 0) + 1
-        cell_edges.append(ce)
-
-    edges = np.array(sorted(edge_index, key=edge_index.get), dtype=np.int64)
-    counts = np.array([edge_count[tuple(e)] for e in edges])
+    sizes = np.array([len(r) for r in rings])
+    ends = np.cumsum(sizes)
+    starts = np.concatenate(rings)
+    successor = np.arange(1, len(starts) + 1)
+    successor[ends - 1] = ends - sizes
+    sides = np.sort(np.column_stack([starts, starts[successor]]), axis=1)
+    side_edge, first = _first_appearance(sides)
+    edges = sides[first]
+    cell_edges = np.split(side_edge, ends[:-1])
+    counts = np.bincount(side_edge)
     if np.any(counts > 2):
         bad = int(np.argmax(counts > 2))
         raise MeshError(f"edge {tuple(edges[bad])} shared by more than two cells")
@@ -298,25 +302,12 @@ def _clipped_voronoi_cells(points):
 
 
 def _mesh_from_polygons(polys):
-    """Merge per-cell polygons into a shared-vertex mesh."""
-    vmap = {}
-    verts = []
-    rings = []
-    for poly in polys:
-        ring = []
-        for p in poly:
-            key = (round(p[0] / _MERGE_TOL), round(p[1] / _MERGE_TOL))
-            idx = vmap.get(key)
-            if idx is None:
-                idx = len(verts)
-                vmap[key] = idx
-                verts.append(p)
-            if not ring or ring[-1] != idx:
-                ring.append(idx)
-        if len(ring) > 1 and ring[0] == ring[-1]:
-            ring.pop()
-        rings.append(ring)
-    return np.array(verts), rings
+    """Merge per-cell polygons into a shared-vertex mesh: points within
+    _MERGE_TOL share the first copy's vertex."""
+    points = np.concatenate(polys)
+    keys = np.rint(points / _MERGE_TOL).astype(np.int64)
+    ids, first = _first_appearance(keys)
+    return points[first], np.split(ids, np.cumsum([len(p) for p in polys])[:-1])
 
 
 def _triangular_lattice(nx, ny):
@@ -379,16 +370,10 @@ def _random_polygons_mesh(level, rng_seed):
     mid_index[split] = base.n_vertices + np.arange(len(split))
     new_verts = np.vstack([base.vertices, mids + offsets[split, None] * normal])
 
-    def expand(ring, ce):
-        out = []
-        for i, v in enumerate(ring):
-            out.append(v)
-            m = mid_index[ce[i]]
-            if m >= 0:
-                out.append(m)
-        return out
-
-    new_rings = [expand(r, ce) for r, ce in zip(base.cells, base.cell_edges)]
+    # each ring vertex, then the midpoint of the side it starts if split
+    new_rings = [np.column_stack([r, mid_index[ce]]).ravel()
+                 for r, ce in zip(base.cells, base.cell_edges)]
+    new_rings = [r[r >= 0] for r in new_rings]
 
     # damp offsets that break a centroid star-shaped fan
     groups = _ring_groups(new_rings)
@@ -408,69 +393,26 @@ def _random_polygons_mesh(level, rng_seed):
     return build_mesh(new_verts, new_rings, check_domain_area=1.0)
 
 
-def _diamond_mesh(level, aspect=4):
+def _diamond_mesh(level):
+    """Diamonds centred at the half-grid points (i, j), i + j odd, of an
+    nx x 4nx grid; the corners of the cells on the sides lie outside the
+    square and are dropped, which leaves triangles."""
     if not 1 <= level <= 7:
         raise ValueError(f"diamond family supports levels 1..7, got {level}")
     nx = 2 ** level
-    ny = aspect * nx
+    ny = 4 * nx
     w, hh = 1.0 / nx, 1.0 / ny
-    polys = []
-    for i in range(2 * nx + 1):
-        for j in range(2 * ny + 1):
-            if (i + j) % 2 == 0:
-                continue
-            cx, cy = i * w / 2.0, j * hh / 2.0
-            diamond = np.array([[cx - w / 2, cy], [cx, cy - hh / 2],
-                                [cx + w / 2, cy], [cx, cy + hh / 2]])
-            clipped = _clip_to_unit_square(diamond)
-            if clipped is not None:
-                polys.append(clipped)
+    i, j = np.divmod(np.arange((2 * nx + 1) * (2 * ny + 1)), 2 * ny + 1)
+    odd = (i + j) % 2 == 1
+    cx, cy = i[odd] * w / 2.0, j[odd] * hh / 2.0
+    corners = np.stack([np.column_stack([cx - w / 2, cy]),    # left
+                        np.column_stack([cx, cy - hh / 2]),   # bottom
+                        np.column_stack([cx + w / 2, cy]),    # right
+                        np.column_stack([cx, cy + hh / 2])],  # top
+                       axis=1)
+    inside = ((corners >= 0.0) & (corners <= 1.0)).all(axis=-1)
+    polys = [c[keep] for c, keep in zip(corners, inside)]
     return build_mesh(*_mesh_from_polygons(polys), check_domain_area=1.0)
-
-
-def _clip_to_unit_square(poly):
-    """Sutherland-Hodgman clip of a CCW polygon against (0,1)^2."""
-    def clip(pts, inside, intersect):
-        out = []
-        n = len(pts)
-        for i in range(n):
-            cur, nxt = pts[i], pts[(i + 1) % n]
-            if inside(cur):
-                out.append(cur)
-                if not inside(nxt):
-                    out.append(intersect(cur, nxt))
-            elif inside(nxt):
-                out.append(intersect(cur, nxt))
-        return out
-
-    def x_cut(level, keep_ge):
-        def inside(p):
-            return p[0] >= level if keep_ge else p[0] <= level
-
-        def inter(a, b):
-            t = (level - a[0]) / (b[0] - a[0])
-            return np.array([level, a[1] + t * (b[1] - a[1])])
-        return inside, inter
-
-    def y_cut(level, keep_ge):
-        def inside(p):
-            return p[1] >= level if keep_ge else p[1] <= level
-
-        def inter(a, b):
-            t = (level - a[1]) / (b[1] - a[1])
-            return np.array([a[0] + t * (b[0] - a[0]), level])
-        return inside, inter
-
-    pts = list(poly)
-    for inside, inter in (x_cut(0.0, True), x_cut(1.0, False),
-                          y_cut(0.0, True), y_cut(1.0, False)):
-        pts = clip(pts, inside, inter)
-        if len(pts) < 3:
-            return None
-    out = np.array(pts)
-    if polygon_area(out) < 1e-14:
-        return None
-    return out
 
 
 def generate_mesh(family, level, rng_seed=0):

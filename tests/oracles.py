@@ -514,11 +514,81 @@ def lloyd(points, iterations):
     return pts
 
 
+# The merge and the clipper as the library had them in per-point dict and
+# list loops, with the ring repair that the clipper's output needs.
+
+def mesh_from_polygons(polys):
+    """Merge per-cell polygons into a shared-vertex mesh."""
+    vmap = {}
+    verts = []
+    rings = []
+    for poly in polys:
+        ring = []
+        for p in poly:
+            key = (round(p[0] / geo._MERGE_TOL), round(p[1] / geo._MERGE_TOL))
+            idx = vmap.get(key)
+            if idx is None:
+                idx = len(verts)
+                vmap[key] = idx
+                verts.append(p)
+            if not ring or ring[-1] != idx:
+                ring.append(idx)
+        if len(ring) > 1 and ring[0] == ring[-1]:
+            ring.pop()
+        rings.append(ring)
+    return np.array(verts), rings
+
+
+def clip_to_unit_square(poly):
+    """Sutherland-Hodgman clip of a CCW polygon against (0,1)^2."""
+    def clip(pts, inside, intersect):
+        out = []
+        n = len(pts)
+        for i in range(n):
+            cur, nxt = pts[i], pts[(i + 1) % n]
+            if inside(cur):
+                out.append(cur)
+                if not inside(nxt):
+                    out.append(intersect(cur, nxt))
+            elif inside(nxt):
+                out.append(intersect(cur, nxt))
+        return out
+
+    def x_cut(level, keep_ge):
+        def inside(p):
+            return p[0] >= level if keep_ge else p[0] <= level
+
+        def inter(a, b):
+            t = (level - a[0]) / (b[0] - a[0])
+            return np.array([level, a[1] + t * (b[1] - a[1])])
+        return inside, inter
+
+    def y_cut(level, keep_ge):
+        def inside(p):
+            return p[1] >= level if keep_ge else p[1] <= level
+
+        def inter(a, b):
+            t = (level - a[1]) / (b[1] - a[1])
+            return np.array([a[0] + t * (b[0] - a[0]), level])
+        return inside, inter
+
+    pts = list(poly)
+    for inside, inter in (x_cut(0.0, True), x_cut(1.0, False),
+                          y_cut(0.0, True), y_cut(1.0, False)):
+        pts = clip(pts, inside, inter)
+        if len(pts) < 3:
+            return None
+    out = np.array(pts)
+    if polygon_area(out) < 1e-14:
+        return None
+    return out
+
+
 def _random_polygons_mesh(level, rng_seed):
     n = 64 * 2 ** (level - 1)
     rng = np.random.default_rng(rng_seed)
     seeds = rng.uniform(0.03, 0.97, size=(n, 2))
-    base = build_mesh(*geo._mesh_from_polygons(clipped_voronoi_cells(seeds)),
+    base = build_mesh(*mesh_from_polygons(clipped_voronoi_cells(seeds)),
                       check_domain_area=1.0)
     offsets = rng.uniform(-0.2, 0.2, size=base.n_edges)
     new_verts = list(base.vertices)
@@ -577,12 +647,12 @@ def generate_mesh(family, level, rng_seed=0):
             for j in range(2 * ny + 1):
                 if (i + j) % 2:
                     cx, cy = i * w / 2.0, j * hh / 2.0
-                    clipped = geo._clip_to_unit_square(np.array(
+                    clipped = clip_to_unit_square(np.array(
                         [[cx - w / 2, cy], [cx, cy - hh / 2],
                          [cx + w / 2, cy], [cx, cy + hh / 2]]))
                     if clipped is not None:
                         polys.append(clipped)
-    return build_mesh(*geo._mesh_from_polygons(polys), check_domain_area=1.0)
+    return build_mesh(*mesh_from_polygons(polys), check_domain_area=1.0)
 
 
 def _distance_to_boundary(points, verts):
@@ -623,7 +693,7 @@ def validate_geometry(mesh, rho1=0.1, rho2=0.1):
     star = np.empty(n)
     mind = np.empty(n)
     for c in range(n):
-        poly = mesh.cell_polygon(c)
+        poly = mesh.vertices[mesh.cells[c]]
         star[c] = star_ratio(poly)
         d = poly[:, None, :] - poly[None, :, :]
         dist = np.sqrt(np.sum(d * d, axis=2))

@@ -370,3 +370,17 @@ def test_export_matrix(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["K.txt",
                                                           "system.mtx"]
 
+
+
+def test_reprs_do_not_grow_with_the_mesh():
+    # the mesh and the vectors stay out of the reprs: from L1 to L3 only the
+    # digits of the counts and of the scalar fields differ
+    case = an.get_case("test1")
+    lengths = []
+    for level in (1, 3):
+        system = asm.assemble(geo.generate_mesh("hexagonal", level), 2,
+                              f=case.forcing, g=case.velocity, condensed=True)
+        lengths.append((len(repr(system)), len(repr(_solve_quietly(system)))))
+    (system_1, solution_1), (system_3, solution_3) = lengths
+    assert abs(system_3 - system_1) <= 20
+    assert abs(solution_3 - solution_1) <= 20

@@ -49,6 +49,13 @@ def test_mesh_check_reports_bad_vertex_index(tmp_path, capsys):
     assert "cell 0: vertex index out of range" in capsys.readouterr().err
 
 
+def test_mesh_check_reports_no_cells(tmp_path, capsys):
+    path = tmp_path / "mesh.json"
+    path.write_text('{"vertices": [[0, 0]], "cells": []}')
+    assert cli.main(["mesh", "check", "--input", str(path)]) == 1
+    assert "mesh has no cells" in capsys.readouterr().err
+
+
 def test_solve_patch_prints_small_errors(capsys):
     rc = cli.main(["solve", "--case", "patch", "--k", "1",
                    "--family", "hexagonal", "--level", "1"])

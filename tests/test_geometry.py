@@ -158,6 +158,26 @@ def test_build_mesh_rejects_bad_area():
         geo.build_mesh(UNIT_SQUARE, [[0, 1, 2, 3]], check_domain_area=2.0)
 
 
+def test_build_mesh_rejects_no_cells():
+    with pytest.raises(geo.MeshError, match="no cells"):
+        geo.build_mesh([[0, 0]], [])
+
+
+def test_mesh_from_polygons_merges_first_copies():
+    # the right square's corners at x = 1 sit 1e-12 off the left square's:
+    # they take the left square's vertices, numbered where they first
+    # appeared and placed at its coordinates
+    left = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
+    right = np.array([[2, 0], [2, 1], [1, 1 + 1e-12], [1 - 1e-12, 0]])
+    verts, rings = geo._mesh_from_polygons([left, right])
+    assert np.array_equal(verts, np.vstack([left, [[2, 0], [2, 1.0]]]))
+    assert [list(r) for r in rings] == [[0, 1, 2, 3], [4, 5, 2, 1]]
+    # 1e-6 apart is beyond the merge tolerance: every point is its own vertex
+    verts, rings = geo._mesh_from_polygons([left, right + [1e-6, 0.0]])
+    assert len(verts) == 8
+    assert [list(r) for r in rings] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+
 TWO_SQUARES = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1.0]])
 
 
