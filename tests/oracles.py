@@ -514,8 +514,9 @@ def lloyd(points, iterations):
     return pts
 
 
-# The merge and the clipper as the library had them in per-point dict and
-# list loops, with the ring repair that the clipper's output needs.
+# The reference merge and clipper: per-point dict and list loops, with the
+# ring repair that the clipper's output needs (the clipper repeats a corner
+# where it cuts a side at a vertex).
 
 def mesh_from_polygons(polys):
     """Merge per-cell polygons into a shared-vertex mesh."""
