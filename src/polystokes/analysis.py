@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import polybasis as pb
 from .assembly import assemble, condition_number, solve_stokes, with_alpha
@@ -78,100 +79,78 @@ def trig_case():
     return ManufacturedCase("test1", velocity, pressure, forcing, grad_velocity)
 
 
+# the coordinate t and the constant 1, in which the polynomial cases
+# write their fields
+_T = Polynomial([0.0, 1.0])
+_ONE = _T ** 0
+
+
+def _polynomial_case(name, velocity, pressure):
+    """The case whose fields are sums of products a(x) b(y) of Polynomials.
+
+    velocity holds one such sum per component and pressure one sum, each a
+    list of (a, b) pairs; forcing = -Δu + ∇p and grad_velocity are derived
+    from them.
+    """
+    def dx(terms):
+        return [(a.deriv(), b) for a, b in terms]
+
+    def dy(terms):
+        return [(a, b.deriv()) for a, b in terms]
+
+    def minus_laplacian(terms):
+        return ([(-a.deriv(2), b) for a, b in terms]
+                + [(-a, b.deriv(2)) for a, b in terms])
+
+    grad = [[dx(u), dy(u)] for u in velocity]
+    force = [minus_laplacian(u) + dp
+             for u, dp in zip(velocity, (dx(pressure), dy(pressure)))]
+
+    def value(terms, pts):
+        return sum((a(pts[:, 0]) * b(pts[:, 1]) for a, b in terms),
+                   np.zeros(len(pts)))
+
+    def values(sums, pts):
+        return np.stack([value(terms, pts) for terms in sums], axis=1)
+
+    return ManufacturedCase(
+        name,
+        velocity=lambda pts: values(velocity, pts),
+        pressure=lambda pts: value(pressure, pts),
+        forcing=lambda pts: values(force, pts),
+        grad_velocity=lambda pts: np.stack([values(row, pts) for row in grad],
+                                           axis=1))
+
+
 def poly_case():
     """Divergence-free polynomial flow; the pressure is shifted to zero mean."""
-
-    def velocity(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return np.stack([(x ** 4 - 2 * x ** 3 + x ** 2) * (2 * y ** 3 - y),
-                         -(2 * x ** 3 - 3 * x ** 2 + x) * (y ** 4 - y ** 2)], axis=1)
-
-    def pressure(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return ((4 * x ** 3 - 6 * x ** 2 + 2 * x) * (2 * y ** 3 - y)
-                + 0.2 * (6 * x ** 5 - 15 * x ** 4 + 10 * x ** 3) * y
-                - 0.1 + 0.05)
-
-    def forcing(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        f1 = -6.0 * y * (x ** 4 - 2 * x ** 3 + x ** 2)
-        f2 = ((12 * x - 6) * (y ** 4 - y ** 2)
-              + (2 * x ** 3 - 3 * x ** 2 + x) * (12 * y ** 2 - 2)
-              + (4 * x ** 3 - 6 * x ** 2 + 2 * x) * (6 * y ** 2 - 1)
-              + 0.2 * (6 * x ** 5 - 15 * x ** 4 + 10 * x ** 3))
-        return np.stack([f1, f2], axis=1)
-
-    def grad_velocity(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        g = np.empty((len(pts), 2, 2))
-        g[:, 0, 0] = (4 * x ** 3 - 6 * x ** 2 + 2 * x) * (2 * y ** 3 - y)
-        g[:, 0, 1] = (x ** 4 - 2 * x ** 3 + x ** 2) * (6 * y ** 2 - 1)
-        g[:, 1, 0] = -(6 * x ** 2 - 6 * x + 1) * (y ** 4 - y ** 2)
-        g[:, 1, 1] = -(2 * x ** 3 - 3 * x ** 2 + x) * (4 * y ** 3 - 2 * y)
-        return g
-
-    return ManufacturedCase("test2", velocity, pressure, forcing, grad_velocity)
+    t = _T
+    return _polynomial_case(
+        "test2",
+        velocity=([(t ** 4 - 2 * t ** 3 + t ** 2, 2 * t ** 3 - t)],
+                  [(-(2 * t ** 3 - 3 * t ** 2 + t), t ** 4 - t ** 2)]),
+        pressure=[(4 * t ** 3 - 6 * t ** 2 + 2 * t, 2 * t ** 3 - t),
+                  (0.2 * (6 * t ** 5 - 15 * t ** 4 + 10 * t ** 3), t),
+                  # the raw constant -1/10, shifted by +1/20 to zero mean
+                  ((-0.1 + 0.05) * _ONE, _ONE)])
 
 
 def patch_case(k):
-    """Harmonic polynomial velocity of degree k, low-order pressure.
+    """Divergence-free polynomial velocity of degree k, and pressure of
+    degree k - 1 (degree 1 at k = 1).
 
     The discrete solution reproduces these fields exactly (up to roundoff)
     for the matching method order.
     """
-    if k == 1:
-        def velocity(pts):
-            return np.stack([pts[:, 1], pts[:, 0]], axis=1)
-
-        def pressure(pts):
-            return pts[:, 0] + pts[:, 1] - 1.0
-
-        def forcing(pts):
-            return np.ones((len(pts), 2))
-
-        def grad_velocity(pts):
-            g = np.zeros((len(pts), 2, 2))
-            g[:, 0, 1] = 1.0
-            g[:, 1, 0] = 1.0
-            return g
-    elif k == 2:
-        def velocity(pts):
-            return np.stack([3 * pts[:, 1] ** 2, -3 * pts[:, 0] ** 2], axis=1)
-
-        def pressure(pts):
-            return pts[:, 0] + pts[:, 1] - 1.0
-
-        def forcing(pts):
-            x = np.empty((len(pts), 2))
-            x[:, 0] = -6.0 + 1.0
-            x[:, 1] = 6.0 + 1.0
-            return x
-
-        def grad_velocity(pts):
-            g = np.zeros((len(pts), 2, 2))
-            g[:, 0, 1] = 6 * pts[:, 1]
-            g[:, 1, 0] = -6 * pts[:, 0]
-            return g
-    elif k == 3:
-        def velocity(pts):
-            return np.stack([4 * pts[:, 1] ** 3, -4 * pts[:, 0] ** 3], axis=1)
-
-        def pressure(pts):
-            return pts[:, 0] ** 2 + pts[:, 1] ** 2 - 2.0 / 3.0
-
-        def forcing(pts):
-            return np.stack([-24 * pts[:, 1] + 2 * pts[:, 0],
-                             24 * pts[:, 0] + 2 * pts[:, 1]], axis=1)
-
-        def grad_velocity(pts):
-            g = np.zeros((len(pts), 2, 2))
-            g[:, 0, 1] = 12 * pts[:, 1] ** 2
-            g[:, 1, 0] = -12 * pts[:, 0] ** 2
-            return g
-    else:
+    t, one = _T, _ONE
+    linear = [(t, one), (one, t), (-one, one)]
+    fields = {1: (([(one, t)], [(t, one)]), linear),
+              2: (([(3 * one, t ** 2)], [(-3 * t ** 2, one)]), linear),
+              3: (([(4 * one, t ** 3)], [(-4 * t ** 3, one)]),
+                  [(t ** 2, one), (one, t ** 2), (-2.0 / 3.0 * one, one)])}
+    if k not in fields:
         raise ValueError("patch cases exist for k in {1, 2, 3}")
-    return ManufacturedCase(f"patch_k{k}", velocity, pressure, forcing,
-                            grad_velocity)
+    return _polynomial_case(f"patch_k{k}", *fields[k])
 
 
 _CASES = {"test1": trig_case, "test2": poly_case}

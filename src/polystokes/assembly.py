@@ -65,13 +65,9 @@ class GlobalDofMap:
                 + self.n_cells * self.n_moment)
 
     @property
-    def n_bubble_cell(self):
-        """Bubble DOFs per cell, both components."""
-        return 2 * (2 * self.k + 1)
-
-    @property
     def n_bubble(self):
-        return self.n_cells * self.n_bubble_cell
+        """Bubble DOFs of all cells, 2k+1 per cell and component."""
+        return self.n_cells * 2 * (2 * self.k + 1)
 
     def n_system(self, condensed):
         n = 3 * self.n_scalar + 1
@@ -83,6 +79,8 @@ class GlobalDofMap:
 
 def build_dof_map(mesh, k):
     """The DOF counts of the mesh at degree k and its cell→DOF table."""
+    if k < 1:
+        raise ValueError("degree must be >= 1")
     n_cells, n_moment = len(mesh.cells), pb.poly_dim(k - 2)
     nv = np.array([len(ring) for ring in mesh.cells])
     ring = np.concatenate(mesh.cells)
@@ -253,6 +251,15 @@ def _matrix(k0, c_positions, c_values, alpha):
     return sp.csc_matrix((data, k0.indices, k0.indptr), k0.shape)
 
 
+def _element(mesh, c, k, basis_kind):
+    """build_element of cell c; a refusal of the cell names it."""
+    try:
+        return build_element(mesh.vertices[mesh.cells[c]], k,
+                             basis_kind=basis_kind)
+    except (pb.IllConditionedBasisError, ValueError) as exc:
+        raise type(exc)(f"cell {c}: {exc}") from exc
+
+
 def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
              condensed=False):
     """Assemble the global Stokes system (uncondensed by default).
@@ -264,9 +271,8 @@ def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
     if config is None:
         config = StabilizationConfig()
     dof_map = build_dof_map(mesh, k)
-    batches = build_batches([build_element(mesh.vertices[cell], k,
-                                           basis_kind=basis_kind)
-                             for cell in mesh.cells])
+    batches = build_batches([_element(mesh, c, k, basis_kind)
+                             for c in range(dof_map.n_cells)])
     constrained, values = _boundary_scalar_data(mesh, dof_map, g)
     # the cell blocks are dropped once gathered
     rhs, free, signs, k0, c_positions, c_values, recovery = _affine(

@@ -138,6 +138,10 @@ def _cmd_mesh(args):
           f"cells={len(mesh.cells)} h={mesh.h:.6g}")
     print(f"min star ratio={np.min(report.star_ratio):.6g} "
           f"min distance ratio={np.min(report.min_distance_ratio):.6g}")
+    print(f"star violations={np.count_nonzero(report.star_violations)} "
+          f"distance violations={np.count_nonzero(report.distance_violations)} "
+          f"(STAR_RATIO_MIN={geometry.STAR_RATIO_MIN:g} "
+          f"DISTANCE_RATIO_MIN={geometry.DISTANCE_RATIO_MIN:g})")
     return 0
 
 

@@ -381,10 +381,8 @@ def _random_polygons_mesh(level, rng_seed):
         bad = np.zeros(len(new_verts), dtype=bool)
         for ids, ring in groups:
             poly = new_verts[ring]
-            d = poly - polygon_centroid(poly)[:, None, :]
-            cross = (d[..., 0] * np.roll(d[..., 1], -1, axis=-1)
-                     - d[..., 1] * np.roll(d[..., 0], -1, axis=-1))
-            bad[ring[np.min(cross, axis=-1) <= 1e-12]] = True
+            jac = _fan_jacobians(poly, polygon_centroid(poly)[:, None, :])
+            bad[ring[jac.min(axis=(1, 2)) <= 1e-12]] = True
         damp = bad[mid_index[split]]
         if not damp.any():
             break
@@ -454,16 +452,27 @@ def import_mesh(path):
 # geometric validation
 # ---------------------------------------------------------------------------
 
+# a cell whose star ratio, or minimum distance ratio, lies below its
+# threshold violates the shape-regularity assumptions
+STAR_RATIO_MIN = 0.1
+DISTANCE_RATIO_MIN = 0.1
+
+
 @dataclass(frozen=True)
 class GeometryReport:
-    """Per-cell shape diagnostics against the star-shapedness / edge-length thresholds."""
+    """Per-cell shape diagnostics against STAR_RATIO_MIN and
+    DISTANCE_RATIO_MIN."""
 
     star_ratio: np.ndarray       # inscribed-ball diameter / cell diameter
     min_distance_ratio: np.ndarray  # min vertex-pair distance / cell diameter
-    areas: np.ndarray
-    diameters: np.ndarray
-    star_violations: np.ndarray
-    distance_violations: np.ndarray
+
+    @property
+    def star_violations(self):
+        return self.star_ratio < STAR_RATIO_MIN
+
+    @property
+    def distance_violations(self):
+        return self.min_distance_ratio < DISTANCE_RATIO_MIN
 
     @property
     def all_pass(self):
@@ -526,13 +535,13 @@ def _star_ratio(verts):
 _VALIDATE_BATCH = 32
 
 
-def validate_geometry(mesh, rho1=0.1, rho2=0.1):
+def validate_geometry(mesh):
     """Estimate the shape-regularity ratios of every cell.
 
     star_ratio reports the inscribed-ball diameter relative to the cell
     diameter (a sampled lower bound); min_distance_ratio the smallest
-    vertex-pair distance relative to the cell diameter.  Violations of the
-    thresholds are flagged, not fatal.
+    vertex-pair distance relative to the cell diameter.  The report flags
+    cells below STAR_RATIO_MIN or DISTANCE_RATIO_MIN; they are not fatal.
     """
     star = np.empty(mesh.n_cells)
     mind = np.empty(mesh.n_cells)
@@ -546,10 +555,7 @@ def validate_geometry(mesh, rho1=0.1, rho2=0.1):
             dist = np.sqrt(np.sum(d * d, axis=-1))
             dist[:, diag, diag] = np.inf
             mind[cells] = dist.min(axis=(1, 2)) / mesh.cell_diameters[cells]
-    return GeometryReport(
-        star_ratio=star, min_distance_ratio=mind,
-        areas=mesh.cell_areas.copy(), diameters=mesh.cell_diameters.copy(),
-        star_violations=star < rho1, distance_violations=mind < rho2)
+    return GeometryReport(star_ratio=star, min_distance_ratio=mind)
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,6 @@ class PolyBasis:
     change_of_basis: np.ndarray
     monomial_factor: np.ndarray
 
-    @property
-    def dimension(self):
-        return poly_dim(self.degree)
-
     def prefix(self, j):
         """The sub-basis of degree j <= degree (nesting is exact)."""
         n = poly_dim(j)
@@ -91,13 +87,6 @@ class PolyBasis:
         C = solve_triangular(R, np.eye(R.shape[-1]))
         return PolyBasis("l2_orthonormal", self.degree, self.centroid,
                          self.diameter, C, R)
-
-    def monomial_to_basis(self, coeffs):
-        """Convert scaled-monomial coefficient columns to this basis."""
-        return solve_triangular(self.change_of_basis, coeffs)
-
-    def basis_to_monomial(self, coeffs):
-        return self.change_of_basis @ coeffs
 
 
 @cache
@@ -316,5 +305,4 @@ def harmonic_subspace(basis, k):
         cols.append(re)
         if m >= 1:
             cols.append(im)
-    mono = np.column_stack(cols)
-    return basis.monomial_to_basis(mono)
+    return solve_triangular(basis.change_of_basis, np.column_stack(cols))

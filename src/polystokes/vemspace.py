@@ -46,7 +46,6 @@ __all__ = [
     "build_batches",
     "build_layout",
     "interpolate_scalar",
-    "interpolate_velocity",
 ]
 
 
@@ -63,10 +62,6 @@ class LocalDofLayout:
     @property
     def n_scalar(self):
         return self.n_vertex + self.n_edge + self.n_moment
-
-    @property
-    def n_velocity(self):
-        return 2 * self.n_scalar + 2 * self.n_bubble
 
 
 @dataclass(frozen=True)
@@ -390,14 +385,3 @@ def interpolate_scalar(ctx, f):
         phi = pb.evaluate(ctx.basis, ctx.quad.points)[:, :lay.n_moment]
         dofs[len(nodes):] = (ctx.quad.weights * vals) @ phi / ctx.area
     return dofs
-
-
-def interpolate_velocity(ctx, u):
-    """Velocity DOFs of a smooth field; bubble DOFs are set to zero.
-
-    u maps an (n, 2) point array to (n, 2) values.  Returns
-    (x-component scalar DOFs, y-component scalar DOFs, zero bubble DOFs).
-    """
-    ux = interpolate_scalar(ctx, lambda p: u(p)[:, 0])
-    uy = interpolate_scalar(ctx, lambda p: u(p)[:, 1])
-    return ux, uy, np.zeros(2 * ctx.layout.n_bubble)

@@ -688,7 +688,7 @@ def star_ratio(verts):
     return float(2.0 * np.max(radii) / polygon_diameter(verts))
 
 
-def validate_geometry(mesh, rho1=0.1, rho2=0.1):
+def validate_geometry(mesh):
     """The shape-regularity report, one cell at a time."""
     n = mesh.n_cells
     star = np.empty(n)
@@ -700,7 +700,4 @@ def validate_geometry(mesh, rho1=0.1, rho2=0.1):
         dist = np.sqrt(np.sum(d * d, axis=2))
         np.fill_diagonal(dist, np.inf)
         mind[c] = float(np.min(dist)) / mesh.cell_diameters[c]
-    return geo.GeometryReport(
-        star_ratio=star, min_distance_ratio=mind,
-        areas=mesh.cell_areas.copy(), diameters=mesh.cell_diameters.copy(),
-        star_violations=star < rho1, distance_violations=mind < rho2)
+    return geo.GeometryReport(star_ratio=star, min_distance_ratio=mind)

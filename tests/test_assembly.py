@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 from polystokes import analysis as an
 from polystokes import assembly as asm
 from polystokes import geometry as geo
+from polystokes import polybasis as pb
 from polystokes.stokes_local import StabilizationConfig
 
 from oracles import (boundary_scalar_data, cell_elements, cell_scalar_dofs,
@@ -28,6 +29,37 @@ def test_dof_map_counts_hexagonal_level1_k1():
     assert dm.n_bubble == 30 * 2 * 3               # 2k+1 = 3 per component
     assert dm.n_system(condensed=True) == 3 * 62 + 1
     assert dm.n_system(condensed=False) == 3 * 62 + 1 + 180
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_degree_below_one_is_refused_before_any_work(k):
+    mesh = geo.generate_mesh("hexagonal", 1)
+    with pytest.raises(ValueError, match=r"^degree must be >= 1$"):
+        asm.build_dof_map(mesh, k)
+    with pytest.raises(ValueError, match=r"^degree must be >= 1$"):
+        asm.assemble(mesh, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_ill_conditioned_refusal_names_its_cell(k):
+    sliver = geo.build_mesh([[0, 0], [1, 0], [2, 1e-13], [1, 1e-13]],
+                            [np.arange(4)])
+    with pytest.raises(pb.IllConditionedBasisError,
+                       match=r"^cell 0: scaled monomials") as exc:
+        asm.assemble(sliver, k)
+    assert isinstance(exc.value.__cause__, pb.IllConditionedBasisError)
+
+
+def test_kernel_refusal_names_its_cell():
+    # three teeth: no point sees the tops of the outer two
+    comb = geo.build_mesh(
+        [[0, 0], [3, 0], [3, 1], [2.8, 1], [2.8, 0.2], [1.6, 0.2], [1.6, 1],
+         [1.4, 1], [1.4, 0.2], [0.2, 0.2], [0.2, 1], [0, 1]],
+        [np.arange(12)])
+    with pytest.raises(ValueError,
+                       match=r"^cell 0: polygon is not star-shaped") as exc:
+        asm.assemble(comb, 1)
+    assert type(exc.value.__cause__) is ValueError
 
 
 def test_dof_map_counts_k2():
@@ -119,7 +151,6 @@ def test_solver_residual_and_pressure_mean():
     table = sol.dof_map.cell_dofs
     total = 0.0
     for c, ctx in cell_elements(sol.batches):
-        import polystokes.polybasis as pb
         nk = ctx.slice_hi
         ints = ctx.quad.weights @ pb.evaluate(ctx.basis, ctx.quad.points)[:, :nk]
         gd = table[c, :ctx.layout.n_scalar]

@@ -56,6 +56,20 @@ def test_mesh_check_reports_no_cells(tmp_path, capsys):
     assert "mesh has no cells" in capsys.readouterr().err
 
 
+def test_mesh_check_counts_the_violations(capsys):
+    assert cli.main(["mesh", "check", "--family", "random_polygons",
+                     "--level", "1"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("star violations=0 distance violations=37 ")
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_solve_degree_below_one_exits_1(k, capsys):
+    assert cli.main(["solve", "--case", "test1", "--family", "hexagonal",
+                     "--level", "1", "--k", k]) == 1
+    assert capsys.readouterr().err == "error: degree must be >= 1\n"
+
+
 def test_solve_patch_prints_small_errors(capsys):
     rc = cli.main(["solve", "--case", "patch", "--k", "1",
                    "--family", "hexagonal", "--level", "1"])

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from polystokes import geometry as geo
 from polystokes import polybasis as pb
@@ -155,16 +153,6 @@ def test_ill_conditioned_basis_raises():
                            geo.polygon_diameter(verts), quad.points)
     with pytest.raises(pb.IllConditionedBasisError):
         pb.build_basis(table, quad.weights, "l2_orthonormal")
-
-
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=100))
-@settings(max_examples=25, deadline=None)
-def test_basis_change_roundtrip(k, seed):
-    basis, _ = _basis(k, "l2_orthonormal")
-    rng = np.random.default_rng(seed)
-    mono = rng.standard_normal(pb.poly_dim(k))
-    back = basis.basis_to_monomial(basis.monomial_to_basis(mono))
-    assert back == pytest.approx(mono, rel=1e-10, abs=1e-12)
 
 
 def test_power_table_serves_lower_degrees_and_stacked_cells():

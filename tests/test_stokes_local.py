@@ -110,12 +110,8 @@ def test_b_consistency_polynomial_pair(k):
     ctx = vs.build_element(UNIT_SQUARE, k)
     B_u = _blocks(ctx).B_u
     # v = (x^k, 0), q = x^(k-1): int q div v = k int x^(2k-2)
-    def u(p):
-        z = np.zeros((len(p), 2))
-        z[:, 0] = p[:, 0] ** k
-        return z
-
-    ux, uy, _ = vs.interpolate_velocity(ctx, u)
+    ux = vs.interpolate_scalar(ctx, lambda p: p[:, 0] ** k)
+    uy = vs.interpolate_scalar(ctx, lambda p: np.zeros(len(p)))
     qd = vs.interpolate_scalar(ctx, lambda p: p[:, 0] ** (k - 1))
     vel = np.concatenate([ux, uy])
     val = qd @ (B_u @ vel)

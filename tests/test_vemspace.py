@@ -23,7 +23,6 @@ def test_layout_counts():
     assert lay.n_moment == 1
     assert lay.n_scalar == 11
     assert lay.n_bubble == 5
-    assert lay.n_velocity == 2 * 11 + 2 * 5
 
 
 def test_layout_rejects_k0():
@@ -160,20 +159,6 @@ def test_edge_trace_dofs_ordering():
     dofs = vs.interpolate_scalar(ctx, lambda p: p[:, 0] + 10 * p[:, 1])
     assert dofs[:4] == pytest.approx([0.0, 1.0, 11.0, 10.0])
     assert dofs[4:6] == pytest.approx(want[:, 0])
-
-
-def test_interpolate_velocity_shapes():
-    ctx = vs.build_element(PENTAGON, 2)
-
-    def u(p):
-        return np.stack([p[:, 1], -p[:, 0]], axis=1)
-
-    ux, uy, bub = vs.interpolate_velocity(ctx, u)
-    assert ux.shape == (ctx.layout.n_scalar,)
-    assert uy.shape == (ctx.layout.n_scalar,)
-    assert bub.shape == (2 * ctx.layout.n_bubble,)
-    assert np.all(bub == 0.0)
-    assert ux[:5] == pytest.approx(PENTAGON[:, 1])
 
 
 @st.composite
