@@ -124,7 +124,7 @@ def _polynomial_case(name, velocity, pressure):
 
 def poly_case():
     """Divergence-free polynomial flow; the pressure is shifted to zero mean."""
-    t = _T
+    t, one = _T, _ONE
     return _polynomial_case(
         "test2",
         velocity=([(t ** 4 - 2 * t ** 3 + t ** 2, 2 * t ** 3 - t)],
@@ -132,7 +132,7 @@ def poly_case():
         pressure=[(4 * t ** 3 - 6 * t ** 2 + 2 * t, 2 * t ** 3 - t),
                   (0.2 * (6 * t ** 5 - 15 * t ** 4 + 10 * t ** 3), t),
                   # the raw constant -1/10, shifted by +1/20 to zero mean
-                  ((-0.1 + 0.05) * _ONE, _ONE)])
+                  ((-0.1 + 0.05) * one, one)])
 
 
 def patch_case(k):

@@ -51,7 +51,8 @@ def test_ill_conditioned_refusal_names_its_cell(k):
 
 
 def test_kernel_refusal_names_its_cell():
-    # three teeth: no point sees the tops of the outer two
+    # three teeth: the inner sides of the outer two confine the kernel to
+    # x <= 0.2 and x >= 2.8, so it is empty
     comb = geo.build_mesh(
         [[0, 0], [3, 0], [3, 1], [2.8, 1], [2.8, 0.2], [1.6, 0.2], [1.6, 1],
          [1.4, 1], [1.4, 0.2], [0.2, 0.2], [0.2, 1], [0, 1]],
