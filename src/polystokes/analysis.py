@@ -284,8 +284,7 @@ def run_alpha_sweep(family, level, k, alphas=DEFAULT_ALPHAS,
     mesh = generate_mesh(family, level, rng_seed=rng_seed)
     rows = []
     for kind in basis_kinds:
-        base = assemble(mesh, k, g=lambda p: np.zeros_like(p),
-                        config=StabilizationConfig(alpha=alphas[0]),
+        base = assemble(mesh, k, config=StabilizationConfig(alpha=alphas[0]),
                         basis_kind=kind, condensed=True)
         for alpha in alphas:
             system = with_alpha(base, alpha)

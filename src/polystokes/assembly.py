@@ -107,7 +107,6 @@ def build_dof_map(mesh, k):
 class GlobalSystem:
     """Assembled, Dirichlet-eliminated linear system (plus cell data)."""
 
-    mesh: object = field(repr=False)
     config: StabilizationConfig
     condensed: bool
     dof_map: GlobalDofMap
@@ -138,7 +137,6 @@ class GlobalSystem:
 
 @dataclass(frozen=True)
 class Solution:
-    mesh: object = field(repr=False)
     dof_map: GlobalDofMap
     # scalar DOF values, x-velocity component
     ux: np.ndarray = field(repr=False)
@@ -156,10 +154,8 @@ class Solution:
 def _boundary_scalar_data(mesh, dof_map, g):
     """Constrained velocity indices (both components) and their values.
 
-    g maps an (n, 2) point array to (n, 2) velocity values, or is None.
+    g maps an (n, 2) point array to (n, 2) velocity values.
     """
-    if g is None:
-        return np.array([], dtype=np.int64), np.array([])
     k = dof_map.k
     verts = np.flatnonzero(mesh.boundary_vertex_flags)
     edges = np.flatnonzero(mesh.boundary_edge_flags)
@@ -260,13 +256,13 @@ def _element(mesh, c, k, basis_kind):
         raise type(exc)(f"cell {c}: {exc}") from exc
 
 
-def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
-             condensed=False):
+def assemble(mesh, k, f=None, g=np.zeros_like, config=None,
+             basis_kind="scaled_monomial", condensed=False):
     """Assemble the global Stokes system (uncondensed by default).
 
     f: body force, (n, 2) points -> (n, 2) values (defaults to zero);
-    g: Dirichlet velocity data with the same signature (defaults to none,
-    i.e. no constrained DOFs).
+    g: Dirichlet velocity data with the same signature, imposed on the
+    whole boundary (defaults to zero).
     """
     if config is None:
         config = StabilizationConfig()
@@ -279,7 +275,7 @@ def assemble(mesh, k, f=None, g=None, config=None, basis_kind="scaled_monomial",
         dof_map, build_blocks(batches, config, f), constrained, values,
         condensed)
     return GlobalSystem(
-        mesh=mesh, config=config, condensed=condensed, dof_map=dof_map,
+        config=config, condensed=condensed, dof_map=dof_map,
         matrix=_matrix(k0, c_positions, c_values, config.alpha), rhs=rhs,
         free=free, constrained=constrained, boundary_values=values,
         signs=signs, batches=batches, k0=k0, c_positions=c_positions,
@@ -387,13 +383,13 @@ def solve(system):
                                 np.append(p, 0.0)[dof_map.cell_dofs])
     else:
         bubbles = full[2 * n_sc:p_off].reshape(dof_map.n_cells, -1)
-    return Solution(mesh=system.mesh, dof_map=dof_map, ux=full[:n_sc],
-                    uy=full[n_sc:2 * n_sc], p=p, bubbles=bubbles,
-                    multiplier=full[-1], residual=float(res),
-                    n_dofs=system.n_dofs, batches=system.batches)
+    return Solution(dof_map=dof_map, ux=full[:n_sc], uy=full[n_sc:2 * n_sc],
+                    p=p, bubbles=bubbles, multiplier=full[-1],
+                    residual=float(res), n_dofs=system.n_dofs,
+                    batches=system.batches)
 
 
-def solve_stokes(mesh, k, f=None, g=None, config=None,
+def solve_stokes(mesh, k, f=None, g=np.zeros_like, config=None,
                  basis_kind="scaled_monomial"):
     """Assemble (condensed) and solve in one call."""
     system = assemble(mesh, k, f=f, g=g, config=config, basis_kind=basis_kind,

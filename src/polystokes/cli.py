@@ -38,6 +38,14 @@ def _basis_kind(name):
     return BASIS_KINDS[name]
 
 
+def _mesh_family(name):
+    """name itself if it is one of the library's mesh families."""
+    if name not in geometry.MESH_FAMILIES:
+        raise ValueError(f"unknown mesh family {name!r}; choose from "
+                         f"{', '.join(geometry.MESH_FAMILIES)}")
+    return name
+
+
 def _parse_float_list(text):
     return [float(t) for t in text.split(",")]
 
@@ -165,16 +173,18 @@ def _cmd_solve(args):
 
 
 def _cmd_convergence(args):
-    cases = args.cases.split(",")
-    families = args.families.split(",")
+    names = args.cases.split(",")
+    families = [_mesh_family(f) for f in args.families.split(",")]
     levels = _parse_int_list(args.levels)
     k_list = _parse_int_list(args.k)
+    # every name is resolved before the first solve
+    cases = {(name, k): _case_for(name, k) for name in names for k in k_list}
     rows = []
-    for name in cases:
+    for name in names:
         for family in families:
             for k in k_list:
                 rows.extend(analysis.run_convergence(
-                    family, levels, k, _case_for(name, k), alpha=args.alpha,
+                    family, levels, k, cases[name, k], alpha=args.alpha,
                     rng_seed=args.seed, timings=not args.no_timings,
                     **_basis_kwargs(args)))
     analysis.write_csv(args.output, rows, analysis.CONVERGENCE_FIELDS)
@@ -206,7 +216,9 @@ def main(argv=None):
     try:
         return handlers[args.command](args)
     except (KeyError, ValueError, OSError, geometry.MeshError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

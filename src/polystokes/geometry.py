@@ -474,10 +474,6 @@ class GeometryReport:
     def distance_violations(self):
         return self.min_distance_ratio < DISTANCE_RATIO_MIN
 
-    @property
-    def all_pass(self):
-        return not (self.star_violations.any() or self.distance_violations.any())
-
 
 def _distance_to_boundary(points, verts):
     """Distance from points (..., p, 2) to the sides of rings (..., m, 2)."""

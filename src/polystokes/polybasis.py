@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -41,13 +42,26 @@ def poly_dim(k):
     return 0 if k < 0 else (k + 1) * (k + 2) // 2
 
 
+def _index(a, b):
+    """Position of x^a y^b in graded-lex order."""
+    return (a + b) * (a + b + 1) // 2 + b
+
+
+@cache
+def _exponent_arrays(k):
+    """The exponents (a, b) of the monomials of degree <= k in graded-lex
+    order, two read-only integer arrays."""
+    degree = np.repeat(np.arange(k + 1), np.arange(1, k + 2))
+    b = np.arange(poly_dim(k)) - _index(degree, 0)
+    a = degree - b
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def monomial_exponents(k):
     """Graded-lex exponent pairs (a, b) for all degrees <= k."""
-    exps = []
-    for d in range(k + 1):
-        for a in range(d, -1, -1):
-            exps.append((a, d - a))
-    return exps
+    a, b = _exponent_arrays(k)
+    return list(zip(a.tolist(), b.tolist()))
 
 
 BASIS_KINDS = ("scaled_monomial", "l2_orthonormal")
@@ -87,14 +101,6 @@ class PolyBasis:
         C = solve_triangular(R, np.eye(R.shape[-1]))
         return PolyBasis("l2_orthonormal", self.degree, self.centroid,
                          self.diameter, C, R)
-
-
-@cache
-def _exponent_arrays(k):
-    """The exponents of monomial_exponents(k) as two read-only arrays."""
-    a, b = np.array(monomial_exponents(k)).T
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
 
 
 def _scaled_powers(k, centroid, diameter, points):
@@ -150,14 +156,8 @@ def power_table(degree, centroid, diameter, points):
 def _laplacian_exponents(k):
     """The laplacian of the unscaled monomials of degree <= k in those of
     degree <= k-2, read-only."""
-    exps = monomial_exponents(k)
-    low = {e: i for i, e in enumerate(monomial_exponents(k - 2))} if k >= 2 else {}
-    L = np.zeros((poly_dim(k - 2), poly_dim(k)))
-    for i, (a, b) in enumerate(exps):
-        if a >= 2:
-            L[low[(a - 2, b)], i] = a * (a - 1)
-        if b >= 2:
-            L[low[(a, b - 2)], i] = b * (b - 1)
+    dx, dy = _derivative_exponents(k)
+    L = (dx @ dx + dy @ dy)[:poly_dim(k - 2)]
     L.flags.writeable = False
     return L
 
@@ -177,16 +177,12 @@ def _monomial_laplacian_map(k, diameter):
 def _derivative_exponents(k):
     """d/dx and d/dy of the unscaled monomials of degree <= k as matrices
     on their coefficients, read-only."""
-    exps = monomial_exponents(k)
-    idx = {e: i for i, e in enumerate(exps)}
+    a, b = _exponent_arrays(k)
     n = poly_dim(k)
-    dx = np.zeros((n, n))
-    dy = np.zeros((n, n))
-    for i, (a, b) in enumerate(exps):
-        if a > 0:
-            dx[idx[(a - 1, b)], i] = a
-        if b > 0:
-            dy[idx[(a, b - 1)], i] = b
+    dx, dy = np.zeros((n, n)), np.zeros((n, n))
+    # column i has one entry; where a (or b) is 0 it is a 0 on the diagonal
+    dx[_index(np.maximum(a - 1, 0), b), np.arange(n)] = a
+    dy[_index(a, np.maximum(b - 1, 0)), np.arange(n)] = b
     dx.flags.writeable = dy.flags.writeable = False
     return dx, dy
 
@@ -285,24 +281,21 @@ def stiffness(basis, weights, at):
     return G.swapaxes(-1, -2) @ G
 
 
+# Re and Im of i^j, by j mod 4
+_POWERS_OF_I = np.array([[1, 0, -1, 0], [0, 1, 0, -1]])
+
+
 def harmonic_subspace(basis, k):
     """Columns spanning the harmonic polynomials of degree <= k, in basis coords.
 
     Uses Re((x+iy)^m), Im((x+iy)^m) in the scaled coordinates; 2k+1 columns
     for k >= 1, a single constant column for k = 0.
     """
-    exps = monomial_exponents(basis.degree)
-    idx = {e: i for i, e in enumerate(exps)}
-    cols = []
-    from math import comb
-    for m in range(k + 1):
-        re = np.zeros(len(exps))
-        im = np.zeros(len(exps))
-        for j in range(m + 1):
-            c = comb(m, j) * (1j ** j)
-            re[idx[(m - j, j)]] += c.real
-            im[idx[(m - j, j)]] += c.imag
-        cols.append(re)
-        if m >= 1:
-            cols.append(im)
-    return solve_triangular(basis.change_of_basis, np.column_stack(cols))
+    # (x+iy)^m is the sum over a + b = m of comb(m, b) i^b x^a y^b: its Re
+    # and Im fill columns 2m and 2m+1, and the Im of m = 0 is dropped
+    a, b = _exponent_arrays(k)
+    binomials = [comb(i + j, j) for i, j in zip(a.tolist(), b.tolist())]
+    H = np.zeros((poly_dim(basis.degree), 2 * k + 2))
+    H[_index(a, b)[:, None], 2 * (a + b)[:, None] + [0, 1]] = \
+        (binomials * _POWERS_OF_I[:, b % 4]).T
+    return solve_triangular(basis.change_of_basis, np.delete(H, 1, axis=1))

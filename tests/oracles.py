@@ -39,12 +39,6 @@ def monomial_integral(verts, a, b):
     return total / (a + 1)
 
 
-def polynomial_integral(verts, coeffs, exps):
-    """Integral of sum_i coeffs[i] x^a_i y^b_i over the polygon."""
-    return sum(c * monomial_integral(verts, a, b)
-               for c, (a, b) in zip(coeffs, exps))
-
-
 def scaled_monomial_integral(verts, centroid, diameter, a, b):
     """Integral of ((x-cx)/h)^a ((y-cy)/h)^b via binomial expansion."""
     from math import comb
@@ -56,6 +50,64 @@ def scaled_monomial_integral(verts, centroid, diameter, a, b):
                     * (-cx) ** (a - i) * (-cy) ** (b - j))
             total += coef * monomial_integral(verts, i, j)
     return total / diameter ** (a + b)
+
+
+# ---------------------------------------------------------------------------
+# the integer tables of the scaled monomials, one exponent pair at a time
+# ---------------------------------------------------------------------------
+# The library places every entry through the closed-form graded-lex index;
+# these dictionary-indexed loops are the reference it must equal bit for bit.
+
+def monomial_exponents(k):
+    """Graded-lex exponent pairs (a, b) for all degrees <= k."""
+    return [(a, d - a) for d in range(k + 1) for a in range(d, -1, -1)]
+
+
+def derivative_exponents(k):
+    """d/dx and d/dy of the unscaled monomials of degree <= k."""
+    exps = monomial_exponents(k)
+    idx = {e: i for i, e in enumerate(exps)}
+    dx = np.zeros((len(exps), len(exps)))
+    dy = np.zeros((len(exps), len(exps)))
+    for i, (a, b) in enumerate(exps):
+        if a > 0:
+            dx[idx[(a - 1, b)], i] = a
+        if b > 0:
+            dy[idx[(a, b - 1)], i] = b
+    return dx, dy
+
+
+def laplacian_exponents(k):
+    """The laplacian of the unscaled monomials of degree <= k in those of
+    degree <= k-2."""
+    exps = monomial_exponents(k)
+    low = {e: i for i, e in enumerate(monomial_exponents(k - 2))}
+    L = np.zeros((len(low), len(exps)))
+    for i, (a, b) in enumerate(exps):
+        if a >= 2:
+            L[low[(a - 2, b)], i] = a * (a - 1)
+        if b >= 2:
+            L[low[(a, b - 2)], i] = b * (b - 1)
+    return L
+
+
+def harmonic_subspace(basis, k):
+    """Re and Im of (x+iy)^m, m <= k, in the coordinates of basis."""
+    from math import comb
+    exps = monomial_exponents(basis.degree)
+    idx = {e: i for i, e in enumerate(exps)}
+    cols = []
+    for m in range(k + 1):
+        re = np.zeros(len(exps))
+        im = np.zeros(len(exps))
+        for j in range(m + 1):
+            c = comb(m, j) * (1j ** j)
+            re[idx[(m - j, j)]] += c.real
+            im[idx[(m - j, j)]] += c.imag
+        cols.append(re)
+        if m >= 1:
+            cols.append(im)
+    return solve_triangular(basis.change_of_basis, np.column_stack(cols))
 
 
 def projector_defect(ctx):
@@ -352,9 +404,10 @@ def build_blocks(ctx, config, f=None):
                 mean_weights=local_mean(ctx), F_u=F_u, F_b=F_b)
 
 
-def compute_errors(solution, case):
-    """The ErrorReport floats (err0_u, err1_u, err0_p), one cell at a time."""
-    mesh, k = solution.mesh, solution.dof_map.k
+def compute_errors(mesh, solution, case):
+    """The ErrorReport floats (err0_u, err1_u, err0_p) of a solution on the
+    mesh, one cell at a time."""
+    k = solution.dof_map.k
     dof_map = solution.dof_map
     e0u = e1u = e0p = n0u = n1u = n0p = 0.0
     for c, ctx in cell_elements(solution.batches):

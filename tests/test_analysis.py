@@ -191,7 +191,7 @@ def test_compute_errors_equals_per_cell_oracle(family, case_name):
                                basis_kind=kind)
         rep = an.compute_errors(sol, case)
         assert (rep.err0_u, rep.err1_u, rep.err0_p) == \
-            oracles.compute_errors(sol, case)
+            oracles.compute_errors(mesh, sol, case)
 
 
 def test_power_tables_once_per_point_set(monkeypatch):

@@ -113,6 +113,17 @@ def test_dof_table_and_boundary_data_match_loops(family):
             assert np.array_equal(got, want), k
 
 
+def test_omitted_g_is_zero_data_on_the_whole_boundary():
+    # without g no DOF was constrained, and the system was singular
+    mesh = geo.generate_mesh("hexagonal", 1)
+    default = asm.assemble(mesh, 1, condensed=True)
+    zero = asm.assemble(mesh, 1, g=_zero_g, condensed=True)
+    _assert_identical(default, zero)
+    assert np.array_equal(default.constrained, zero.constrained)
+    assert np.array_equal(default.boundary_values, zero.boundary_values)
+    assert asm.condition_number(default) == asm.condition_number(zero)
+
+
 def test_zero_data_gives_zero_solution():
     mesh = geo.generate_mesh("voronoi", 1)
     sol = asm.solve_stokes(mesh, 1, g=_zero_g)

@@ -110,6 +110,28 @@ def test_convergence_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("names, message", [
+    (["--cases", "test1,nope", "--families", "hexagonal"],
+     "error: unknown case 'nope'\n"),
+    (["--cases", "test1", "--families", "hexagonal,hexagonl"],
+     "error: unknown mesh family 'hexagonl'; choose from "
+     "hexagonal, voronoi, random_polygons, diamond\n"),
+    (["--cases", "patch", "--families", "hexagonal"],
+     "error: patch cases exist for k in {1, 2, 3}\n"),
+], ids=["case", "family", "patch-degree"])
+def test_convergence_checks_names_before_solving(names, message, tmp_path,
+                                                  capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.analysis, "run_convergence",
+                        lambda *args, **kwargs: calls.append(args) or [])
+    out = tmp_path / "conv.csv"
+    assert cli.main(["convergence", *names, "--levels", "1", "--k", "1,4",
+                     "--output", str(out)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_alpha_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main(["alpha-sweep", "--family", "hexagonal", "--level", "1",

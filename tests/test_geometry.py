@@ -74,7 +74,7 @@ L_CELL = np.array([[0, 0], [3, 0], [3, 0.6], [1, 0.6], [1, 1.6], [0, 1.6]])
 
 def test_polygon_quadrature_star_cell_off_centroid_kernel():
     rep = geo.validate_geometry(geo.build_mesh(L_CELL, [np.arange(6)]))
-    assert rep.star_ratio[0] >= 0.1 and rep.all_pass
+    assert not rep.star_violations.any() and not rep.distance_violations.any()
     degree = 8
     rule = geo.polygon_quadrature(L_CELL, degree)
     assert np.all(rule.weights > 0)
@@ -356,8 +356,13 @@ def test_mesh_roundtrip(tmp_path):
     path = tmp_path / "mesh.json"
     geo.export_mesh(mesh, path)
     back = geo.import_mesh(path)
-    assert np.allclose(back.vertices, mesh.vertices)
-    assert all(np.array_equal(a, b) for a, b in zip(back.cells, mesh.cells))
+    # JSON writes the shortest repr of each float, which reads back exactly
+    assert len(back.cells) == len(mesh.cells)
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert [c.tolist() for c in back.cells] == [c.tolist() for c in mesh.cells]
+    assert np.array_equal(back.edges, mesh.edges)
+    assert ([e.tolist() for e in back.cell_edges]
+            == [e.tolist() for e in mesh.cell_edges])
 
 
 def test_import_mesh_bad_file(tmp_path):

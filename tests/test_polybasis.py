@@ -5,6 +5,8 @@ import pytest
 
 from polystokes import geometry as geo
 from polystokes import polybasis as pb
+from polystokes import vemspace as vs
+import oracles
 from oracles import scaled_monomial_integral
 
 PENTAGON = np.array([[0.0, 0.0], [0.7, 0.1], [1.1, 0.6], [0.5, 1.2],
@@ -25,6 +27,37 @@ def test_poly_dim():
 def test_monomial_exponents_graded():
     exps = pb.monomial_exponents(2)
     assert exps == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def test_monomial_exponents_in_index_order():
+    exps = pb.monomial_exponents(8)
+    assert [pb._index(a, b) for a, b in exps] == list(range(pb.poly_dim(8)))
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_integer_tables_equal_dictionary_loops(k):
+    # every entry is placed through the graded-lex index; the
+    # dictionary-indexed loops give the same arrays, dtypes and shapes
+    assert pb.monomial_exponents(k) == oracles.monomial_exponents(k)
+    pairs = [(np.stack(pb._exponent_arrays(k)),
+              np.array(oracles.monomial_exponents(k)).T),
+             *zip(pb._derivative_exponents(k), oracles.derivative_exponents(k)),
+             (pb._laplacian_exponents(k), oracles.laplacian_exponents(k))]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", pb.BASIS_KINDS)
+def test_harmonic_subspace_equals_dictionary_loop(kind):
+    for family in ("voronoi", "random_polygons"):
+        mesh = geo.generate_mesh(family, 1)
+        for c in (0, 5, 11):
+            basis = vs.build_element(mesh.vertices[mesh.cells[c]], 3,
+                                     basis_kind=kind).basis
+            for k in range(basis.degree + 1):
+                got = pb.harmonic_subspace(basis, k)
+                want = oracles.harmonic_subspace(basis, k)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_scaled_monomial_member_values():
