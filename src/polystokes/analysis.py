@@ -157,11 +157,14 @@ _CASES = {"test1": trig_case, "test2": poly_case}
 
 
 def get_case(name):
+    """The case of that name: test1, test2 or patch_k1..3.  Raises
+    ValueError for any other name."""
     if name in _CASES:
         return _CASES[name]()
-    if name.startswith("patch_k"):
-        return patch_case(int(name[len("patch_k"):]))
-    raise KeyError(f"unknown case {name!r}")
+    digits = name.removeprefix("patch_k")
+    if digits != name and digits.isdecimal():
+        return patch_case(int(digits))
+    raise ValueError(f"unknown case {name!r}")
 
 
 @dataclass(frozen=True)

@@ -256,16 +256,15 @@ def _element(mesh, c, k, basis_kind):
         raise type(exc)(f"cell {c}: {exc}") from exc
 
 
-def assemble(mesh, k, f=None, g=np.zeros_like, config=None,
-             basis_kind="scaled_monomial", condensed=False):
+def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,
+             config=StabilizationConfig(), basis_kind="scaled_monomial",
+             condensed=False):
     """Assemble the global Stokes system (uncondensed by default).
 
     f: body force, (n, 2) points -> (n, 2) values (defaults to zero);
     g: Dirichlet velocity data with the same signature, imposed on the
     whole boundary (defaults to zero).
     """
-    if config is None:
-        config = StabilizationConfig()
     dof_map = build_dof_map(mesh, k)
     batches = build_batches([_element(mesh, c, k, basis_kind)
                              for c in range(dof_map.n_cells)])
@@ -389,8 +388,8 @@ def solve(system):
                     batches=system.batches)
 
 
-def solve_stokes(mesh, k, f=None, g=np.zeros_like, config=None,
-                 basis_kind="scaled_monomial"):
+def solve_stokes(mesh, k, f=np.zeros_like, g=np.zeros_like,
+                 config=StabilizationConfig(), basis_kind="scaled_monomial"):
     """Assemble (condensed) and solve in one call."""
     system = assemble(mesh, k, f=f, g=g, config=config, basis_kind=basis_kind,
                       condensed=True)

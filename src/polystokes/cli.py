@@ -215,10 +215,8 @@ def main(argv=None):
                 "alpha-sweep": _cmd_alpha_sweep}
     try:
         return handlers[args.command](args)
-    except (KeyError, ValueError, OSError, geometry.MeshError) as exc:
-        # a KeyError's str quotes its message
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (ValueError, OSError, geometry.MeshError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -26,7 +25,6 @@ __all__ = [
     "PowerTable",
     "IllConditionedBasisError",
     "poly_dim",
-    "monomial_exponents",
     "build_basis",
     "power_table",
     "evaluate",
@@ -34,7 +32,6 @@ __all__ = [
     "stiffness",
     "laplacian_in_lower_basis",
     "derivative_matrices",
-    "harmonic_subspace",
 ]
 
 
@@ -56,12 +53,6 @@ def _exponent_arrays(k):
     a = degree - b
     a.flags.writeable = b.flags.writeable = False
     return a, b
-
-
-def monomial_exponents(k):
-    """Graded-lex exponent pairs (a, b) for all degrees <= k."""
-    a, b = _exponent_arrays(k)
-    return list(zip(a.tolist(), b.tolist()))
 
 
 BASIS_KINDS = ("scaled_monomial", "l2_orthonormal")
@@ -279,23 +270,3 @@ def stiffness(basis, weights, at):
     # (..., n_points, 2, n) -> (..., 2 n_points, n): one syrk per cell
     G = G.swapaxes(-1, -2).reshape(G.shape[:-3] + (-1, G.shape[-2]))
     return G.swapaxes(-1, -2) @ G
-
-
-# Re and Im of i^j, by j mod 4
-_POWERS_OF_I = np.array([[1, 0, -1, 0], [0, 1, 0, -1]])
-
-
-def harmonic_subspace(basis, k):
-    """Columns spanning the harmonic polynomials of degree <= k, in basis coords.
-
-    Uses Re((x+iy)^m), Im((x+iy)^m) in the scaled coordinates; 2k+1 columns
-    for k >= 1, a single constant column for k = 0.
-    """
-    # (x+iy)^m is the sum over a + b = m of comb(m, b) i^b x^a y^b: its Re
-    # and Im fill columns 2m and 2m+1, and the Im of m = 0 is dropped
-    a, b = _exponent_arrays(k)
-    binomials = [comb(i + j, j) for i, j in zip(a.tolist(), b.tolist())]
-    H = np.zeros((poly_dim(basis.degree), 2 * k + 2))
-    H[_index(a, b)[:, None], 2 * (a + b)[:, None] + [0, 1]] = \
-        (binomials * _POWERS_OF_I[:, b % 4]).T
-    return solve_triangular(basis.change_of_basis, np.delete(H, 1, axis=1))

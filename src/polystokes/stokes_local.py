@@ -162,9 +162,10 @@ def _local_rhs(ctx, f):
     return F_u, F_b
 
 
-def build_blocks(batches, config=StabilizationConfig(), f=None):
+def build_blocks(batches, config=StabilizationConfig(), f=np.zeros_like):
     """The blocks of every cell of the element batches, computed over each
-    batch and stacked in cell order (see LocalStokesBlocks)."""
+    batch and stacked in cell order (see LocalStokesBlocks).  f is the body
+    force as in _local_rhs (defaults to zero)."""
     n_cells = sum(len(batch.cells) for batch in batches)
     m = max(batch.layout.n_scalar for batch in batches)
     nb = 2 * batches[0].layout.n_bubble
@@ -179,6 +180,5 @@ def build_blocks(batches, config=StabilizationConfig(), f=None):
         out.B_u[ids, :n, :2 * n], out.B_b[ids, :n] = _local_b(ctx)
         out.C_p[ids, :n, :n] = _local_c(ctx)
         out.mean_weights[ids, :n] = _local_mean(ctx)
-        if f is not None:
-            out.F_u[ids, :2 * n], out.F_b[ids] = _local_rhs(ctx, f)
+        out.F_u[ids, :2 * n], out.F_b[ids] = _local_rhs(ctx, f)
     return out

@@ -13,7 +13,8 @@ and degree-(k-2) bases).
 
 Element construction is split at the basis: build_element makes one cell's
 quadrature and basis, and build_batches stacks cells of equal vertex count
-and computes their projectors and matrices over the stack.
+and computes their layout, areas, edge nodes, projectors and matrices over
+the stack.
 """
 
 from __future__ import annotations
@@ -91,16 +92,12 @@ class LocalOperators:
 
 @dataclass(frozen=True)
 class ElementContext:
-    """One cell's quadrature, basis, DOF layout, area and edge nodes: the
-    per-cell inputs of build_batches."""
+    """One cell's quadrature and basis: the per-cell inputs of build_batches."""
 
     verts: np.ndarray
     k: int
     basis: pb.PolyBasis          # degree k+2
     quad: object
-    layout: LocalDofLayout
-    area: float
-    edge_nodes: np.ndarray       # (n_edges, k-1, 2) interior trace nodes
 
     @property
     def slice_lo(self):
@@ -118,11 +115,14 @@ class ElementBatch(ElementContext):
     """Cells of equal vertex count, stacked, with their operators.
 
     Every array and float of the ElementContext fields, and every field
-    added here, carries a leading cell axis; ints and strings, equal within
-    a batch, are kept once.
+    added here but the layout, carries a leading cell axis; ints and
+    strings, equal within a batch, are kept once.
     """
 
     cells: np.ndarray            # positions in the list given to build_batches
+    layout: LocalDofLayout
+    area: np.ndarray
+    edge_nodes: np.ndarray       # (n_edges, k-1, 2) interior trace nodes
     mass: np.ndarray             # (dim P_{k+2})^2 Gram matrices
     stiffness: np.ndarray
     operators: LocalOperators
@@ -154,17 +154,16 @@ def _lagrange_matrix(k):
     return out
 
 
-def build_layout(verts, k):
+def build_layout(n_vertex, k):
     if k < 1:
         raise ValueError("degree must be >= 1")
-    nv = len(verts)
-    return LocalDofLayout(k=k, n_vertex=nv, n_edge=nv * (k - 1),
+    return LocalDofLayout(k=k, n_vertex=n_vertex, n_edge=n_vertex * (k - 1),
                           n_moment=pb.poly_dim(k - 2), n_bubble=2 * k + 1)
 
 
 def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
-    """One cell's quadrature, basis (QR of its scaled monomials), DOF layout,
-    area and edge nodes.  Raises IllConditionedBasisError as build_basis."""
+    """One cell's quadrature and basis (QR of its scaled monomials).
+    Raises IllConditionedBasisError as build_basis."""
     verts = np.asarray(verts, dtype=float)
     if quad_degree is None:
         quad_degree = 2 * k + 6
@@ -172,13 +171,7 @@ def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
     at_quad = pb.power_table(k + 2, polygon_centroid(verts),
                              polygon_diameter(verts), quad.points)
     basis = pb.build_basis(at_quad, quad.weights, basis_kind)
-    layout = build_layout(verts, k)
-    gl = gauss_lobatto_points(k + 1)[1:-1]
-    edge_nodes = (verts[:, None, :] + 0.5 * (gl[:, None] + 1.0)
-                  * (np.roll(verts, -1, axis=0) - verts)[:, None, :])
-    return ElementContext(verts=verts, k=k, basis=basis, quad=quad,
-                          layout=layout, area=float(polygon_area(verts)),
-                          edge_nodes=edge_nodes)
+    return ElementContext(verts=verts, k=k, basis=basis, quad=quad)
 
 
 def _stacked(items, name=""):
@@ -208,7 +201,7 @@ def build_batches(contexts):
     matrices.  All contexts must share k, the basis kind and the quadrature
     degree: ValueError otherwise."""
     batches = []
-    for _, ids in _size_groups([ctx.layout.n_vertex for ctx in contexts]):
+    for _, ids in _size_groups([len(ctx.verts) for ctx in contexts]):
         for s in range(0, len(ids), _BATCH):
             cells = ids[s:s + _BATCH]
             batches.append(_build_batch(cells, _stacked([contexts[i]
@@ -266,8 +259,8 @@ def _boundary(ctx):
 
 
 def _build_batch(cells, ctx):
-    """Projectors, DOF matrices, mass and stiffness of the stacked contexts
-    in their bases.
+    """DOF layout, areas, edge nodes, projectors, DOF matrices, mass and
+    stiffness of the stacked contexts, the matrices in their bases.
 
     Every Gram system is solved in the orthonormal basis q = m R^-1 (mass
     matrix I), which conditions like R rather than like R^T R.  A member of
@@ -276,15 +269,20 @@ def _build_batch(cells, ctx):
     moment DOFs of p are A^T times those of q: a projector is T Pi^orth S,
     with S = diag(I, T_low^T) on the moment DOFs.
     """
-    k, lay, basis = ctx.k, ctx.layout, ctx.basis
-    g = len(cells)
+    k, verts, basis = ctx.k, ctx.verts, ctx.basis
+    g, nv = verts.shape[:2]
+    lay = build_layout(nv, k)
+    cell_area = polygon_area(verts)
+    gl = gauss_lobatto_points(k + 1)[1:-1]
+    edge_nodes = (verts[:, :, None, :] + 0.5 * (gl[:, None] + 1.0)
+                  * (np.roll(verts, -1, axis=1) - verts)[:, :, None, :])
     nk = pb.poly_dim(k)
     nk2 = pb.poly_dim(k + 2)
     nlow = pb.poly_dim(k - 2)
     nsc = lay.n_scalar
     sl = slice(nlow, nk)
     moment0 = lay.n_vertex + lay.n_edge
-    area = ctx.area[:, None, None]
+    area = cell_area[:, None, None]
     centroid = basis.centroid[:, None, :]
     diameter = basis.diameter[:, None, None]
 
@@ -314,11 +312,9 @@ def _build_batch(cells, ctx):
     r_y = _t(vals[..., :nk] * nrm[..., 1:]) @ w_phi
 
     # DOF matrix of the degree-k members ----------------------------------
-    nodes = np.concatenate([ctx.verts, ctx.edge_nodes.reshape(g, -1, 2)],
-                           axis=1)
     D = np.empty((g, nsc, nk))
-    D[:, :moment0] = pb.evaluate(basis.prefix(k),
-                                 pb.power_table(k, centroid, diameter, nodes))
+    D[:, :moment0] = pb.evaluate(basis.prefix(k), pb.power_table(
+        k, centroid, diameter, _nodes(verts, edge_nodes)))
     D[:, moment0:] = mass[:, :nlow, :nk] / area
 
     # elliptic projector on the scalar space ------------------------------
@@ -365,7 +361,8 @@ def _build_batch(cells, ctx):
     return ElementBatch(
         **{f.name: getattr(ctx, f.name)
            for f in dataclasses.fields(ElementContext)},
-        cells=cells, mass=mass, stiffness=_t(A) @ stiff_o @ A, operators=ops,
+        cells=cells, layout=lay, area=cell_area, edge_nodes=edge_nodes,
+        mass=mass, stiffness=_t(A) @ stiff_o @ A, operators=ops,
         quad_values=np.ascontiguousarray(values),
         # one gemv per cell on the strided slice: OpenBLAS's gemv rounds
         # differently on a contiguous matrix of fewer than 4 columns (k = 1)
@@ -373,15 +370,23 @@ def _build_batch(cells, ctx):
                                    in zip(ctx.quad.weights, values)]))
 
 
-def interpolate_scalar(ctx, f):
-    """Scalar DOF vector interpolating f (point values plus scaled moments)
-    on one cell (an ElementContext)."""
-    lay = ctx.layout
-    nodes = np.vstack([ctx.verts, ctx.edge_nodes.reshape(-1, 2)])
-    dofs = np.empty(lay.n_scalar)
-    dofs[:len(nodes)] = f(nodes)
-    if lay.n_moment:
-        vals = f(ctx.quad.points)
-        phi = pb.evaluate(ctx.basis, ctx.quad.points)[:, :lay.n_moment]
-        dofs[len(nodes):] = (ctx.quad.weights * vals) @ phi / ctx.area
-    return dofs
+def _nodes(verts, edge_nodes):
+    """The points of each cell's point-value DOFs, vertices then edge
+    nodes, (g, n_vertex + n_edge, 2)."""
+    return np.concatenate([verts, edge_nodes.reshape(len(verts), -1, 2)],
+                          axis=1)
+
+
+def interpolate_scalar(batch, f):
+    """Scalar DOF vectors interpolating f (point values plus scaled
+    moments) on every cell of an ElementBatch, (cells, n_scalar).
+
+    f maps an (n, 2) point array to n values; it is called once on the
+    DOF nodes and once on the quadrature points of all cells."""
+    nodes = _nodes(batch.verts, batch.edge_nodes)
+    pts, w = batch.quad.points, batch.quad.weights
+    vals = f(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    phi = batch.quad_values[..., :batch.layout.n_moment]
+    moments = _vecmat(w * vals, phi) / batch.area[:, None]
+    return np.concatenate([f(nodes.reshape(-1, 2)).reshape(nodes.shape[:2]),
+                           moments], axis=1)

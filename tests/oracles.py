@@ -188,11 +188,18 @@ def unstacked(batch, i):
     return batch[i] if isinstance(batch, np.ndarray) else batch
 
 
+def batch(ctx):
+    """The one ElementBatch of vemspace.build_batches run on one cell's
+    ElementContext."""
+    (out,) = vs.build_batches([ctx])
+    return out
+
+
 def element(ctx):
-    """One cell's ElementContext with its operators, mass, stiffness and
-    quadrature values: vemspace.build_batches run on that cell alone."""
-    (batch,) = vs.build_batches([ctx])
-    return unstacked(batch, 0)
+    """One cell's ElementContext with its layout, area, edge nodes,
+    operators, mass, stiffness and quadrature values: the batch of that cell
+    alone, unstacked."""
+    return unstacked(batch(ctx), 0)
 
 
 def cell_elements(batches):
@@ -226,16 +233,43 @@ def boundary_trace(verts, k, n_scalar):
             np.repeat(normals, nq, axis=0), phi.reshape(-1, n_scalar))
 
 
+def cell_geometry(ctx):
+    """One cell's DOF layout, area and (n_edges, k-1, 2) edge nodes,
+    computed for that cell alone."""
+    verts, k = ctx.verts, ctx.k
+    gl = gauss_lobatto_points(k + 1)[1:-1]
+    edge_nodes = (verts[:, None, :] + 0.5 * (gl[:, None] + 1.0)
+                  * (np.roll(verts, -1, axis=0) - verts)[:, None, :])
+    return (vs.build_layout(len(verts), k), float(geo.polygon_area(verts)),
+            edge_nodes)
+
+
+def interpolate_scalar(ctx, f):
+    """Scalar DOF vector interpolating f (point values plus scaled moments)
+    on one cell's ElementContext: the reference of
+    vemspace.interpolate_scalar."""
+    layout, area, edge_nodes = cell_geometry(ctx)
+    nodes = np.vstack([ctx.verts, edge_nodes.reshape(-1, 2)])
+    dofs = np.empty(layout.n_scalar)
+    dofs[:len(nodes)] = f(nodes)
+    if layout.n_moment:
+        vals = f(ctx.quad.points)
+        phi = pb.evaluate(ctx.basis, ctx.quad.points)[:, :layout.n_moment]
+        dofs[len(nodes):] = (ctx.quad.weights * vals) @ phi / area
+    return dofs
+
+
 def build_operators(ctx):
-    """One cell's operators, mass, stiffness, quadrature values and member
-    integrals, computed for that cell alone: the reference that the batches
-    of vemspace.build_batches must equal bit for bit.
+    """One cell's layout, area, edge nodes, operators, mass, stiffness,
+    quadrature values and member integrals, computed for that cell alone:
+    the reference that the batches of vemspace.build_batches must equal bit
+    for bit.
 
     Every Gram system is solved in the orthonormal basis q = m R^-1, and a
     projector is T Pi^orth S (see vemspace._build_batch).
     """
     verts, k, basis, quad = ctx.verts, ctx.k, ctx.basis, ctx.quad
-    layout, edge_nodes, area = ctx.layout, ctx.edge_nodes, ctx.area
+    layout, area, edge_nodes = cell_geometry(ctx)
     at_quad = pb.power_table(k + 2, basis.centroid, basis.diameter,
                              quad.points)
     nk = pb.poly_dim(k)
@@ -306,7 +340,8 @@ def build_operators(ctx):
                             dof_matrix=D, bubble_dof_matrix=mass[sl, :] / area,
                             boundary_rx=Ak.T @ r_x, boundary_ry=Ak.T @ r_y)
     values = pb.evaluate(basis, at_quad)[:, :nk]
-    return dict(operators=ops, mass=mass, stiffness=A.T @ stiff_o @ A,
+    return dict(layout=layout, area=area, edge_nodes=edge_nodes,
+                operators=ops, mass=mass, stiffness=A.T @ stiff_o @ A,
                 quad_values=np.ascontiguousarray(values),
                 member_integrals=quad.weights @ values)
 
@@ -390,16 +425,12 @@ def local_rhs(ctx, f):
     return F_u, F_b
 
 
-def build_blocks(ctx, config, f=None):
+def build_blocks(ctx, config, f=np.zeros_like):
     """One cell's blocks, unpadded: a dict of A_u, A_b, B_u, B_b, C_p,
     mean_weights, F_u and F_b."""
     A_u, A_b = local_a(ctx, config)
     B_u, B_b = local_b(ctx)
-    if f is not None:
-        F_u, F_b = local_rhs(ctx, f)
-    else:
-        F_u = np.zeros(A_u.shape[0])
-        F_b = np.zeros(A_b.shape[0])
+    F_u, F_b = local_rhs(ctx, f)
     return dict(A_u=A_u, A_b=A_b, B_u=B_u, B_b=B_b, C_p=local_c(ctx),
                 mean_weights=local_mean(ctx), F_u=F_u, F_b=F_b)
 

@@ -96,9 +96,10 @@ def test_poly_case_pressure_shift():
 
 
 def test_unknown_case():
-    with pytest.raises(KeyError):
-        an.get_case("test9")
-    with pytest.raises(ValueError):
+    for name in ("test9", "patch_kx", "patch_k", "patch_k-1"):
+        with pytest.raises(ValueError, match=f"^unknown case '{name}'$"):
+            an.get_case(name)
+    with pytest.raises(ValueError, match="patch cases exist"):
         an.get_case("patch_k4")
 
 

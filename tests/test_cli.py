@@ -21,7 +21,16 @@ def test_unknown_case_exits_1(capsys):
     rc = cli.main(["solve", "--case", "test9", "--family", "hexagonal",
                    "--level", "1", "--k", "1"])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown case 'test9'\n"
+
+
+@pytest.mark.parametrize("name", ["patch_kx", "patch_k"])
+def test_unknown_patch_case_exits_1(name, capsys):
+    # these printed "invalid literal for int() with base 10"
+    rc = cli.main(["solve", "--case", name, "--family", "hexagonal",
+                   "--level", "1", "--k", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: unknown case '{name}'\n"
 
 
 def test_bad_family_exits_2():

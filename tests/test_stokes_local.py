@@ -18,7 +18,7 @@ PENTAGON = np.array([[0.0, 0.0], [0.7, 0.1], [1.1, 0.6], [0.5, 1.2],
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
-def _blocks(ctx, config=sl.StabilizationConfig(), f=None):
+def _blocks(ctx, config=sl.StabilizationConfig(), f=np.zeros_like):
     """One cell's blocks: build_blocks on a one-cell batch pads nothing."""
     b = sl.build_blocks(vs.build_batches([ctx]), config, f)
     return sl.LocalStokesBlocks(*(getattr(b, fd.name)[0]
@@ -55,9 +55,9 @@ def test_a_positive_semidefinite_with_constant_kernel(k):
     eigs = np.linalg.eigvalsh(A_u)
     assert eigs.min() > -1e-12
     # per-component constant velocity is in the kernel
-    n = ctx.layout.n_scalar
-    const = vs.interpolate_scalar(ctx, lambda p: np.ones(len(p)))
-    v = np.concatenate([const, np.zeros(n)])
+    (const,) = vs.interpolate_scalar(oracles.batch(ctx),
+                                     lambda p: np.ones(len(p)))
+    v = np.concatenate([const, np.zeros_like(const)])
     assert np.abs(A_u @ v).max() < 1e-12
 
 
@@ -73,8 +73,8 @@ def test_a_consistency_on_polynomials(k):
     rng = np.random.default_rng(k)
     p_co = rng.standard_normal(nk)
     q_co = rng.standard_normal(nk)
-    vp = np.concatenate([ops.dof_matrix @ p_co, np.zeros(ctx.layout.n_scalar)])
-    vq = np.concatenate([ops.dof_matrix @ q_co, np.zeros(ctx.layout.n_scalar)])
+    vp = np.concatenate([ops.dof_matrix @ p_co, np.zeros(el.layout.n_scalar)])
+    vq = np.concatenate([ops.dof_matrix @ q_co, np.zeros(el.layout.n_scalar)])
     want = p_co @ el.stiffness[:nk, :nk] @ q_co
     assert vp @ A_u @ vq == pytest.approx(want, rel=1e-10, abs=1e-11)
     # the complement term alone is exactly zero on polynomial DOF vectors
@@ -98,7 +98,7 @@ def test_c_positive_on_nonpolynomial_mode():
     # a single vertex hat on a pentagon at k=1 is not a polynomial
     ctx = vs.build_element(PENTAGON, 1)
     C = _blocks(ctx).C_p
-    q = np.zeros(ctx.layout.n_scalar)
+    q = np.zeros(len(C))
     q[0] = 1.0
     assert q @ C @ q > 1e-6
 
@@ -110,9 +110,10 @@ def test_b_consistency_polynomial_pair(k):
     ctx = vs.build_element(UNIT_SQUARE, k)
     B_u = _blocks(ctx).B_u
     # v = (x^k, 0), q = x^(k-1): int q div v = k int x^(2k-2)
-    ux = vs.interpolate_scalar(ctx, lambda p: p[:, 0] ** k)
-    uy = vs.interpolate_scalar(ctx, lambda p: np.zeros(len(p)))
-    qd = vs.interpolate_scalar(ctx, lambda p: p[:, 0] ** (k - 1))
+    batch = oracles.batch(ctx)
+    (ux,) = vs.interpolate_scalar(batch, lambda p: p[:, 0] ** k)
+    (uy,) = vs.interpolate_scalar(batch, lambda p: np.zeros(len(p)))
+    (qd,) = vs.interpolate_scalar(batch, lambda p: p[:, 0] ** (k - 1))
     vel = np.concatenate([ux, uy])
     val = qd @ (B_u @ vel)
     want = k * monomial_integral(UNIT_SQUARE, 2 * k - 2, 0)
@@ -124,7 +125,8 @@ def test_b_bubble_vanishes_for_low_order_pressure():
     ctx = vs.build_element(PENTAGON, 2)
     B_b = _blocks(ctx).B_b
     # constant pressure: zero pairing (bubbles vanish on the boundary)
-    qd = vs.interpolate_scalar(ctx, lambda p: np.ones(len(p)))
+    (qd,) = vs.interpolate_scalar(oracles.batch(ctx),
+                                  lambda p: np.ones(len(p)))
     assert np.abs(qd @ B_b).max() < 1e-12
 
 
@@ -157,13 +159,15 @@ def test_rhs_constant_forcing_partition_of_unity(k):
     ctx = vs.build_element(PENTAGON, k)
     c1, c2 = 2.0, -3.0
     F_u = _blocks(ctx, f=lambda p: np.tile([c1, c2], (len(p), 1))).F_u
-    n = ctx.layout.n_scalar
+    batch = oracles.batch(ctx)
+    (area,) = batch.area
     # partition of unity: DOFs of the constant 1 give sum_i dof_i(1) phi_i = 1
-    ones = vs.interpolate_scalar(ctx, lambda p: np.ones(len(p)))
+    (ones,) = vs.interpolate_scalar(batch, lambda p: np.ones(len(p)))
+    n = len(ones)
     got1 = ones @ F_u[:n]
     got2 = ones @ F_u[n:]
-    assert got1 == pytest.approx(c1 * ctx.area, rel=1e-12)
-    assert got2 == pytest.approx(c2 * ctx.area, rel=1e-12)
+    assert got1 == pytest.approx(c1 * area, rel=1e-12)
+    assert got2 == pytest.approx(c2 * area, rel=1e-12)
 
 
 def test_beta_sharp_adds_bubble_stabilization():
@@ -182,8 +186,8 @@ def test_build_blocks_shapes():
     ctx = vs.build_element(PENTAGON, 2)
     blocks = sl.build_blocks(vs.build_batches([ctx, small, ctx]),
                              f=lambda p: np.ones((len(p), 2)))
-    n = ctx.layout.n_scalar
-    nb = ctx.layout.n_bubble
+    lay = vs.build_layout(len(PENTAGON), 2)
+    n, nb = lay.n_scalar, lay.n_bubble
     assert blocks.A_u.shape == (3, 2 * n, 2 * n)
     assert blocks.A_b.shape == (3, 2 * nb, 2 * nb)
     assert blocks.B_u.shape == (3, n, 2 * n)
@@ -192,7 +196,7 @@ def test_build_blocks_shapes():
     assert blocks.mean_weights.shape == (3, n)
     assert blocks.F_u.shape == (3, 2 * n)
     assert blocks.F_b.shape == (3, 2 * nb)
-    m = small.layout.n_scalar
+    m = vs.build_layout(len(UNIT_SQUARE), 2).n_scalar
     one = _blocks(small, f=lambda p: np.ones((len(p), 2)))
     assert np.array_equal(blocks.A_u[1, :2 * m, :2 * m], one.A_u)
     assert not blocks.A_u[1, 2 * m:].any() and not blocks.A_u[1, :, 2 * m:].any()
@@ -224,7 +228,7 @@ def test_stacked_blocks_equal_per_cell_oracle(family):
                     vs.build_element(mesh.vertices[c], k, basis_kind=kind)
                     for c in mesh.cells])
                 elements = oracles.cell_elements(batches)
-                for beta, f in ((0.0, None), (1.0, forcing)):
+                for beta, f in ((0.0, np.zeros_like), (1.0, forcing)):
                     config = sl.StabilizationConfig(beta_sharp=beta)
                     blocks = sl.build_blocks(batches, config, f)
                     for c, ctx in elements:

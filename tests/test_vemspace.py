@@ -17,7 +17,7 @@ PENTAGON = np.array([[0.0, 0.0], [0.7, 0.1], [1.1, 0.6], [0.5, 1.2],
 
 
 def test_layout_counts():
-    lay = vs.build_layout(PENTAGON, 2)
+    lay = vs.build_layout(len(PENTAGON), 2)
     assert lay.n_vertex == 5
     assert lay.n_edge == 5          # one interior point per edge at k=2
     assert lay.n_moment == 1
@@ -27,7 +27,7 @@ def test_layout_counts():
 
 def test_layout_rejects_k0():
     with pytest.raises(ValueError):
-        vs.build_layout(PENTAGON, 0)
+        vs.build_layout(len(PENTAGON), 0)
 
 
 @pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
@@ -80,12 +80,13 @@ def test_pinabla_square_example():
 def test_pizero_is_l2_projection(k):
     # interpolate a non-polynomial and check quadrature orthogonality of
     # the residual moments encoded in the DOFs themselves
-    ctx = oracles.element(vs.build_element(UNIT_SQUARE, k))
+    batch = oracles.batch(vs.build_element(UNIT_SQUARE, k))
+    ctx = oracles.unstacked(batch, 0)
 
     def f(p):
         return np.sin(p[:, 0] + 0.5 * p[:, 1])
 
-    dofs = vs.interpolate_scalar(ctx, f)
+    (dofs,) = vs.interpolate_scalar(batch, f)
     coeffs = ctx.operators.pizero_k @ dofs
     # moments of the projection against the degree-(k-2) prefix must match
     # the moment DOFs exactly (they are shared data)
@@ -99,14 +100,15 @@ def test_pizero_is_l2_projection(k):
 @pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_interpolated_polynomial_projects_to_itself(k, kind):
-    ctx = oracles.element(vs.build_element(PENTAGON, k, basis_kind=kind))
+    batch = oracles.batch(vs.build_element(PENTAGON, k, basis_kind=kind))
+    ctx = oracles.unstacked(batch, 0)
     rng = np.random.default_rng(k)
     coeffs = rng.standard_normal(ctx.slice_hi)
 
     def f(p):
         return pb.evaluate(ctx.basis.prefix(k), p) @ coeffs
 
-    dofs = vs.interpolate_scalar(ctx, f)
+    (dofs,) = vs.interpolate_scalar(batch, f)
     assert ctx.operators.pizero_k @ dofs == pytest.approx(coeffs, rel=1e-9,
                                                           abs=1e-10)
     assert ctx.operators.pinabla_k @ dofs == pytest.approx(coeffs, rel=1e-9,
@@ -128,7 +130,7 @@ def test_bubble_projection_energy_orthogonal_to_pk(k):
 def test_bubble_projection_orthogonal_to_harmonics(k):
     # harmonic polynomials of degree <= k+2 pair to zero in energy
     ctx = oracles.element(vs.build_element(PENTAGON, k))
-    H = pb.harmonic_subspace(ctx.basis, k + 2)
+    H = oracles.harmonic_subspace(ctx.basis, k + 2)
     pair = H.T @ ctx.stiffness @ ctx.operators.bubble_pinabla
     scale = (np.linalg.norm(ctx.stiffness) * np.abs(H).max()
              * np.abs(ctx.operators.bubble_pinabla).max())
@@ -148,15 +150,15 @@ def test_bubble_pizero_moments(k):
 
 
 def test_edge_trace_dofs_ordering():
-    ctx = vs.build_element(UNIT_SQUARE, 3)
+    batch = oracles.batch(vs.build_element(UNIT_SQUARE, 3))
     # the first edge runs from vertex 0 to vertex 1; its k-1 interior nodes
     # are the Gauss-Lobatto points of the edge
     gl = geo.gauss_lobatto_points(4)[1:-1]
     want = np.column_stack([(gl + 1) / 2, np.zeros(2)])
-    assert ctx.edge_nodes.shape == (4, 2, 2)
-    assert ctx.edge_nodes[0] == pytest.approx(want)
+    assert batch.edge_nodes.shape == (1, 4, 2, 2)
+    assert batch.edge_nodes[0, 0] == pytest.approx(want)
     # and they carry scalar DOFs 4 and 5, after the four vertex DOFs
-    dofs = vs.interpolate_scalar(ctx, lambda p: p[:, 0] + 10 * p[:, 1])
+    (dofs,) = vs.interpolate_scalar(batch, lambda p: p[:, 0] + 10 * p[:, 1])
     assert dofs[:4] == pytest.approx([0.0, 1.0, 11.0, 10.0])
     assert dofs[4:6] == pytest.approx(want[:, 0])
 
@@ -187,7 +189,8 @@ def test_projector_identity_random_cells(verts, k):
 def test_stored_quadrature_values(kind, k):
     # the context keeps the degree-k values the blocks read, and
     # interpolation reads its moments from them with unchanged bits
-    ctx = oracles.element(vs.build_element(PENTAGON, k, basis_kind=kind))
+    batch = oracles.batch(vs.build_element(PENTAGON, k, basis_kind=kind))
+    ctx = oracles.unstacked(batch, 0)
     nk = ctx.slice_hi
     full = pb.evaluate(ctx.basis, ctx.quad.points)
     assert np.array_equal(ctx.quad_values, full[:, :nk])
@@ -203,7 +206,7 @@ def test_stored_quadrature_values(kind, k):
     want[:len(nodes)] = f(nodes)
     want[len(nodes):] = ((ctx.quad.weights * f(ctx.quad.points))
                          @ full[:, :lay.n_moment] / ctx.area)
-    assert np.array_equal(vs.interpolate_scalar(ctx, f), want)
+    assert np.array_equal(vs.interpolate_scalar(batch, f)[0], want)
 
 
 OPERATOR_FIELDS = ("pinabla_k", "pizero_k", "bubble_pinabla", "bubble_pizero_k",
@@ -213,8 +216,9 @@ OPERATOR_FIELDS = ("pinabla_k", "pizero_k", "bubble_pinabla", "bubble_pizero_k",
 
 @pytest.mark.parametrize("family", geo.MESH_FAMILIES)
 def test_batches_equal_per_cell_oracle(family):
-    # every operator, mass, stiffness, quad_values and member_integrals of
-    # the stacked batches equals the per-cell reference bit for bit; the
+    # every layout, area, edge node, operator, mass, stiffness, quad_values
+    # and member_integrals of the stacked batches equals the per-cell
+    # reference bit for bit; the
     # 224 hexagons of hexagonal L3 span several batches of one vertex count
     levels = (1, 2, 3) if family == "hexagonal" else (1, 2)
     for level in levels:
@@ -239,10 +243,35 @@ def test_batches_equal_per_cell_oracle(family):
                         assert np.array_equal(getattr(el.operators, name),
                                               getattr(want["operators"], name)), \
                             (where, name)
-                    for name in ("mass", "stiffness", "quad_values",
+                    for name in ("layout", "area", "edge_nodes", "mass",
+                                 "stiffness", "quad_values",
                                  "member_integrals"):
                         assert np.array_equal(getattr(el, name), want[name]), \
                             (where, name)
+
+
+@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
+def test_interpolate_scalar_equals_per_cell_oracle(family):
+    # one call of f on the nodes and one on the quadrature points of a whole
+    # batch give every cell the DOFs of the per-cell interpolation, bit for bit
+    def f(p):
+        return np.sin(3.0 * p[:, 0]) + p[:, 1] ** 3
+
+    for level in (1, 2):
+        mesh = geo.generate_mesh(family, level)
+        for k in (1, 2, 3, 4):
+            for kind in ("scaled_monomial", "l2_orthonormal"):
+                contexts = [vs.build_element(mesh.vertices[c], k,
+                                             basis_kind=kind)
+                            for c in mesh.cells]
+                for batch in vs.build_batches(contexts):
+                    dofs = vs.interpolate_scalar(batch, f)
+                    assert dofs.shape == (len(batch.cells),
+                                          batch.layout.n_scalar)
+                    for c, got in zip(batch.cells, dofs):
+                        want = oracles.interpolate_scalar(contexts[c], f)
+                        assert np.array_equal(got, want), \
+                            (family, level, k, kind, c)
 
 
 def test_build_batches_refuses_mixed_cells():
