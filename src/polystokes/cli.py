@@ -215,7 +215,7 @@ def main(argv=None):
                 "alpha-sweep": _cmd_alpha_sweep}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, geometry.MeshError) as exc:
+    except (ValueError, OSError) as exc:  # MeshError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
