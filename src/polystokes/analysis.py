@@ -197,7 +197,7 @@ def compute_errors(solution, case):
     for ctx in solution.batches:
         ids = ctx.cells
         gd = solution.dof_map.cell_dofs[ids, :ctx.layout.n_scalar]
-        pz = ctx.operators.pizero_k
+        pz = ctx.pizero_k
         cux = pz @ solution.ux[gd][:, :, None]      # (g, nk, 1)
         cuy = pz @ solution.uy[gd][:, :, None]
         cp = pz @ solution.p[gd][:, :, None]

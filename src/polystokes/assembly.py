@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 from . import polybasis as pb
 from .geometry import gauss_lobatto_points
 from .stokes_local import StabilizationConfig, build_blocks
-from .vemspace import build_batches, build_element
+from .vemspace import build_batches, build_element, check_degree
 
 __all__ = ["GlobalDofMap", "GlobalSystem", "Solution", "build_dof_map",
            "assemble", "solve", "solve_stokes",
@@ -79,8 +79,7 @@ class GlobalDofMap:
 
 def build_dof_map(mesh, k):
     """The DOF counts of the mesh at degree k and its cell→DOF table."""
-    if k < 1:
-        raise ValueError("degree must be >= 1")
+    check_degree(k)
     n_cells, n_moment = len(mesh.cells), pb.poly_dim(k - 2)
     nv = np.array([len(ring) for ring in mesh.cells])
     ring = np.concatenate(mesh.cells)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import analysis, assembly, geometry
 from .stokes_local import StabilizationConfig
+from .vemspace import check_degree
 
 BASIS_KINDS = {"monomial": "scaled_monomial", "ortho": "l2_orthonormal"}
 
@@ -36,14 +37,6 @@ def _basis_kind(name):
         raise ValueError(f"unknown basis {name!r}; choose from "
                          f"{', '.join(sorted(BASIS_KINDS))}")
     return BASIS_KINDS[name]
-
-
-def _mesh_family(name):
-    """name itself if it is one of the library's mesh families."""
-    if name not in geometry.MESH_FAMILIES:
-        raise ValueError(f"unknown mesh family {name!r}; choose from "
-                         f"{', '.join(geometry.MESH_FAMILIES)}")
-    return name
 
 
 def _parse_float_list(text):
@@ -174,10 +167,15 @@ def _cmd_solve(args):
 
 def _cmd_convergence(args):
     names = args.cases.split(",")
-    families = [_mesh_family(f) for f in args.families.split(",")]
+    families = args.families.split(",")
     levels = _parse_int_list(args.levels)
     k_list = _parse_int_list(args.k)
-    # every name is resolved before the first solve
+    # every family, level, degree and case is checked before the first solve
+    for family in families:
+        for level in levels:
+            geometry.check_mesh_level(family, level)
+    for k in k_list:
+        check_degree(k)
     cases = {(name, k): _case_for(name, k) for name in names for k in k_list}
     rows = []
     for name in names:
@@ -197,6 +195,11 @@ def _cmd_alpha_sweep(args):
     kinds = tuple(_basis_kind(b) for b in args.basis.split(","))
     alphas = (tuple(_parse_float_list(args.alphas)) if args.alphas
               else analysis.DEFAULT_ALPHAS)
+    # every degree and weight is checked before the first condition number
+    for k in k_list:
+        check_degree(k)
+    for alpha in alphas:
+        StabilizationConfig(alpha=alpha)
     rows = []
     for k in k_list:
         rows.extend(analysis.run_alpha_sweep(args.family, args.level, k,

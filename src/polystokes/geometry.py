@@ -19,6 +19,7 @@ __all__ = [
     "GeometryReport",
     "QuadratureRule",
     "generate_mesh",
+    "check_mesh_level",
     "import_mesh",
     "export_mesh",
     "validate_geometry",
@@ -32,11 +33,15 @@ __all__ = [
     "gauss_lobatto_points",
 ]
 
-MESH_FAMILIES = ("hexagonal", "voronoi", "random_polygons", "diamond")
-
 # lattice sizes reproducing the hexagonal mesh sequence counts
 # (level 1: 62 vertices / 91 edges / 30 cells, and so on)
 _HEX_LEVELS = {1: (5, 6), 2: (10, 12), 3: (15, 18), 4: (20, 23), 5: (40, 46), 6: (80, 93)}
+
+# the levels that generate_mesh supports for each family
+MESH_LEVELS = {"hexagonal": range(1, len(_HEX_LEVELS) + 1),
+               "voronoi": range(1, 5), "random_polygons": range(1, 7),
+               "diamond": range(1, 8)}
+MESH_FAMILIES = tuple(MESH_LEVELS)
 
 _MERGE_TOL = 1e-9
 
@@ -331,16 +336,12 @@ def _lloyd(points, iterations):
 
 
 def _hexagonal_mesh(level):
-    if level not in _HEX_LEVELS:
-        raise ValueError(f"hexagonal family supports levels {sorted(_HEX_LEVELS)}, got {level}")
     nx, ny = _HEX_LEVELS[level]
     polys = _clipped_voronoi_cells(_triangular_lattice(nx, ny))
     return build_mesh(*_mesh_from_polygons(polys), check_domain_area=1.0)
 
 
 def _voronoi_mesh(level, rng_seed):
-    if not 1 <= level <= 4:
-        raise ValueError(f"voronoi family supports levels 1..4, got {level}")
     n = 64 * 4 ** (level - 1)
     rng = np.random.default_rng(rng_seed)
     seeds = rng.uniform(0.02, 0.98, size=(n, 2))
@@ -350,8 +351,6 @@ def _voronoi_mesh(level, rng_seed):
 
 
 def _random_polygons_mesh(level, rng_seed):
-    if not 1 <= level <= 6:
-        raise ValueError(f"random_polygons family supports levels 1..6, got {level}")
     n = 64 * 2 ** (level - 1)
     rng = np.random.default_rng(rng_seed)
     seeds = rng.uniform(0.03, 0.97, size=(n, 2))
@@ -395,8 +394,6 @@ def _diamond_mesh(level):
     """Diamonds centred at the half-grid points (i, j), i + j odd, of an
     nx x 4nx grid; the corners of the cells on the sides lie outside the
     square and are dropped, which leaves triangles."""
-    if not 1 <= level <= 7:
-        raise ValueError(f"diamond family supports levels 1..7, got {level}")
     nx = 2 ** level
     ny = 4 * nx
     w, hh = 1.0 / nx, 1.0 / ny
@@ -413,17 +410,28 @@ def _diamond_mesh(level):
     return build_mesh(*_mesh_from_polygons(polys), check_domain_area=1.0)
 
 
+def check_mesh_level(family, level):
+    """Raise ValueError unless family is one of MESH_FAMILIES and level one
+    of its MESH_LEVELS."""
+    if family not in MESH_LEVELS:
+        raise ValueError(f"unknown mesh family {family!r}; choose from "
+                         f"{', '.join(MESH_FAMILIES)}")
+    levels = MESH_LEVELS[family]
+    if level not in levels:
+        raise ValueError(f"{family} family supports levels {levels[0]}.."
+                         f"{levels[-1]}, got {level}")
+
+
 def generate_mesh(family, level, rng_seed=0):
-    """Generate one of the four built-in mesh families on (0,1)^2."""
+    """Generate a MESH_FAMILIES mesh on (0,1)^2 at one of its MESH_LEVELS."""
+    check_mesh_level(family, level)
     if family == "hexagonal":
         return _hexagonal_mesh(level)
     if family == "voronoi":
         return _voronoi_mesh(level, rng_seed)
     if family == "random_polygons":
         return _random_polygons_mesh(level, rng_seed)
-    if family == "diamond":
-        return _diamond_mesh(level)
-    raise ValueError(f"unknown mesh family {family!r}; choose from {MESH_FAMILIES}")
+    return _diamond_mesh(level)
 
 
 # ---------------------------------------------------------------------------

@@ -219,25 +219,16 @@ def build_basis(powers, weights, kind="scaled_monomial"):
     return basis if kind == "scaled_monomial" else basis.orthonormal()
 
 
-def _powers(basis, at):
-    """at itself if it is a PowerTable (of the basis's cell, degree >=
-    basis.degree), else the table of the basis at the points at."""
-    if isinstance(at, PowerTable):
-        return at
-    return power_table(basis.degree, basis.centroid, basis.diameter,
-                       np.atleast_2d(at))
-
-
 def evaluate(basis, at):
-    """Member values at points, or at a PowerTable's points, shape
-    (n_points, dimension)."""
-    return _powers(basis, at).values(basis.degree) @ basis.change_of_basis
+    """Member values at the points of a PowerTable at (of the basis's cell,
+    degree >= basis.degree), shape (n_points, dimension)."""
+    return at.values(basis.degree) @ basis.change_of_basis
 
 
 def gradient(basis, at):
-    """Member gradients at points, or at a PowerTable's points, shape
-    (n_points, dimension, 2)."""
-    G = _powers(basis, at).gradients(basis.degree)
+    """Member gradients at the points of a PowerTable at, as evaluate,
+    shape (n_points, dimension, 2)."""
+    G = at.gradients(basis.degree)
     C = basis.change_of_basis[..., None, :, :]
     return (G.swapaxes(-1, -2) @ C).swapaxes(-1, -2)
 
@@ -264,8 +255,8 @@ def derivative_matrices(basis):
 
 def stiffness(basis, weights, at):
     """Quadrature Gram matrix of the gradients of the basis members, from
-    the quadrature weights and its points (or their PowerTable); stacked
-    for a stacked basis, weights and table."""
+    the quadrature weights and the PowerTable at its points; stacked for a
+    stacked basis, weights and table."""
     G = gradient(basis, at) * np.sqrt(weights)[..., None, None]
     # (..., n_points, 2, n) -> (..., 2 n_points, n): one syrk per cell
     G = G.swapaxes(-1, -2).reshape(G.shape[:-3] + (-1, G.shape[-2]))

@@ -77,19 +77,18 @@ def _block_diag2(M):
 
 def _local_a(ctx, config):
     """Grad-grad blocks: consistency on the projections, dofi-dofi on the rest."""
-    ops = ctx.operators
-    nk = ctx.slice_hi
+    nk = pb.poly_dim(ctx.k)
     stiff_k = ctx.stiffness[:, :nk, :nk]
 
-    cons = _t(ops.pinabla_k) @ stiff_k @ ops.pinabla_k
-    comp = np.eye(ctx.layout.n_scalar) - ops.dof_matrix @ ops.pinabla_k
+    cons = _t(ctx.pinabla_k) @ stiff_k @ ctx.pinabla_k
+    comp = np.eye(ctx.layout.n_scalar) - ctx.dof_matrix @ ctx.pinabla_k
     A_sc = cons + _t(comp) @ comp
     A_u = _block_diag2(A_sc)
 
-    cons_b = _t(ops.bubble_pinabla) @ ctx.stiffness @ ops.bubble_pinabla
+    cons_b = _t(ctx.bubble_pinabla) @ ctx.stiffness @ ctx.bubble_pinabla
     if config.beta_sharp > 0:
         comp_b = (np.eye(ctx.layout.n_bubble)
-                  - ops.bubble_dof_matrix @ ops.bubble_pinabla)
+                  - ctx.bubble_dof_matrix @ ctx.bubble_pinabla)
         cons_b = cons_b + config.beta_sharp * _t(comp_b) @ comp_b
     A_b = _block_diag2(cons_b)
     return A_u, A_b
@@ -102,22 +101,20 @@ def _local_b(ctx):
     Pi0 v, boundary term from the edge traces); bubble part is the pure
     volume term since bubbles vanish on the cell boundary.
     """
-    ops = ctx.operators
-    nk = ctx.slice_hi
+    nk = pb.poly_dim(ctx.k)
     dx, dy = pb.derivative_matrices(ctx.basis.prefix(ctx.k))
     mass_k = ctx.mass[:, :nk, :nk]
-    r_x, r_y = ops.boundary_rx, ops.boundary_ry
 
-    pz = ops.pizero_k
+    pz = ctx.pizero_k
     vol_x = _t(pz) @ (_t(dx) @ mass_k) @ pz      # (g, n_sc, n_sc)
     vol_y = _t(pz) @ (_t(dy) @ mass_k) @ pz
-    bnd_x = _t(pz) @ r_x
-    bnd_y = _t(pz) @ r_y
+    bnd_x = _t(pz) @ ctx.boundary_rx
+    bnd_y = _t(pz) @ ctx.boundary_ry
     B_u = np.concatenate([bnd_x - vol_x, bnd_y - vol_y], axis=-1)
 
-    lo, hi = ctx.slice_lo, ctx.slice_hi
-    Bb_x = _cellwise(-ctx.area) * _t((dx @ pz)[:, lo:hi, :])   # (g, n_sc, 2k+1)
-    Bb_y = _cellwise(-ctx.area) * _t((dy @ pz)[:, lo:hi, :])
+    lo = ctx.layout.n_moment
+    Bb_x = _cellwise(-ctx.area) * _t((dx @ pz)[:, lo:nk, :])   # (g, n_sc, 2k+1)
+    Bb_y = _cellwise(-ctx.area) * _t((dy @ pz)[:, lo:nk, :])
     B_b = np.concatenate([Bb_x, Bb_y], axis=-1)
     return B_u, B_b
 
@@ -132,14 +129,13 @@ def _local_c(ctx):
     consistent with the L2 setting of the scheme.  Without it the
     stabilization is too strong by h^-2 and pollutes the velocity L2 rate.
     """
-    ops = ctx.operators
-    comp = np.eye(ctx.layout.n_scalar) - ops.dof_matrix @ ops.pizero_k
+    comp = np.eye(ctx.layout.n_scalar) - ctx.dof_matrix @ ctx.pizero_k
     return _cellwise(ctx.area) * (_t(comp) @ comp)
 
 
 def _local_mean(ctx):
     """Integral over the cell of the L2 projection of each scalar DOF basis."""
-    return _vecmat(ctx.member_integrals, ctx.operators.pizero_k)
+    return _vecmat(ctx.member_integrals, ctx.pizero_k)
 
 
 def _local_rhs(ctx, f):
@@ -148,13 +144,12 @@ def _local_rhs(ctx, f):
     f maps an (n, 2) point array to (n, 2) values; it is called once, on
     the quadrature points of all cells of the stack.
     """
-    ops = ctx.operators
     w = ctx.quad.weights
     pts = ctx.quad.points
     fv = f(pts.reshape(-1, 2)).reshape(pts.shape)
     phi = ctx.quad_values
-    pz_vals = phi @ ops.pizero_k              # (g, nq, n_sc)
-    bz_vals = phi @ ops.bubble_pizero_k       # (g, nq, 2k+1)
+    pz_vals = phi @ ctx.pizero_k              # (g, nq, n_sc)
+    bz_vals = phi @ ctx.bubble_pizero_k       # (g, nq, 2k+1)
     F_u = np.concatenate([_vecmat(w * fv[..., 0], pz_vals),
                           _vecmat(w * fv[..., 1], pz_vals)], axis=-1)
     F_b = np.concatenate([_vecmat(w * fv[..., 0], bz_vals),

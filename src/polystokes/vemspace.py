@@ -40,12 +40,12 @@ from .geometry import (
 
 __all__ = [
     "LocalDofLayout",
-    "LocalOperators",
     "ElementContext",
     "ElementBatch",
     "build_element",
     "build_batches",
     "build_layout",
+    "check_degree",
     "interpolate_scalar",
 ]
 
@@ -66,31 +66,6 @@ class LocalDofLayout:
 
 
 @dataclass(frozen=True)
-class LocalOperators:
-    """Projector and DOF matrices of a cell, stacked in an ElementBatch.
-
-    Per cell: pinabla_k: (dim P_k, n_scalar) energy projection of each
-    scalar DOF basis function; pizero_k: same shape, L2 projection;
-    bubble_pinabla: (dim P_{k+2}, 2k+1) energy projection of the bubble DOF
-    basis; bubble_pizero_k: (dim P_k, 2k+1); dof_matrix: (n_scalar, dim P_k)
-    DOF values of the polynomial members; bubble_dof_matrix: (2k+1,
-    dim P_{k+2}) bubble-moment values of the degree-(k+2) members;
-    boundary_rx, boundary_ry: (dim P_k, n_scalar) boundary integrals of each
-    scalar DOF basis function times each degree-k member times n_x, resp.
-    n_y.
-    """
-
-    pinabla_k: np.ndarray
-    pizero_k: np.ndarray
-    bubble_pinabla: np.ndarray
-    bubble_pizero_k: np.ndarray
-    dof_matrix: np.ndarray
-    bubble_dof_matrix: np.ndarray
-    boundary_rx: np.ndarray
-    boundary_ry: np.ndarray
-
-
-@dataclass(frozen=True)
 class ElementContext:
     """One cell's quadrature and basis: the per-cell inputs of build_batches."""
 
@@ -99,24 +74,14 @@ class ElementContext:
     basis: pb.PolyBasis          # degree k+2
     quad: object
 
-    @property
-    def slice_lo(self):
-        """Start of the degree-(k-1, k) slice of the basis, dim P_{k-2}."""
-        return pb.poly_dim(self.k - 2)
-
-    @property
-    def slice_hi(self):
-        """Its end, dim P_k."""
-        return pb.poly_dim(self.k)
-
 
 @dataclass(frozen=True)
 class ElementBatch(ElementContext):
-    """Cells of equal vertex count, stacked, with their operators.
+    """Cells of equal vertex count, stacked, with their projectors.
 
     Every array and float of the ElementContext fields, and every field
     added here but the layout, carries a leading cell axis; ints and
-    strings, equal within a batch, are kept once.
+    strings, equal within a batch, are kept once.  Shapes are per cell.
     """
 
     cells: np.ndarray            # positions in the list given to build_batches
@@ -125,9 +90,19 @@ class ElementBatch(ElementContext):
     edge_nodes: np.ndarray       # (n_edges, k-1, 2) interior trace nodes
     mass: np.ndarray             # (dim P_{k+2})^2 Gram matrices
     stiffness: np.ndarray
-    operators: LocalOperators
-    # (n_qpoints, dim P_k): the degree-k members of basis at quad.points,
-    # evaluate(basis, quad.points)[:, :dim P_k]
+    # energy and L2 projections of the scalar DOF basis functions
+    pinabla_k: np.ndarray        # (dim P_k, n_scalar)
+    pizero_k: np.ndarray         # (dim P_k, n_scalar)
+    # ... and of the bubble DOF basis functions
+    bubble_pinabla: np.ndarray   # (dim P_{k+2}, 2k+1)
+    bubble_pizero_k: np.ndarray  # (dim P_k, 2k+1)
+    dof_matrix: np.ndarray       # (n_scalar, dim P_k) DOFs of the P_k members
+    # (2k+1, dim P_{k+2}) bubble moments of the degree-(k+2) members
+    bubble_dof_matrix: np.ndarray
+    # (dim P_k, n_scalar) boundary integrals of each scalar DOF basis
+    # function times each degree-k member times n_x, resp. n_y
+    boundary_rx: np.ndarray
+    boundary_ry: np.ndarray
     quad_values: np.ndarray
     # (dim P_k,): their integrals, quad.weights @ quad_values
     member_integrals: np.ndarray
@@ -154,9 +129,14 @@ def _lagrange_matrix(k):
     return out
 
 
-def build_layout(n_vertex, k):
+def check_degree(k):
+    """Raise ValueError unless the degree k is at least 1."""
     if k < 1:
         raise ValueError("degree must be >= 1")
+
+
+def build_layout(n_vertex, k):
+    check_degree(k)
     return LocalDofLayout(k=k, n_vertex=n_vertex, n_edge=n_vertex * (k - 1),
                           n_moment=pb.poly_dim(k - 2), n_bubble=2 * k + 1)
 
@@ -352,17 +332,16 @@ def _build_batch(cells, ctx):
     bubble_pinabla = T @ np.linalg.solve(G2, RB) @ Sb
     bubble_pizero = area * T[:, :nk, sl] @ Sb
 
-    ops = LocalOperators(pinabla_k=pinabla, pizero_k=pizero,
-                         bubble_pinabla=bubble_pinabla,
-                         bubble_pizero_k=bubble_pizero,
-                         dof_matrix=D, bubble_dof_matrix=mass[:, sl, :] / area,
-                         boundary_rx=_t(Ak) @ r_x, boundary_ry=_t(Ak) @ r_y)
     values = pb.evaluate(basis, at_quad)[..., :nk]
     return ElementBatch(
         **{f.name: getattr(ctx, f.name)
            for f in dataclasses.fields(ElementContext)},
         cells=cells, layout=lay, area=cell_area, edge_nodes=edge_nodes,
-        mass=mass, stiffness=_t(A) @ stiff_o @ A, operators=ops,
+        mass=mass, stiffness=_t(A) @ stiff_o @ A,
+        pinabla_k=pinabla, pizero_k=pizero, bubble_pinabla=bubble_pinabla,
+        bubble_pizero_k=bubble_pizero, dof_matrix=D,
+        bubble_dof_matrix=mass[:, sl, :] / area,
+        boundary_rx=_t(Ak) @ r_x, boundary_ry=_t(Ak) @ r_y,
         quad_values=np.ascontiguousarray(values),
         # one gemv per cell on the strided slice: OpenBLAS's gemv rounds
         # differently on a contiguous matrix of fewer than 4 columns (k = 1)

@@ -110,19 +110,23 @@ def harmonic_subspace(basis, k):
     return solve_triangular(basis.change_of_basis, np.column_stack(cols))
 
 
+def table(basis, points):
+    """The PowerTable of a one-cell basis at points, of the basis's degree."""
+    return pb.power_table(basis.degree, basis.centroid, basis.diameter, points)
+
+
 def projector_defect(ctx):
     """Worst relative L2 error of Pi(m_j) - m_j over the degree-k members.
 
-    Both the elliptic and the L2 projector of a cell context are applied to
-    the DOFs of each basis member; the error is measured in the cell's mass
-    matrix and divided by the member's own L2 norm.
+    Both the elliptic and the L2 projector of a one-cell element are applied
+    to the DOFs of each basis member; the error is measured in the cell's
+    mass matrix and divided by the member's own L2 norm.
     """
-    ops = ctx.operators
-    nk = ctx.slice_hi
+    nk = pb.poly_dim(ctx.k)
     M = ctx.mass[:nk, :nk]
     worst = 0.0
-    for P in (ops.pinabla_k, ops.pizero_k):
-        E = P @ ops.dof_matrix - np.eye(nk)
+    for P in (ctx.pinabla_k, ctx.pizero_k):
+        E = P @ ctx.dof_matrix - np.eye(nk)
         num = np.sqrt(np.maximum(np.einsum("ij,ik,kj->j", E, M, E), 0.0))
         worst = max(worst, (num / np.sqrt(np.diag(M))).max())
     return worst
@@ -196,9 +200,9 @@ def batch(ctx):
 
 
 def element(ctx):
-    """One cell's ElementContext with its layout, area, edge nodes,
-    operators, mass, stiffness and quadrature values: the batch of that cell
-    alone, unstacked."""
+    """One cell's ElementContext with its layout, area, edge nodes, mass,
+    stiffness, projector and DOF matrices and quadrature values: the batch
+    of that cell alone, unstacked."""
     return unstacked(batch(ctx), 0)
 
 
@@ -254,16 +258,18 @@ def interpolate_scalar(ctx, f):
     dofs[:len(nodes)] = f(nodes)
     if layout.n_moment:
         vals = f(ctx.quad.points)
-        phi = pb.evaluate(ctx.basis, ctx.quad.points)[:, :layout.n_moment]
+        phi = pb.evaluate(ctx.basis, table(ctx.basis, ctx.quad.points))[
+            :, :layout.n_moment]
         dofs[len(nodes):] = (ctx.quad.weights * vals) @ phi / area
     return dofs
 
 
 def build_operators(ctx):
-    """One cell's layout, area, edge nodes, operators, mass, stiffness,
-    quadrature values and member integrals, computed for that cell alone:
-    the reference that the batches of vemspace.build_batches must equal bit
-    for bit.
+    """One cell's ElementBatch fields beyond the ElementContext ones but the
+    cell index (layout, area, edge nodes, mass, stiffness, projector and
+    DOF matrices, quadrature values and member integrals) as a dict,
+    computed for that cell alone: the reference that the batches of
+    vemspace.build_batches must equal bit for bit.
 
     Every Gram system is solved in the orthonormal basis q = m R^-1, and a
     projector is T Pi^orth S (see vemspace._build_batch).
@@ -303,8 +309,8 @@ def build_operators(ctx):
     r_y = (vals[:, :nk] * nrm[:, 1:]).T @ w_phi
 
     D = np.empty((nsc, nk))
-    D[:moment0] = pb.evaluate(basis.prefix(k),
-                              np.vstack([verts, edge_nodes.reshape(-1, 2)]))
+    D[:moment0] = pb.evaluate(basis.prefix(k), table(
+        basis.prefix(k), np.vstack([verts, edge_nodes.reshape(-1, 2)])))
     D[moment0:] = mass[:nlow, :nk] / area
 
     lap_k = pb.laplacian_in_lower_basis(ortho_k)
@@ -334,14 +340,13 @@ def build_operators(ctx):
     bubble_pinabla = T @ np.linalg.solve(G2, RB) @ Sb
     bubble_pizero = area * T[:nk, sl] @ Sb
 
-    ops = vs.LocalOperators(pinabla_k=pinabla, pizero_k=pizero,
-                            bubble_pinabla=bubble_pinabla,
-                            bubble_pizero_k=bubble_pizero,
-                            dof_matrix=D, bubble_dof_matrix=mass[sl, :] / area,
-                            boundary_rx=Ak.T @ r_x, boundary_ry=Ak.T @ r_y)
     values = pb.evaluate(basis, at_quad)[:, :nk]
     return dict(layout=layout, area=area, edge_nodes=edge_nodes,
-                operators=ops, mass=mass, stiffness=A.T @ stiff_o @ A,
+                mass=mass, stiffness=A.T @ stiff_o @ A,
+                pinabla_k=pinabla, pizero_k=pizero,
+                bubble_pinabla=bubble_pinabla, bubble_pizero_k=bubble_pizero,
+                dof_matrix=D, bubble_dof_matrix=mass[sl, :] / area,
+                boundary_rx=Ak.T @ r_x, boundary_ry=Ak.T @ r_y,
                 quad_values=np.ascontiguousarray(values),
                 member_integrals=quad.weights @ values)
 
@@ -362,64 +367,61 @@ def _block_diag2(M):
 
 
 def local_a(ctx, config):
-    ops = ctx.operators
-    nk = ctx.slice_hi
+    nk = pb.poly_dim(ctx.k)
     stiff_k = ctx.stiffness[:nk, :nk]
 
-    cons = ops.pinabla_k.T @ stiff_k @ ops.pinabla_k
-    comp = np.eye(ops.dof_matrix.shape[0]) - ops.dof_matrix @ ops.pinabla_k
+    cons = ctx.pinabla_k.T @ stiff_k @ ctx.pinabla_k
+    comp = np.eye(ctx.dof_matrix.shape[0]) - ctx.dof_matrix @ ctx.pinabla_k
     A_sc = cons + comp.T @ comp
     A_u = _block_diag2(A_sc)
 
-    cons_b = ops.bubble_pinabla.T @ ctx.stiffness @ ops.bubble_pinabla
+    cons_b = ctx.bubble_pinabla.T @ ctx.stiffness @ ctx.bubble_pinabla
     if config.beta_sharp > 0:
-        comp_b = np.eye(ctx.layout.n_bubble) - ops.bubble_dof_matrix @ ops.bubble_pinabla
+        comp_b = np.eye(ctx.layout.n_bubble) - ctx.bubble_dof_matrix @ ctx.bubble_pinabla
         cons_b = cons_b + config.beta_sharp * comp_b.T @ comp_b
     A_b = _block_diag2(cons_b)
     return A_u, A_b
 
 
 def local_b(ctx):
-    ops = ctx.operators
-    nk = ctx.slice_hi
+    nk = pb.poly_dim(ctx.k)
     dx, dy = pb.derivative_matrices(ctx.basis.prefix(ctx.k))
     mass_k = ctx.mass[:nk, :nk]
-    r_x, r_y = ops.boundary_rx, ops.boundary_ry
+    r_x, r_y = ctx.boundary_rx, ctx.boundary_ry
 
-    pz = ops.pizero_k
+    pz = ctx.pizero_k
     vol_x = pz.T @ (dx.T @ mass_k) @ pz
     vol_y = pz.T @ (dy.T @ mass_k) @ pz
     bnd_x = pz.T @ r_x
     bnd_y = pz.T @ r_y
     B_u = np.hstack([bnd_x - vol_x, bnd_y - vol_y])
 
-    lo, hi = ctx.slice_lo, ctx.slice_hi
-    Bb_x = -ctx.area * (dx @ pz)[lo:hi, :].T
-    Bb_y = -ctx.area * (dy @ pz)[lo:hi, :].T
+    lo = ctx.layout.n_moment
+    Bb_x = -ctx.area * (dx @ pz)[lo:nk, :].T
+    Bb_y = -ctx.area * (dy @ pz)[lo:nk, :].T
     B_b = np.hstack([Bb_x, Bb_y])
     return B_u, B_b
 
 
 def local_c(ctx):
-    ops = ctx.operators
-    comp = np.eye(ops.dof_matrix.shape[0]) - ops.dof_matrix @ ops.pizero_k
+    comp = np.eye(ctx.dof_matrix.shape[0]) - ctx.dof_matrix @ ctx.pizero_k
     return ctx.area * (comp.T @ comp)
 
 
 def local_mean(ctx):
-    nk = ctx.slice_hi
-    ints = ctx.quad.weights @ pb.evaluate(ctx.basis, ctx.quad.points)[:, :nk]
-    return ints @ ctx.operators.pizero_k
+    nk = pb.poly_dim(ctx.k)
+    phi = pb.evaluate(ctx.basis, table(ctx.basis, ctx.quad.points))[:, :nk]
+    ints = ctx.quad.weights @ phi
+    return ints @ ctx.pizero_k
 
 
 def local_rhs(ctx, f):
-    ops = ctx.operators
-    nk = ctx.slice_hi
+    nk = pb.poly_dim(ctx.k)
     w = ctx.quad.weights
     fv = f(ctx.quad.points)
-    phi = pb.evaluate(ctx.basis, ctx.quad.points)[:, :nk]
-    pz_vals = phi @ ops.pizero_k
-    bz_vals = phi @ ops.bubble_pizero_k
+    phi = pb.evaluate(ctx.basis, table(ctx.basis, ctx.quad.points))[:, :nk]
+    pz_vals = phi @ ctx.pizero_k
+    bz_vals = phi @ ctx.bubble_pizero_k
     F_u = np.concatenate([(w * fv[:, 0]) @ pz_vals, (w * fv[:, 1]) @ pz_vals])
     F_b = np.concatenate([(w * fv[:, 0]) @ bz_vals, (w * fv[:, 1]) @ bz_vals])
     return F_u, F_b
@@ -443,14 +445,14 @@ def compute_errors(mesh, solution, case):
     e0u = e1u = e0p = n0u = n1u = n0p = 0.0
     for c, ctx in cell_elements(solution.batches):
         gd = cell_scalar_dofs(mesh, dof_map, c)
-        ops = ctx.operators
-        cux = ops.pizero_k @ solution.ux[gd]
-        cuy = ops.pizero_k @ solution.uy[gd]
-        cp = ops.pizero_k @ solution.p[gd]
+        cux = ctx.pizero_k @ solution.ux[gd]
+        cuy = ctx.pizero_k @ solution.uy[gd]
+        cp = ctx.pizero_k @ solution.p[gd]
         pts, w = ctx.quad.points, ctx.quad.weights
         basis_k = ctx.basis.prefix(k)
-        phi = pb.evaluate(basis_k, pts)
-        gphi = pb.gradient(basis_k, pts)           # (nq, nk, 2)
+        at = table(basis_k, pts)
+        phi = pb.evaluate(basis_k, at)
+        gphi = pb.gradient(basis_k, at)            # (nq, nk, 2)
 
         u = case.velocity(pts)
         gu = case.grad_velocity(pts)

@@ -3,6 +3,9 @@
 import pytest
 
 from polystokes import cli
+from polystokes import geometry as geo
+from polystokes import vemspace as vs
+from polystokes.stokes_local import StabilizationConfig
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -138,6 +141,39 @@ def test_convergence_checks_names_before_solving(names, message, tmp_path,
                      "--output", str(out)]) == 1
     assert calls == []
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def _library_message(call, *args):
+    """The CLI's line for the ValueError that call(*args) raises."""
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    return f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("args, refusal", [
+    (["convergence", "--cases", "test1", "--families", "hexagonal",
+      "--levels", "1,2,7", "--k", "1"], (geo.generate_mesh, "hexagonal", 7)),
+    (["convergence", "--cases", "test1", "--families", "hexagonal",
+      "--levels", "1", "--k", "1,0"], (vs.check_degree, 0)),
+    (["alpha-sweep", "--family", "voronoi", "--level", "1", "--k", "1,0"],
+     (vs.check_degree, 0)),
+    (["alpha-sweep", "--family", "voronoi", "--level", "1", "--k", "1",
+      "--alphas", "1,10,-1"], (StabilizationConfig, -1.0)),
+], ids=["convergence-level", "convergence-k", "alpha-sweep-k",
+        "alpha-sweep-alpha"])
+def test_bad_input_refused_before_solving(args, refusal, tmp_path, capsys,
+                                          monkeypatch):
+    # these solved (or computed condition numbers for) every earlier row
+    # before refusing, and wrote no CSV
+    def reached(*args, **kwargs):
+        raise AssertionError("a study started before the input was checked")
+
+    monkeypatch.setattr(cli.analysis, "run_convergence", reached)
+    monkeypatch.setattr(cli.analysis, "run_alpha_sweep", reached)
+    out = tmp_path / "out.csv"
+    assert cli.main(args + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == _library_message(*refusal)
     assert not out.exists()
 
 

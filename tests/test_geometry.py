@@ -303,6 +303,23 @@ def test_unknown_family_raises():
         geo.generate_mesh("nope", 1)
 
 
+@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
+def test_generate_mesh_refuses_levels_outside_the_table(family, monkeypatch):
+    # the level is checked against MESH_LEVELS before any generator runs
+    def refuse(*args):
+        raise AssertionError("a mesh was generated")
+
+    for name in ("_hexagonal_mesh", "_voronoi_mesh", "_random_polygons_mesh",
+                 "_diamond_mesh"):
+        monkeypatch.setattr(geo, name, refuse)
+    levels = geo.MESH_LEVELS[family]
+    for level in (levels[0] - 1, levels[-1] + 1):
+        message = (rf"^{family} family supports levels "
+                   rf"{levels[0]}\.\.{levels[-1]}, got {level}$")
+        with pytest.raises(ValueError, match=message):
+            geo.generate_mesh(family, level)
+
+
 # ---------------------------------------------------------------------------
 # validation report
 # ---------------------------------------------------------------------------

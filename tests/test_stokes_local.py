@@ -67,19 +67,18 @@ def test_a_consistency_on_polynomials(k):
     # block reduces to the exact grad-grad pairing of the polynomials
     ctx = vs.build_element(PENTAGON, k)
     el = oracles.element(ctx)
-    ops = el.operators
-    nk = ctx.slice_hi
+    nk = pb.poly_dim(k)
     A_u = _blocks(ctx).A_u
     rng = np.random.default_rng(k)
     p_co = rng.standard_normal(nk)
     q_co = rng.standard_normal(nk)
-    vp = np.concatenate([ops.dof_matrix @ p_co, np.zeros(el.layout.n_scalar)])
-    vq = np.concatenate([ops.dof_matrix @ q_co, np.zeros(el.layout.n_scalar)])
+    vp = np.concatenate([el.dof_matrix @ p_co, np.zeros(el.layout.n_scalar)])
+    vq = np.concatenate([el.dof_matrix @ q_co, np.zeros(el.layout.n_scalar)])
     want = p_co @ el.stiffness[:nk, :nk] @ q_co
     assert vp @ A_u @ vq == pytest.approx(want, rel=1e-10, abs=1e-11)
     # the complement term alone is exactly zero on polynomial DOF vectors
-    comp = ops.dof_matrix @ ops.pinabla_k @ (ops.dof_matrix @ p_co) \
-        - ops.dof_matrix @ p_co
+    comp = el.dof_matrix @ el.pinabla_k @ (el.dof_matrix @ p_co) \
+        - el.dof_matrix @ p_co
     assert np.abs(comp).max() < 1e-11
 
 
@@ -89,8 +88,7 @@ def test_c_symmetric_and_polynomial_kernel(k):
     C = _blocks(ctx).C_p
     assert np.abs(C - C.T).max() <= 1e-14 * max(np.abs(C).max(), 1.0)
     rng = np.random.default_rng(7)
-    q = oracles.element(ctx).operators.dof_matrix @ rng.standard_normal(
-        ctx.slice_hi)
+    q = oracles.element(ctx).dof_matrix @ rng.standard_normal(pb.poly_dim(k))
     assert np.abs(C @ q).max() < 1e-11
 
 
@@ -215,29 +213,67 @@ def _mesh(family, level):
     return _MESHES[family, level]
 
 
+# The ElementBatch fields computed by the batch step: all but the cell
+# positions and the per-cell inputs of build_batches
+_BATCH_STEP_FIELDS = tuple(
+    f.name for f in dataclasses.fields(vs.ElementBatch)
+    if f.name != "cells"
+    and f.name not in {g.name for g in dataclasses.fields(vs.ElementContext)})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", geo.MESH_FAMILIES)
-def test_stacked_blocks_equal_per_cell_oracle(family):
-    # voronoi and random_polygons mix vertex counts in cell order, so the
-    # groups' results are scattered back to interleaved cells
+def test_element_sets_equal_per_cell_oracle(family, k):
+    # each (level, basis) element set is built once, and every stacked
+    # kernel that reads it equals the per-cell reference bit for bit: the
+    # batch step, interpolate_scalar and the local blocks.  voronoi and
+    # random_polygons mix vertex counts in cell order, so the groups'
+    # results are scattered back to interleaved cells; the 224 hexagons of
+    # hexagonal L3 span several batches of one vertex count
+    def g(p):
+        return np.sin(3.0 * p[:, 0]) + p[:, 1] ** 3
+
     forcing = get_case("test1").forcing
-    for level in (1, 2):
+    levels = (1, 2, 3) if family == "hexagonal" else (1, 2)
+    for level in levels:
         mesh = _mesh(family, level)
-        for k in (1, 2, 3, 4):
-            for kind in ("scaled_monomial", "l2_orthonormal"):
-                batches = vs.build_batches([
-                    vs.build_element(mesh.vertices[c], k, basis_kind=kind)
-                    for c in mesh.cells])
-                elements = oracles.cell_elements(batches)
-                for beta, f in ((0.0, np.zeros_like), (1.0, forcing)):
-                    config = sl.StabilizationConfig(beta_sharp=beta)
-                    blocks = sl.build_blocks(batches, config, f)
-                    for c, ctx in elements:
-                        want = oracles.build_blocks(ctx, config, f)
-                        for name, block in want.items():
-                            got = getattr(blocks, name)[c]
-                            inside = tuple(map(slice, block.shape))
-                            assert np.array_equal(got[inside], block), \
-                                (family, level, k, kind, beta, c, name)
-                            got = got.copy()
-                            got[inside] = 0.0
-                            assert not got.any()
+        for kind in ("scaled_monomial", "l2_orthonormal"):
+            contexts = [vs.build_element(mesh.vertices[c], k, basis_kind=kind)
+                        for c in mesh.cells]
+            batches = vs.build_batches(contexts)
+            assert all(len(b.cells) <= vs._BATCH for b in batches)
+            sizes = [b.layout.n_vertex for b in batches]
+            assert sizes == sorted(sizes)
+            if level == 3:
+                assert sizes.count(6) > 1
+            elements = oracles.cell_elements(batches)
+            assert [c for c, _ in elements] == list(range(len(mesh.cells)))
+            for c, el in elements:
+                want = oracles.build_operators(contexts[c])
+                assert sorted(want) == sorted(_BATCH_STEP_FIELDS)
+                for name in _BATCH_STEP_FIELDS:
+                    assert np.array_equal(getattr(el, name), want[name]), \
+                        (level, kind, c, name)
+            if level == 3:
+                continue
+
+            for batch in batches:
+                dofs = vs.interpolate_scalar(batch, g)
+                assert dofs.shape == (len(batch.cells), batch.layout.n_scalar)
+                for c, got in zip(batch.cells, dofs):
+                    want = oracles.interpolate_scalar(contexts[c], g)
+                    assert np.array_equal(got, want), (level, kind, c)
+
+            for beta, f in ((0.0, np.zeros_like), (1.0, forcing)):
+                config = sl.StabilizationConfig(beta_sharp=beta)
+                blocks = sl.build_blocks(batches, config, f)
+                for c, el in elements:
+                    want = oracles.build_blocks(el, config, f)
+                    for name, block in want.items():
+                        got = getattr(blocks, name)[c]
+                        inside = tuple(map(slice, block.shape))
+                        assert np.array_equal(got[inside], block), \
+                            (level, kind, beta, c, name)
+                        got = got.copy()
+                        got[inside] = 0.0
+                        assert not got.any()

@@ -34,10 +34,9 @@ def test_layout_rejects_k0():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_projectors_reproduce_polynomials(k, kind):
     ctx = oracles.element(vs.build_element(PENTAGON, k, basis_kind=kind))
-    ops = ctx.operators
-    nk = ctx.slice_hi
-    assert np.abs(ops.pinabla_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-11
-    assert np.abs(ops.pizero_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-11
+    nk = pb.poly_dim(k)
+    assert np.abs(ctx.pinabla_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-11
+    assert np.abs(ctx.pizero_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-11
 
 
 @pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
@@ -59,19 +58,19 @@ def test_projectors_on_star_cell_off_centroid_kernel(k):
     # quadrature fans from another kernel point
     verts = np.array([[0, 0], [3, 0], [3, 0.6], [1, 0.6], [1, 1.6], [0, 1.6]])
     ctx = oracles.element(vs.build_element(verts, k))
-    ops = ctx.operators
-    nk = ctx.slice_hi
-    assert np.abs(ops.pinabla_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-11
-    assert np.abs(ops.pizero_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-11
+    nk = pb.poly_dim(k)
+    assert np.abs(ctx.pinabla_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-11
+    assert np.abs(ctx.pizero_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-11
     assert projector_defect(ctx) <= 1e-11
 
 
 def test_pinabla_square_example():
     # unit square, k=1: vertex values (0,0,1,0) project to -1/4 + x/2 + y/2
     ctx = oracles.element(vs.build_element(UNIT_SQUARE, 1))
-    coef = ctx.operators.pinabla_k @ np.array([0.0, 0.0, 1.0, 0.0])
+    coef = ctx.pinabla_k @ np.array([0.0, 0.0, 1.0, 0.0])
     pts = np.array([[0.3, 0.4], [0.9, 0.1], [0.0, 0.0]])
-    got = pb.evaluate(ctx.basis.prefix(1), pts) @ coef
+    basis = ctx.basis.prefix(1)
+    got = pb.evaluate(basis, oracles.table(basis, pts)) @ coef
     want = -0.25 + pts[:, 0] / 2 + pts[:, 1] / 2
     assert got == pytest.approx(want, abs=1e-13)
 
@@ -87,12 +86,12 @@ def test_pizero_is_l2_projection(k):
         return np.sin(p[:, 0] + 0.5 * p[:, 1])
 
     (dofs,) = vs.interpolate_scalar(batch, f)
-    coeffs = ctx.operators.pizero_k @ dofs
+    coeffs = ctx.pizero_k @ dofs
     # moments of the projection against the degree-(k-2) prefix must match
     # the moment DOFs exactly (they are shared data)
-    nlow = ctx.slice_lo
+    nlow = ctx.layout.n_moment
     if nlow:
-        nk = ctx.slice_hi
+        nk = pb.poly_dim(k)
         moments = ctx.mass[:nlow, :nk] @ coeffs / ctx.area
         assert moments == pytest.approx(dofs[-nlow:], abs=1e-12)
 
@@ -103,16 +102,15 @@ def test_interpolated_polynomial_projects_to_itself(k, kind):
     batch = oracles.batch(vs.build_element(PENTAGON, k, basis_kind=kind))
     ctx = oracles.unstacked(batch, 0)
     rng = np.random.default_rng(k)
-    coeffs = rng.standard_normal(ctx.slice_hi)
+    coeffs = rng.standard_normal(pb.poly_dim(k))
+    basis = ctx.basis.prefix(k)
 
     def f(p):
-        return pb.evaluate(ctx.basis.prefix(k), p) @ coeffs
+        return pb.evaluate(basis, oracles.table(basis, p)) @ coeffs
 
     (dofs,) = vs.interpolate_scalar(batch, f)
-    assert ctx.operators.pizero_k @ dofs == pytest.approx(coeffs, rel=1e-9,
-                                                          abs=1e-10)
-    assert ctx.operators.pinabla_k @ dofs == pytest.approx(coeffs, rel=1e-9,
-                                                           abs=1e-10)
+    assert ctx.pizero_k @ dofs == pytest.approx(coeffs, rel=1e-9, abs=1e-10)
+    assert ctx.pinabla_k @ dofs == pytest.approx(coeffs, rel=1e-9, abs=1e-10)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -120,9 +118,9 @@ def test_bubble_projection_energy_orthogonal_to_pk(k):
     # grad of the projected bubble is orthogonal to grad P_k: the bubble
     # vanishes on the boundary and its P_(k-2) moments are zero
     ctx = oracles.element(vs.build_element(PENTAGON, k))
-    nk = ctx.slice_hi
-    pair = ctx.stiffness[:nk, :] @ ctx.operators.bubble_pinabla
-    scale = np.linalg.norm(ctx.stiffness) * np.abs(ctx.operators.bubble_pinabla).max()
+    nk = pb.poly_dim(k)
+    pair = ctx.stiffness[:nk, :] @ ctx.bubble_pinabla
+    scale = np.linalg.norm(ctx.stiffness) * np.abs(ctx.bubble_pinabla).max()
     assert np.abs(pair).max() <= 1e-12 * max(scale, 1.0)
 
 
@@ -131,21 +129,21 @@ def test_bubble_projection_orthogonal_to_harmonics(k):
     # harmonic polynomials of degree <= k+2 pair to zero in energy
     ctx = oracles.element(vs.build_element(PENTAGON, k))
     H = oracles.harmonic_subspace(ctx.basis, k + 2)
-    pair = H.T @ ctx.stiffness @ ctx.operators.bubble_pinabla
+    pair = H.T @ ctx.stiffness @ ctx.bubble_pinabla
     scale = (np.linalg.norm(ctx.stiffness) * np.abs(H).max()
-             * np.abs(ctx.operators.bubble_pinabla).max())
+             * np.abs(ctx.bubble_pinabla).max())
     assert np.abs(pair).max() <= 1e-12 * max(scale, 1.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_bubble_pizero_moments(k):
     ctx = oracles.element(vs.build_element(PENTAGON, k))
-    nk = ctx.slice_hi
-    lo, hi = ctx.slice_lo, ctx.slice_hi
-    got = ctx.mass[lo:hi, :nk] @ ctx.operators.bubble_pizero_k / ctx.area
+    nk = pb.poly_dim(k)
+    lo = ctx.layout.n_moment
+    got = ctx.mass[lo:nk, :nk] @ ctx.bubble_pizero_k / ctx.area
     assert np.abs(got - np.eye(ctx.layout.n_bubble)).max() < 1e-11
     if lo:
-        low = ctx.mass[:lo, :nk] @ ctx.operators.bubble_pizero_k / ctx.area
+        low = ctx.mass[:lo, :nk] @ ctx.bubble_pizero_k / ctx.area
         assert np.abs(low).max() < 1e-11
 
 
@@ -178,10 +176,9 @@ def star_polygons(draw):
 @settings(max_examples=20, deadline=None)
 def test_projector_identity_random_cells(verts, k):
     ctx = oracles.element(vs.build_element(verts, k))
-    ops = ctx.operators
-    nk = ctx.slice_hi
-    assert np.abs(ops.pinabla_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-9
-    assert np.abs(ops.pizero_k @ ops.dof_matrix - np.eye(nk)).max() < 1e-9
+    nk = pb.poly_dim(k)
+    assert np.abs(ctx.pinabla_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-9
+    assert np.abs(ctx.pizero_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
@@ -191,8 +188,8 @@ def test_stored_quadrature_values(kind, k):
     # interpolation reads its moments from them with unchanged bits
     batch = oracles.batch(vs.build_element(PENTAGON, k, basis_kind=kind))
     ctx = oracles.unstacked(batch, 0)
-    nk = ctx.slice_hi
-    full = pb.evaluate(ctx.basis, ctx.quad.points)
+    nk = pb.poly_dim(k)
+    full = pb.evaluate(ctx.basis, oracles.table(ctx.basis, ctx.quad.points))
     assert np.array_equal(ctx.quad_values, full[:, :nk])
     assert np.array_equal(ctx.member_integrals,
                           ctx.quad.weights @ full[:, :nk])
@@ -207,71 +204,6 @@ def test_stored_quadrature_values(kind, k):
     want[len(nodes):] = ((ctx.quad.weights * f(ctx.quad.points))
                          @ full[:, :lay.n_moment] / ctx.area)
     assert np.array_equal(vs.interpolate_scalar(batch, f)[0], want)
-
-
-OPERATOR_FIELDS = ("pinabla_k", "pizero_k", "bubble_pinabla", "bubble_pizero_k",
-                   "dof_matrix", "bubble_dof_matrix", "boundary_rx",
-                   "boundary_ry")
-
-
-@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
-def test_batches_equal_per_cell_oracle(family):
-    # every layout, area, edge node, operator, mass, stiffness, quad_values
-    # and member_integrals of the stacked batches equals the per-cell
-    # reference bit for bit; the
-    # 224 hexagons of hexagonal L3 span several batches of one vertex count
-    levels = (1, 2, 3) if family == "hexagonal" else (1, 2)
-    for level in levels:
-        mesh = geo.generate_mesh(family, level)
-        for k in (1, 2, 3, 4):
-            for kind in ("scaled_monomial", "l2_orthonormal"):
-                contexts = [vs.build_element(mesh.vertices[c], k,
-                                             basis_kind=kind)
-                            for c in mesh.cells]
-                batches = vs.build_batches(contexts)
-                assert all(len(b.cells) <= vs._BATCH for b in batches)
-                sizes = [b.layout.n_vertex for b in batches]
-                assert sizes == sorted(sizes)
-                if level == 3:
-                    assert sizes.count(6) > 1
-                elements = oracles.cell_elements(batches)
-                assert [c for c, _ in elements] == list(range(len(mesh.cells)))
-                for c, el in elements:
-                    want = oracles.build_operators(contexts[c])
-                    where = (family, level, k, kind, c)
-                    for name in OPERATOR_FIELDS:
-                        assert np.array_equal(getattr(el.operators, name),
-                                              getattr(want["operators"], name)), \
-                            (where, name)
-                    for name in ("layout", "area", "edge_nodes", "mass",
-                                 "stiffness", "quad_values",
-                                 "member_integrals"):
-                        assert np.array_equal(getattr(el, name), want[name]), \
-                            (where, name)
-
-
-@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
-def test_interpolate_scalar_equals_per_cell_oracle(family):
-    # one call of f on the nodes and one on the quadrature points of a whole
-    # batch give every cell the DOFs of the per-cell interpolation, bit for bit
-    def f(p):
-        return np.sin(3.0 * p[:, 0]) + p[:, 1] ** 3
-
-    for level in (1, 2):
-        mesh = geo.generate_mesh(family, level)
-        for k in (1, 2, 3, 4):
-            for kind in ("scaled_monomial", "l2_orthonormal"):
-                contexts = [vs.build_element(mesh.vertices[c], k,
-                                             basis_kind=kind)
-                            for c in mesh.cells]
-                for batch in vs.build_batches(contexts):
-                    dofs = vs.interpolate_scalar(batch, f)
-                    assert dofs.shape == (len(batch.cells),
-                                          batch.layout.n_scalar)
-                    for c, got in zip(batch.cells, dofs):
-                        want = oracles.interpolate_scalar(contexts[c], f)
-                        assert np.array_equal(got, want), \
-                            (family, level, k, kind, c)
 
 
 def test_build_batches_refuses_mixed_cells():
