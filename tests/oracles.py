@@ -199,6 +199,13 @@ def batch(ctx):
     return out
 
 
+def element_set(mesh, k, kind):
+    """Every cell's ElementContext on a mesh, and build_batches of them."""
+    contexts = [vs.build_element(mesh.vertices[c], k, basis_kind=kind)
+                for c in mesh.cells]
+    return contexts, vs.build_batches(contexts)
+
+
 def element(ctx):
     """One cell's ElementContext with its layout, area, edge nodes, mass,
     stiffness, projector and DOF matrices and quadrature values: the batch

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import oracles
-from polystokes import geometry as geo
 from polystokes import polybasis as pb
 from polystokes import stokes_local as sl
 from polystokes import vemspace as vs
@@ -204,76 +203,23 @@ def test_build_blocks_shapes():
     assert not blocks.F_u[1, 2 * m:].any()
 
 
-_MESHES = {}
-
-
-def _mesh(family, level):
-    if (family, level) not in _MESHES:
-        _MESHES[family, level] = geo.generate_mesh(family, level)
-    return _MESHES[family, level]
-
-
-# The ElementBatch fields computed by the batch step: all but the cell
-# positions and the per-cell inputs of build_batches
-_BATCH_STEP_FIELDS = tuple(
-    f.name for f in dataclasses.fields(vs.ElementBatch)
-    if f.name != "cells"
-    and f.name not in {g.name for g in dataclasses.fields(vs.ElementContext)})
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
-def test_element_sets_equal_per_cell_oracle(family, k):
-    # each (level, basis) element set is built once, and every stacked
-    # kernel that reads it equals the per-cell reference bit for bit: the
-    # batch step, interpolate_scalar and the local blocks.  voronoi and
-    # random_polygons mix vertex counts in cell order, so the groups'
-    # results are scattered back to interleaved cells; the 224 hexagons of
-    # hexagonal L3 span several batches of one vertex count
-    def g(p):
-        return np.sin(3.0 * p[:, 0]) + p[:, 1] ** 3
-
+def test_stacked_blocks_equal_per_cell_oracle(element_sets):
+    # voronoi and random_polygons mix vertex counts in cell order, so the
+    # groups' results are scattered back to interleaved cells
+    _, sets = element_sets
     forcing = get_case("test1").forcing
-    levels = (1, 2, 3) if family == "hexagonal" else (1, 2)
-    for level in levels:
-        mesh = _mesh(family, level)
-        for kind in ("scaled_monomial", "l2_orthonormal"):
-            contexts = [vs.build_element(mesh.vertices[c], k, basis_kind=kind)
-                        for c in mesh.cells]
-            batches = vs.build_batches(contexts)
-            assert all(len(b.cells) <= vs._BATCH for b in batches)
-            sizes = [b.layout.n_vertex for b in batches]
-            assert sizes == sorted(sizes)
-            if level == 3:
-                assert sizes.count(6) > 1
-            elements = oracles.cell_elements(batches)
-            assert [c for c, _ in elements] == list(range(len(mesh.cells)))
+    for key, (_, batches) in sets.items():
+        elements = oracles.cell_elements(batches)
+        for beta, f in ((0.0, np.zeros_like), (1.0, forcing)):
+            config = sl.StabilizationConfig(beta_sharp=beta)
+            blocks = sl.build_blocks(batches, config, f)
             for c, el in elements:
-                want = oracles.build_operators(contexts[c])
-                assert sorted(want) == sorted(_BATCH_STEP_FIELDS)
-                for name in _BATCH_STEP_FIELDS:
-                    assert np.array_equal(getattr(el, name), want[name]), \
-                        (level, kind, c, name)
-            if level == 3:
-                continue
-
-            for batch in batches:
-                dofs = vs.interpolate_scalar(batch, g)
-                assert dofs.shape == (len(batch.cells), batch.layout.n_scalar)
-                for c, got in zip(batch.cells, dofs):
-                    want = oracles.interpolate_scalar(contexts[c], g)
-                    assert np.array_equal(got, want), (level, kind, c)
-
-            for beta, f in ((0.0, np.zeros_like), (1.0, forcing)):
-                config = sl.StabilizationConfig(beta_sharp=beta)
-                blocks = sl.build_blocks(batches, config, f)
-                for c, el in elements:
-                    want = oracles.build_blocks(el, config, f)
-                    for name, block in want.items():
-                        got = getattr(blocks, name)[c]
-                        inside = tuple(map(slice, block.shape))
-                        assert np.array_equal(got[inside], block), \
-                            (level, kind, beta, c, name)
-                        got = got.copy()
-                        got[inside] = 0.0
-                        assert not got.any()
+                want = oracles.build_blocks(el, config, f)
+                for name, block in want.items():
+                    got = getattr(blocks, name)[c]
+                    inside = tuple(map(slice, block.shape))
+                    assert np.array_equal(got[inside], block), \
+                        (key, beta, c, name)
+                    got = got.copy()
+                    got[inside] = 0.0
+                    assert not got.any()

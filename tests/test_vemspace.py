@@ -1,5 +1,7 @@
 """Local spaces: DOF layouts, projectors, bubbles, interpolation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,57 @@ def test_stored_quadrature_values(kind, k):
     want[len(nodes):] = ((ctx.quad.weights * f(ctx.quad.points))
                          @ full[:, :lay.n_moment] / ctx.area)
     assert np.array_equal(vs.interpolate_scalar(batch, f)[0], want)
+
+
+# The ElementBatch fields computed by the batch step: all but the cell
+# positions and the per-cell inputs of build_batches
+_BATCH_STEP_FIELDS = tuple(
+    f.name for f in dataclasses.fields(vs.ElementBatch)
+    if f.name != "cells"
+    and f.name not in {g.name for g in dataclasses.fields(vs.ElementContext)})
+
+
+def test_batches_equal_per_cell_oracle(element_sets):
+    # every field the batch step computes equals the per-cell reference bit
+    # for bit; the 224 hexagons of hexagonal L3 span several batches of one
+    # vertex count
+    family, sets = element_sets
+    items = list(sets.items())
+    if family == "hexagonal":
+        mesh = geo.generate_mesh(family, 3)
+        items += [((3, k, kind), oracles.element_set(mesh, k, kind))
+                  for k in (1, 2, 3, 4)
+                  for kind in ("scaled_monomial", "l2_orthonormal")]
+    for key, (contexts, batches) in items:
+        assert all(len(b.cells) <= vs._BATCH for b in batches)
+        sizes = [b.layout.n_vertex for b in batches]
+        assert sizes == sorted(sizes)
+        if key[0] == 3:
+            assert sizes.count(6) > 1
+        elements = oracles.cell_elements(batches)
+        assert [c for c, _ in elements] == list(range(len(contexts)))
+        for c, el in elements:
+            want = oracles.build_operators(contexts[c])
+            assert sorted(want) == sorted(_BATCH_STEP_FIELDS)
+            for name in _BATCH_STEP_FIELDS:
+                assert np.array_equal(getattr(el, name), want[name]), \
+                    (key, c, name)
+
+
+def test_interpolate_scalar_equals_per_cell_oracle(element_sets):
+    # one call of f on the nodes and one on the quadrature points of a whole
+    # batch give every cell the DOFs of the per-cell interpolation, bit for bit
+    def f(p):
+        return np.sin(3.0 * p[:, 0]) + p[:, 1] ** 3
+
+    _, sets = element_sets
+    for key, (contexts, batches) in sets.items():
+        for batch in batches:
+            dofs = vs.interpolate_scalar(batch, f)
+            assert dofs.shape == (len(batch.cells), batch.layout.n_scalar)
+            for c, got in zip(batch.cells, dofs):
+                want = oracles.interpolate_scalar(contexts[c], f)
+                assert np.array_equal(got, want), (key, c)
 
 
 def test_build_batches_refuses_mixed_cells():
