@@ -3,8 +3,8 @@
 
 Prints one line per (family, level, k, basis) and output group: the cell
 blocks, the gathered system (k0, c_values, rhs, free, signs), the solution
-(ux, uy, p, bubbles) and the ErrorReport floats of the condensed `test1`
-solve, then the `cond` of every point of the benchmark's alpha sweep
+(ux, uy, p and the recovered bubbles) and the ErrorReport floats of the
+`test1` solve, then the `cond` of every point of the benchmark's alpha sweep
 (voronoi L1, mesh seed 0, k=1-2, both bases, the 13 default alphas), then
 one line per (family, level) for the mesh itself (vertices, rings,
 cell_edges, edges, boundary flags, cell areas and diameters, h).
@@ -74,8 +74,7 @@ def main():
             for k in KS:
                 for basis in BASES:
                     system = assemble(mesh, k, f=case.forcing,
-                                      g=case.velocity, basis_kind=basis,
-                                      condensed=True)
+                                      g=case.velocity, basis_kind=basis)
                     sol = solve(system)
                     rep = compute_errors(sol, case)
                     tag = f"{family} L{level} k={k} {basis}"

@@ -18,8 +18,9 @@ from numpy.polynomial import Polynomial
 
 from . import polybasis as pb
 from .assembly import assemble, condition_number, solve_stokes, with_alpha
-from .geometry import generate_mesh
+from .geometry import check_mesh_level, generate_mesh
 from .stokes_local import StabilizationConfig
+from .vemspace import check_degree
 
 __all__ = ["ManufacturedCase", "trig_case", "poly_case", "patch_case",
            "ErrorReport", "compute_errors", "run_convergence",
@@ -249,10 +250,14 @@ CONVERGENCE_FIELDS = ["family", "level", "k", "h", "n_dofs", "err0_u",
 
 def run_convergence(family, levels, k, case, basis_kind="scaled_monomial",
                     alpha=1.0, rng_seed=0, timings=True):
-    """Solve on a mesh sequence and tabulate errors and observed rates."""
+    """Solve on a mesh sequence and tabulate errors and observed rates; every
+    input is checked before the first mesh is generated."""
     if isinstance(case, str):
         case = get_case(case)
     config = StabilizationConfig(alpha=alpha)
+    for level in levels:
+        check_mesh_level(family, level)
+    check_degree(k)
     rows = []
     prev = None
     for level in levels:
@@ -283,12 +288,14 @@ ALPHA_FIELDS = ["basis", "k", "alpha", "cond"]
 def run_alpha_sweep(family, level, k, alphas=DEFAULT_ALPHAS,
                     basis_kinds=("scaled_monomial", "l2_orthonormal"),
                     rng_seed=0):
-    """Condition number of the reduced system over a stabilization sweep."""
+    """Condition number of the reduced system over a stabilization sweep;
+    every alpha and the degree are checked before the mesh is generated."""
+    configs = [StabilizationConfig(alpha=alpha) for alpha in alphas]
+    check_degree(k)
     mesh = generate_mesh(family, level, rng_seed=rng_seed)
     rows = []
     for kind in basis_kinds:
-        base = assemble(mesh, k, config=StabilizationConfig(alpha=alphas[0]),
-                        basis_kind=kind, condensed=True)
+        base = assemble(mesh, k, config=configs[0], basis_kind=kind)
         for alpha in alphas:
             system = with_alpha(base, alpha)
             rows.append({"basis": kind, "k": k, "alpha": alpha,

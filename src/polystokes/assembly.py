@@ -1,11 +1,10 @@
 """Global assembly, static condensation of bubbles, and the linear solve.
 
-Global unknown ordering (uncondensed): x-velocity scalar DOFs | y-velocity
-scalar DOFs | per-cell bubble DOFs (x bubbles then y bubbles within each
-cell) | pressure scalar DOFs | one Lagrange multiplier enforcing zero mean
-pressure.  Condensation removes the bubble range; each cell's bubble block
-is eliminated through its local Schur complement and recovered after the
-solve from the stored cell data.
+Global unknown ordering: x-velocity scalar DOFs | y-velocity scalar DOFs |
+pressure scalar DOFs | one Lagrange multiplier enforcing zero mean
+pressure.  The bubbles are not global unknowns: each cell's bubble block is
+eliminated through its local Schur complement (static condensation) and
+the bubbles are recovered after the solve from the stored cell data.
 
 Scalar DOFs are shared mesh entities: vertex values, k-1 interior
 Gauss-Lobatto values per edge (ordered along the edge from its lower to its
@@ -65,16 +64,9 @@ class GlobalDofMap:
                 + self.n_cells * self.n_moment)
 
     @property
-    def n_bubble(self):
-        """Bubble DOFs of all cells, 2k+1 per cell and component."""
-        return self.n_cells * 2 * (2 * self.k + 1)
-
-    def n_system(self, condensed):
-        n = 3 * self.n_scalar + 1
-        return n if condensed else n + self.n_bubble
-
-    def pressure_offset(self, condensed):
-        return 2 * self.n_scalar + (0 if condensed else self.n_bubble)
+    def n_system(self):
+        """Velocity, pressure and multiplier unknowns before elimination."""
+        return 3 * self.n_scalar + 1
 
 
 def build_dof_map(mesh, k):
@@ -107,7 +99,6 @@ class GlobalSystem:
     """Assembled, Dirichlet-eliminated linear system (plus cell data)."""
 
     config: StabilizationConfig
-    condensed: bool
     dof_map: GlobalDofMap
     matrix: sp.csc_matrix        # reduced system over the free unknowns
     rhs: np.ndarray = field(repr=False)
@@ -125,8 +116,7 @@ class GlobalSystem:
     k0: sp.csc_matrix = field(repr=False)
     c_positions: np.ndarray = field(repr=False)
     c_values: np.ndarray = field(repr=False)
-    # condensed: (inv(A_b) B_b^T, inv(A_b) F_b) per cell, padded like
-    # dof_map.cell_dofs; uncondensed: None
+    # (inv(A_b) B_b^T, inv(A_b) F_b) per cell, padded like dof_map.cell_dofs
     recovery: tuple = field(repr=False)
 
     @property
@@ -167,42 +157,34 @@ def _boundary_scalar_data(mesh, dof_map, g):
     return np.concatenate([idx, idx + dof_map.n_scalar]), vals.T.ravel()
 
 
-def _affine(dof_map, blocks, constrained, boundary_values, condensed):
+def _affine(dof_map, blocks, constrained, boundary_values):
     """rhs, free, signs, k0, c_positions, c_values and recovery of the
-    system in the given form, gathered once from the stacked cell blocks
-    (padded to the width of dof_map.cell_dofs)."""
+    condensed system, gathered once from the stacked cell blocks (padded to
+    the width of dof_map.cell_dofs)."""
     table = dof_map.cell_dofs
     n_sc, n_cells = dof_map.n_scalar, dof_map.n_cells
-    n_sys = dof_map.n_system(condensed)
+    n_sys = dof_map.n_system
     A_u, B_u, F_u, A_b, B_b, C_p, w, F_b = (
         blocks.A_u, blocks.B_u, blocks.F_u, blocks.A_b, blocks.B_b,
         blocks.C_p, blocks.mean_weights, blocks.F_b)
 
     # global index of each local slot; padding goes to n_sys.  A cell's
     # velocity slots are its x DOFs, its y DOFs, then the padding
-    prs = np.where(table < 0, n_sys, table + dof_map.pressure_offset(condensed))
+    prs = np.where(table < 0, n_sys, table + 2 * n_sc)
     cell, j = np.nonzero(table >= 0)
     vel = np.full((n_cells, 2 * table.shape[1]), n_sys)
     vel[cell, j] = table[cell, j]
     vel[cell, j + np.count_nonzero(table >= 0, axis=1)[cell]] = \
         table[cell, j] + n_sc
     mult = np.full((n_cells, 1), n_sys - 1)
-    if condensed:
-        # bubbles = inv(A_b) (F_b + B_b^T p), from one batched solve
-        rec = np.linalg.solve(A_b, np.concatenate(
-            [B_b.transpose(0, 2, 1), F_b[:, :, None]], axis=2))
-        recovery = (rec[:, :, :-1], rec[:, :, -1])
-        blocks = [(prs, prs, B_b @ recovery[0])]
-        loads = [(vel, F_u), (prs, -np.einsum("cib,cb->ci", B_b, recovery[1]))]
-    else:
-        recovery = None
-        bub = 2 * n_sc + np.arange(dof_map.n_bubble).reshape(n_cells, -1)
-        blocks = [(prs, prs, np.zeros_like(C_p)), (bub, bub, A_b),
-                  (bub, prs, -B_b.transpose(0, 2, 1)), (prs, bub, B_b)]
-        loads = [(vel, F_u), (bub, F_b)]
-    blocks += [(vel, vel, A_u), (vel, prs, -B_u.transpose(0, 2, 1)),
-               (prs, vel, B_u), (prs, mult, w[:, :, None]),
-               (mult, prs, w[:, None, :])]
+    # bubbles = inv(A_b) (F_b + B_b^T p), from one batched solve
+    rec = np.linalg.solve(A_b, np.concatenate(
+        [B_b.transpose(0, 2, 1), F_b[:, :, None]], axis=2))
+    recovery = (rec[:, :, :-1], rec[:, :, -1])
+    blocks = [(prs, prs, B_b @ recovery[0]), (vel, vel, A_u),
+              (vel, prs, -B_u.transpose(0, 2, 1)), (prs, vel, B_u),
+              (prs, mult, w[:, :, None]), (mult, prs, w[:, None, :])]
+    loads = [(vel, F_u), (prs, -np.einsum("cib,cb->ci", B_b, recovery[1]))]
 
     free = np.setdiff1d(np.arange(n_sys), constrained)
     n = len(free)
@@ -234,7 +216,7 @@ def _affine(dof_map, blocks, constrained, boundary_values, condensed):
     k0 = csc(*(np.concatenate(part) for part in
                zip(*(between_free(*block) for block in blocks))))
     C = csc(*between_free(prs, prs, C_p))
-    signs = np.where(free < dof_map.pressure_offset(condensed), 1.0, -1.0)
+    signs = np.where(free < 2 * n_sc, 1.0, -1.0)
     return (rhs, free, signs, k0, np.searchsorted(keys(k0), keys(C)), C.data,
             recovery)
 
@@ -256,28 +238,30 @@ def _element(mesh, c, k, basis_kind):
 
 
 def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,
-             config=StabilizationConfig(), basis_kind="scaled_monomial",
-             condensed=False):
-    """Assemble the global Stokes system (uncondensed by default).
+             config=StabilizationConfig(), basis_kind="scaled_monomial", *,
+             condensed=True):
+    """Assemble the global Stokes system with the bubbles condensed out.
 
     f: body force, (n, 2) points -> (n, 2) values (defaults to zero);
     g: Dirichlet velocity data with the same signature, imposed on the
     whole boundary (defaults to zero).
     """
+    # only bench/workloads.py passes condensed (True); ROADMAP item 1 drops it
+    if condensed is not True:
+        raise ValueError(f"only the condensed system is assembled; "
+                         f"condensed must be True, not {condensed!r}")
     dof_map = build_dof_map(mesh, k)
     batches = build_batches([_element(mesh, c, k, basis_kind)
                              for c in range(dof_map.n_cells)])
     constrained, values = _boundary_scalar_data(mesh, dof_map, g)
     # the cell blocks are dropped once gathered
     rhs, free, signs, k0, c_positions, c_values, recovery = _affine(
-        dof_map, build_blocks(batches, config, f), constrained, values,
-        condensed)
+        dof_map, build_blocks(batches, config, f), constrained, values)
     return GlobalSystem(
-        config=config, condensed=condensed, dof_map=dof_map,
-        matrix=_matrix(k0, c_positions, c_values, config.alpha), rhs=rhs,
-        free=free, constrained=constrained, boundary_values=values,
-        signs=signs, batches=batches, k0=k0, c_positions=c_positions,
-        c_values=c_values, recovery=recovery)
+        config=config, dof_map=dof_map, rhs=rhs, free=free, signs=signs,
+        matrix=_matrix(k0, c_positions, c_values, config.alpha),
+        constrained=constrained, boundary_values=values, batches=batches,
+        k0=k0, c_positions=c_positions, c_values=c_values, recovery=recovery)
 
 
 def with_alpha(system, alpha):
@@ -370,17 +354,13 @@ def solve(system):
 
     dof_map = system.dof_map
     n_sc = dof_map.n_scalar
-    full = np.empty(dof_map.n_system(system.condensed))
+    full = np.empty(dof_map.n_system)
     full[system.free] = x
     full[system.constrained] = system.boundary_values
-    p_off = dof_map.pressure_offset(system.condensed)
-    p = full[p_off:p_off + n_sc]
-    if system.condensed:
-        W, g = system.recovery
-        bubbles = g + np.einsum("cbi,ci->cb", W,
-                                np.append(p, 0.0)[dof_map.cell_dofs])
-    else:
-        bubbles = full[2 * n_sc:p_off].reshape(dof_map.n_cells, -1)
+    p = full[2 * n_sc:3 * n_sc]
+    W, g = system.recovery
+    bubbles = g + np.einsum("cbi,ci->cb", W,
+                            np.append(p, 0.0)[dof_map.cell_dofs])
     return Solution(dof_map=dof_map, ux=full[:n_sc], uy=full[n_sc:2 * n_sc],
                     p=p, bubbles=bubbles, multiplier=full[-1],
                     residual=float(res), n_dofs=system.n_dofs,
@@ -389,10 +369,9 @@ def solve(system):
 
 def solve_stokes(mesh, k, f=np.zeros_like, g=np.zeros_like,
                  config=StabilizationConfig(), basis_kind="scaled_monomial"):
-    """Assemble (condensed) and solve in one call."""
-    system = assemble(mesh, k, f=f, g=g, config=config, basis_kind=basis_kind,
-                      condensed=True)
-    return solve(system)
+    """Assemble and solve in one call."""
+    return solve(assemble(mesh, k, f=f, g=g, config=config,
+                          basis_kind=basis_kind))
 
 
 def condition_number(system):

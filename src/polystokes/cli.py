@@ -76,8 +76,6 @@ def _build_parser():
     slv.add_argument("--basis", choices=sorted(BASIS_KINDS),
                      help="polynomial basis (default: the library's, monomial)")
     slv.add_argument("--seed", type=int, default=0)
-    slv.add_argument("--no-condense", action="store_true",
-                     help="solve the monolithic system with explicit bubbles")
     slv.add_argument("--dump-matrix", metavar="PATH",
                      help="write the reduced system in Matrix Market format")
 
@@ -148,11 +146,12 @@ def _cmd_mesh(args):
 
 def _cmd_solve(args):
     case = _case_for(args.case, args.k)
-    mesh = geometry.generate_mesh(args.family, args.level, rng_seed=args.seed)
+    # the weights and the degree are checked before the mesh is generated
     config = StabilizationConfig(alpha=args.alpha, beta_sharp=args.beta_sharp)
+    check_degree(args.k)
+    mesh = geometry.generate_mesh(args.family, args.level, rng_seed=args.seed)
     system = assembly.assemble(mesh, args.k, f=case.forcing, g=case.velocity,
-                               config=config, condensed=not args.no_condense,
-                               **_basis_kwargs(args))
+                               config=config, **_basis_kwargs(args))
     if args.dump_matrix:
         assembly.export_matrix(system, args.dump_matrix)
     sol = assembly.solve(system)

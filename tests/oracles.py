@@ -8,11 +8,14 @@ library's fan-triangulation quadrature.
 import dataclasses
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import splu
 from scipy.spatial import Voronoi
 
 from polystokes import geometry as geo
 from polystokes import polybasis as pb
+from polystokes import stokes_local as sl
 from polystokes import vemspace as vs
 from polystokes.geometry import edge_quadrature, gauss_lobatto_points
 
@@ -177,6 +180,63 @@ def boundary_scalar_data(mesh, dof_map, g):
     vals = np.concatenate(vals)
     return (np.concatenate([idx, idx + dof_map.n_scalar]),
             np.concatenate([vals[:, 0], vals[:, 1]]))
+
+
+def uncondensed_solve(mesh, system, f, g):
+    """The Stokes problem of a library system solved with its bubbles kept
+    as unknowns.
+
+    The library's blocks of system.batches are scattered one cell at a time
+    into the ordering x velocity | y velocity | bubbles (x then y within
+    each cell) | pressure | multiplier; the velocity DOFs fixed by g are
+    eliminated, and the rest is solved by SuperLU with COLAMD and partial
+    pivoting, without refinement.  Returns ux, uy, p, the
+    (n_cells, 2(2k+1)) bubbles and the size of the solved system.
+    """
+    dof_map = system.dof_map
+    blocks = sl.build_blocks(system.batches, system.config, f)
+    n_sc, nb = dof_map.n_scalar, blocks.A_b.shape[1]
+    p_off = 2 * n_sc + dof_map.n_cells * nb
+    n = p_off + n_sc + 1
+    mult = np.array([n - 1])
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n)
+
+    def add(r, c, v):
+        rows.append(np.repeat(r, len(c)))
+        cols.append(np.tile(c, len(r)))
+        vals.append(np.ravel(v))
+
+    for c in range(dof_map.n_cells):
+        gd = cell_scalar_dofs(mesh, dof_map, c)
+        m = len(gd)
+        vel = np.concatenate([gd, gd + n_sc])
+        bub = 2 * n_sc + c * nb + np.arange(nb)
+        prs = p_off + gd
+        B_u, B_b = blocks.B_u[c, :m, :2 * m], blocks.B_b[c, :m]
+        w = blocks.mean_weights[c, :m]
+        add(vel, vel, blocks.A_u[c, :2 * m, :2 * m])
+        add(vel, prs, -B_u.T)
+        add(prs, vel, B_u)
+        add(bub, bub, blocks.A_b[c])
+        add(bub, prs, -B_b.T)
+        add(prs, bub, B_b)
+        add(prs, prs, system.config.alpha * blocks.C_p[c, :m, :m])
+        add(prs, mult, w)
+        add(mult, prs, w)
+        rhs[vel] += blocks.F_u[c, :2 * m]
+        rhs[bub] += blocks.F_b[c]
+    K = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    constrained, values = boundary_scalar_data(mesh, dof_map, g)
+    free = np.setdiff1d(np.arange(n), constrained)
+    x = np.zeros(n)
+    x[constrained] = values
+    x[free] = splu(K[free][:, free].tocsc()).solve(
+        rhs[free] - K[free][:, constrained] @ values)
+    return (x[:n_sc], x[n_sc:2 * n_sc], x[p_off:p_off + n_sc],
+            x[2 * n_sc:p_off].reshape(dof_map.n_cells, nb), len(free))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from polystokes import analysis as an
 from polystokes import assembly as asm
 from polystokes import geometry as geo
 from polystokes import polybasis as pb
+from polystokes import vemspace as vs
+from polystokes.stokes_local import StabilizationConfig
 
 ALL_CASES = ["test1", "test2", "patch_k1", "patch_k2", "patch_k3"]
 
@@ -209,9 +211,36 @@ def test_power_tables_once_per_point_set(monkeypatch):
     monkeypatch.setattr(pb, "_scaled_powers", counted)
     case = an.get_case("test1")
     mesh = geo.generate_mesh("hexagonal", 2)
-    system = asm.assemble(mesh, 3, f=case.forcing, g=case.velocity,
-                          condensed=True)
+    system = asm.assemble(mesh, 3, f=case.forcing, g=case.velocity)
     an.compute_errors(asm.solve(system), case)
     groups = len({len(ring) for ring in mesh.cells})
     assert len(calls) <= 3 * len(mesh.cells) + groups
     assert len(calls) == len(mesh.cells) + 4 * len(system.batches)
+
+
+@pytest.mark.parametrize("study, refusal", [
+    (lambda: an.run_alpha_sweep("voronoi", 1, 1, alphas=(1.0, 10.0, -1.0)),
+     (StabilizationConfig, -1.0)),
+    (lambda: an.run_alpha_sweep("voronoi", 1, 0), (vs.check_degree, 0)),
+    (lambda: an.run_convergence("hexagonal", [1, 2, 7], 1, "test1"),
+     (geo.check_mesh_level, "hexagonal", 7)),
+    (lambda: an.run_convergence("hexagonal", [1], 0, "test1"),
+     (vs.check_degree, 0)),
+], ids=["alpha-sweep-alpha", "alpha-sweep-k", "convergence-level",
+        "convergence-k"])
+def test_studies_refuse_bad_input_before_any_work(study, refusal,
+                                                  monkeypatch):
+    # these generated meshes and solved (or computed condition numbers for)
+    # every earlier level or alpha before refusing
+    call, *args = refusal
+    with pytest.raises(ValueError) as want:
+        call(*args)
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a study did work before its input was checked")
+
+    for name in ("generate_mesh", "solve_stokes", "condition_number"):
+        monkeypatch.setattr(an, name, reached)
+    with pytest.raises(ValueError) as got:
+        study()
+    assert str(got.value) == str(want.value)

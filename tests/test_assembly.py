@@ -15,7 +15,7 @@ from polystokes import polybasis as pb
 from polystokes.stokes_local import StabilizationConfig
 
 from oracles import (boundary_scalar_data, cell_elements, cell_scalar_dofs,
-                     dense_condition_number, table)
+                     dense_condition_number, table, uncondensed_solve)
 
 
 def _zero_g(p):
@@ -26,9 +26,7 @@ def test_dof_map_counts_hexagonal_level1_k1():
     mesh = geo.generate_mesh("hexagonal", 1)
     dm = asm.build_dof_map(mesh, 1)
     assert dm.n_scalar == 62                       # vertices only at k=1
-    assert dm.n_bubble == 30 * 2 * 3               # 2k+1 = 3 per component
-    assert dm.n_system(condensed=True) == 3 * 62 + 1
-    assert dm.n_system(condensed=False) == 3 * 62 + 1 + 180
+    assert dm.n_system == 3 * 62 + 1
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -38,6 +36,20 @@ def test_degree_below_one_is_refused_before_any_work(k):
         asm.build_dof_map(mesh, k)
     with pytest.raises(ValueError, match=r"^degree must be >= 1$"):
         asm.assemble(mesh, k)
+
+
+@pytest.mark.parametrize("condensed", [False, None])
+def test_condensed_keyword_refused_before_any_work(condensed, monkeypatch):
+    # only the condensed system is built; the keyword is kept for callers
+    # that pass condensed=True
+    def reached(*args, **kwargs):
+        raise AssertionError("an element was built before the refusal")
+
+    monkeypatch.setattr(asm, "build_element", reached)
+    mesh = geo.generate_mesh("hexagonal", 1)
+    with pytest.raises(ValueError, match=r"^only the condensed system is "
+                       r"assembled; condensed must be True, not "):
+        asm.assemble(mesh, 1, condensed=condensed)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -116,8 +128,8 @@ def test_dof_table_and_boundary_data_match_loops(family):
 def test_omitted_g_is_zero_data_on_the_whole_boundary():
     # without g no DOF was constrained, and the system was singular
     mesh = geo.generate_mesh("hexagonal", 1)
-    default = asm.assemble(mesh, 1, condensed=True)
-    zero = asm.assemble(mesh, 1, g=_zero_g, condensed=True)
+    default = asm.assemble(mesh, 1)
+    zero = asm.assemble(mesh, 1, g=_zero_g)
     _assert_identical(default, zero)
     assert np.array_equal(default.constrained, zero.constrained)
     assert np.array_equal(default.boundary_values, zero.boundary_values)
@@ -137,21 +149,20 @@ def test_zero_data_gives_zero_solution():
 def test_condensation_equivalence(k):
     mesh = geo.generate_mesh("hexagonal", 2)
     case = an.get_case("test1")
-    full, cond = (asm.assemble(mesh, k, f=case.forcing, g=case.velocity,
-                               condensed=condensed)
-                  for condensed in (False, True))
-    sol_full = asm.solve(full)
+    cond = asm.assemble(mesh, k, f=case.forcing, g=case.velocity)
     sol_cond = asm.solve(cond)
+    ux, uy, p, bubbles, n_full = uncondensed_solve(mesh, cond, case.forcing,
+                                                   case.velocity)
 
     def rel(a, b):
         return np.linalg.norm(np.ravel(a) - np.ravel(b)) / np.linalg.norm(np.ravel(b))
 
-    assert rel(np.r_[sol_full.ux, sol_full.uy],
-               np.r_[sol_cond.ux, sol_cond.uy]) < 1e-10
-    assert rel(sol_full.p, sol_cond.p) < 1e-10
-    assert rel(sol_full.bubbles, sol_cond.bubbles) < 1e-10
-    # condensation removes exactly the bubble unknowns
-    assert full.n_dofs - cond.n_dofs == full.dof_map.n_bubble
+    assert rel(np.r_[ux, uy], np.r_[sol_cond.ux, sol_cond.uy]) < 1e-10
+    assert rel(p, sol_cond.p) < 1e-10
+    assert rel(bubbles, sol_cond.bubbles) < 1e-10
+    # condensation removes exactly the bubble unknowns, 2k+1 per cell and
+    # component
+    assert n_full - cond.n_dofs == len(mesh.cells) * 2 * (2 * k + 1)
 
 
 def test_solver_residual_and_pressure_mean():
@@ -174,14 +185,14 @@ def test_solver_residual_and_pressure_mean():
 def test_matrix_symmetry_pattern():
     # sign-flipped pressure/multiplier rows make the reduced matrix symmetric
     mesh = geo.generate_mesh("hexagonal", 1)
-    system = asm.assemble(mesh, 1, g=_zero_g, condensed=True)
+    system = asm.assemble(mesh, 1, g=_zero_g)
     M = (sp.diags(system.signs) @ system.matrix).toarray()
     assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
 
 
 def test_a_block_spd_after_elimination():
     mesh = geo.generate_mesh("hexagonal", 1)
-    system = asm.assemble(mesh, 1, g=_zero_g, condensed=True)
+    system = asm.assemble(mesh, 1, g=_zero_g)
     n_free_vel = np.sum(system.free < 2 * system.dof_map.n_scalar)
     A = system.matrix.toarray()[:n_free_vel, :n_free_vel]
     eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
@@ -208,8 +219,7 @@ def test_condition_number_diag():
 def test_condition_number_pinned_regression():
     # hexagonal level 1, k=1, alpha=1, orthonormal basis; deterministic
     mesh = geo.generate_mesh("hexagonal", 1)
-    system = asm.assemble(mesh, 1, g=_zero_g, basis_kind="l2_orthonormal",
-                          condensed=True)
+    system = asm.assemble(mesh, 1, g=_zero_g, basis_kind="l2_orthonormal")
     got = asm.condition_number(system)
     assert got == pytest.approx(1546.2241757, rel=1e-6)
 
@@ -222,8 +232,7 @@ def sweep_systems():
     out = []
     for k in (1, 2):
         for basis in ("scaled_monomial", "l2_orthonormal"):
-            base = asm.assemble(mesh, k, g=_zero_g, basis_kind=basis,
-                                condensed=True)
+            base = asm.assemble(mesh, k, g=_zero_g, basis_kind=basis)
             out += [(f"{basis} k={k} alpha={alpha!r}",
                      asm.with_alpha(base, alpha))
                     for alpha in an.DEFAULT_ALPHAS]
@@ -243,7 +252,7 @@ def test_condition_number_matches_dense_oracle(sweep_systems):
 
 def test_condition_number_refuses_a_spoiled_factor(monkeypatch):
     mesh = geo.generate_mesh("hexagonal", 1)
-    system = asm.assemble(mesh, 1, g=_zero_g, condensed=True)
+    system = asm.assemble(mesh, 1, g=_zero_g)
     calls = _spy_splu(monkeypatch, first=_negated_factor)
     with pytest.raises(RuntimeError, match="backward error"):
         asm.condition_number(system)
@@ -272,20 +281,16 @@ def test_with_alpha_matches_fresh_assembly():
     for k, beta_sharp, data in ((1, 0.0, dict(g=_zero_g)),
                                 (2, 1.0, dict(f=case.forcing,
                                               g=case.velocity))):
-        def build(alpha, condensed):
+        def build(alpha):
             config = StabilizationConfig(alpha=alpha, beta_sharp=beta_sharp)
-            return asm.assemble(mesh, k, config=config, condensed=condensed,
-                                **data)
+            return asm.assemble(mesh, k, config=config, **data)
 
-        base = build(1.0, True)
-        _assert_identical(asm.with_alpha(base, 1e-3), build(1e-3, True))
-        _assert_identical(asm.with_alpha(build(1.0, False), 1e-3),
-                          build(1e-3, False))
+        _assert_identical(asm.with_alpha(build(1.0), 1e-3), build(1e-3))
 
 
 def test_solve_warns_on_bad_residual():
     mesh = geo.generate_mesh("hexagonal", 1)
-    system = asm.assemble(mesh, 1, g=_zero_g, condensed=True)
+    system = asm.assemble(mesh, 1, g=_zero_g)
     rhs = system.rhs.copy()
     rhs[0] = np.nan
     with pytest.warns(RuntimeWarning, match="residual"):
@@ -319,48 +324,40 @@ def _solve_quietly(system):
 def extreme_systems():
     """test1 systems where the no-pivot factor is least accurate: tiny alpha
     on the badly shaped random polygons, and the alpha and beta_sharp ends
-    on hexagons; (label, alpha, uncondensed and condensed system)
-    triples."""
+    on hexagons; (label, alpha, system) triples."""
     case = an.get_case("test1")
 
     def build(mesh, k, beta_sharp):
         config = StabilizationConfig(beta_sharp=beta_sharp)
-        return [asm.assemble(mesh, k, f=case.forcing, g=case.velocity,
-                             config=config, condensed=condensed)
-                for condensed in (False, True)]
-
-    def at(systems, alpha):
-        return [asm.with_alpha(system, alpha) for system in systems]
+        return asm.assemble(mesh, k, f=case.forcing, g=case.velocity,
+                            config=config)
 
     rp = build(geo.generate_mesh("random_polygons", 2, rng_seed=1), 3, 0.0)
     hexagons = geo.generate_mesh("hexagonal", 2)
-    out = [("random_polygons L2 k=3", 1e-15, at(rp, 1e-15))]
+    out = [("random_polygons L2 k=3", 1e-15, asm.with_alpha(rp, 1e-15))]
     for beta_sharp in (0.0, 1.0):
         hx = build(hexagons, 2, beta_sharp)
         out += [(f"hexagonal L2 k=2 beta_sharp={beta_sharp}", alpha,
-                 at(hx, alpha)) for alpha in (1e-15, 1.0, 1e3)]
+                 asm.with_alpha(hx, alpha)) for alpha in (1e-15, 1.0, 1e3)]
     return out
 
 
 def test_solve_symmetric_factor_at_the_extremes(extreme_systems, monkeypatch):
     # one no-pivot factor on the symmetric ordering, refined within the
-    # bound: no COLAMD fallback and no warning, condensed or not
-    for label, alpha, systems in extreme_systems:
-        for system in systems:
-            calls = _spy_splu(monkeypatch)
-            sol = _solve_quietly(system)
-            assert calls == [asm.FACTORIZATIONS[0]], label
-            assert sol.residual <= asm.RESIDUAL_BOUND, (label, alpha)
-            if alpha == 1.0:
-                # the pressure is well determined: same solution as COLAMD
-                # with partial pivoting (at tiny alpha only residuals tell)
-                monkeypatch.undo()
-                want = spla.splu(system.matrix).solve(system.rhs)
-                bubbles = [] if system.condensed else sol.bubbles.ravel()
-                got = np.r_[sol.ux, sol.uy, bubbles, sol.p,
-                            sol.multiplier][system.free]
-                assert np.linalg.norm(got - want) \
-                    <= 1e-10 * np.linalg.norm(want), label
+    # bound: no COLAMD fallback and no warning
+    for label, alpha, system in extreme_systems:
+        calls = _spy_splu(monkeypatch)
+        sol = _solve_quietly(system)
+        assert calls == [asm.FACTORIZATIONS[0]], label
+        assert sol.residual <= asm.RESIDUAL_BOUND, (label, alpha)
+        if alpha == 1.0:
+            # the pressure is well determined: same solution as COLAMD
+            # with partial pivoting (at tiny alpha only residuals tell)
+            monkeypatch.undo()
+            want = spla.splu(system.matrix).solve(system.rhs)
+            got = np.r_[sol.ux, sol.uy, sol.p, sol.multiplier][system.free]
+            assert np.linalg.norm(got - want) \
+                <= 1e-10 * np.linalg.norm(want), label
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -369,7 +366,7 @@ def test_solve_refines_an_inconsistent_rhs(k, monkeypatch):
     # Stokes problem; unrefined no-pivot solves of sweep matrices have
     # backward errors up to 0.16, and refinement brings them within the bound
     mesh = geo.generate_mesh("voronoi", 1)
-    base = asm.assemble(mesh, k, g=_zero_g, condensed=True)
+    base = asm.assemble(mesh, k, g=_zero_g)
     rng = np.random.default_rng(k)
     for alpha in (1e-6, 1e-2, 1.0):
         system = replace(asm.with_alpha(base, alpha),
@@ -393,8 +390,7 @@ def _singular_factor(splu, matrix, **options):
 def test_solve_falls_back_to_colamd(first, monkeypatch):
     mesh = geo.generate_mesh("hexagonal", 1)
     case = an.get_case("test1")
-    system = asm.assemble(mesh, 2, f=case.forcing, g=case.velocity,
-                          condensed=True)
+    system = asm.assemble(mesh, 2, f=case.forcing, g=case.velocity)
     calls = _spy_splu(monkeypatch, first=first)
     sol = _solve_quietly(system)
     assert calls == [asm.FACTORIZATIONS[0], {}]
@@ -405,7 +401,7 @@ def test_export_matrix(tmp_path):
     # the file lands at the path given, whatever its extension
     import scipy.io
     mesh = geo.generate_mesh("hexagonal", 1)
-    system = asm.assemble(mesh, 1, g=_zero_g, condensed=True)
+    system = asm.assemble(mesh, 1, g=_zero_g)
     for name in ("system.mtx", "K.txt"):
         path = tmp_path / name
         asm.export_matrix(system, path)
@@ -423,7 +419,7 @@ def test_reprs_do_not_grow_with_the_mesh():
     lengths = []
     for level in (1, 3):
         system = asm.assemble(geo.generate_mesh("hexagonal", level), 2,
-                              f=case.forcing, g=case.velocity, condensed=True)
+                              f=case.forcing, g=case.velocity)
         lengths.append((len(repr(system)), len(repr(_solve_quietly(system)))))
     (system_1, solution_1), (system_3, solution_3) = lengths
     assert abs(system_3 - system_1) <= 20
