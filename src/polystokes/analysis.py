@@ -258,6 +258,7 @@ def run_convergence(family, levels, k, case, basis_kind="scaled_monomial",
     for level in levels:
         check_mesh_level(family, level)
     check_degree(k)
+    pb.check_basis_kind(basis_kind)
     rows = []
     prev = None
     for level in levels:
@@ -289,9 +290,12 @@ def run_alpha_sweep(family, level, k, alphas=DEFAULT_ALPHAS,
                     basis_kinds=("scaled_monomial", "l2_orthonormal"),
                     rng_seed=0):
     """Condition number of the reduced system over a stabilization sweep;
-    every alpha and the degree are checked before the mesh is generated."""
+    every alpha, the degree and every basis kind are checked before the mesh
+    is generated."""
     configs = [StabilizationConfig(alpha=alpha) for alpha in alphas]
     check_degree(k)
+    for kind in basis_kinds:
+        pb.check_basis_kind(kind)
     mesh = generate_mesh(family, level, rng_seed=rng_seed)
     rows = []
     for kind in basis_kinds:

@@ -72,12 +72,11 @@ class GlobalDofMap:
 def build_dof_map(mesh, k):
     """The DOF counts of the mesh at degree k and its cell→DOF table."""
     check_degree(k)
-    n_cells, n_moment = len(mesh.cells), pb.poly_dim(k - 2)
-    nv = np.array([len(ring) for ring in mesh.cells])
-    ring = np.concatenate(mesh.cells)
-    edge = np.concatenate(mesh.cell_edges)
+    n_cells, n_moment = mesh.n_cells, pb.poly_dim(k - 2)
+    nv = mesh.cells.sizes
+    ring, edge = mesh.cells.values, mesh.cell_edges.values
     cell = np.repeat(np.arange(n_cells), nv)
-    pos = np.arange(len(ring)) - np.repeat(np.cumsum(nv) - nv, nv)
+    pos = np.arange(len(ring)) - mesh.cells.offsets[cell]
     table = np.full((n_cells, k * nv.max() + n_moment), -1, dtype=np.int64)
     table[cell, pos] = ring
     # k-1 edge nodes after the vertices, reversed where the ring traverses
@@ -250,6 +249,7 @@ def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,
     if condensed is not True:
         raise ValueError(f"only the condensed system is assembled; "
                          f"condensed must be True, not {condensed!r}")
+    pb.check_basis_kind(basis_kind)
     dof_map = build_dof_map(mesh, k)
     batches = build_batches([_element(mesh, c, k, basis_kind)
                              for c in range(dof_map.n_cells)])

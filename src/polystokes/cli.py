@@ -125,7 +125,7 @@ def _cmd_mesh(args):
                                       rng_seed=args.seed)
         geometry.export_mesh(mesh, args.output)
         print(f"wrote {args.output}: {mesh.n_vertices} vertices, "
-              f"{mesh.n_edges} edges, {len(mesh.cells)} cells, h={mesh.h:.6g}")
+              f"{mesh.n_edges} edges, {mesh.n_cells} cells, h={mesh.h:.6g}")
         return 0
     if args.input:
         mesh = geometry.import_mesh(args.input)
@@ -134,7 +134,7 @@ def _cmd_mesh(args):
                                       rng_seed=args.seed)
     report = geometry.validate_geometry(mesh)
     print(f"vertices={mesh.n_vertices} edges={mesh.n_edges} "
-          f"cells={len(mesh.cells)} h={mesh.h:.6g}")
+          f"cells={mesh.n_cells} h={mesh.h:.6g}")
     print(f"min star ratio={np.min(report.star_ratio):.6g} "
           f"min distance ratio={np.min(report.min_distance_ratio):.6g}")
     print(f"star violations={np.count_nonzero(report.star_violations)} "

@@ -8,6 +8,7 @@ random families draw from a seeded numpy Generator.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ from scipy.spatial import Voronoi
 
 __all__ = [
     "PolygonalMesh",
+    "Rings",
     "GeometryReport",
     "QuadratureRule",
     "generate_mesh",
@@ -81,13 +83,6 @@ def _first_appearance(rows):
     return number[inverse.ravel()], first[order]
 
 
-def _ring_groups(rings):
-    """Rings grouped by vertex count: (cell ids, (g, m) vertex indices) pairs."""
-    return [(ids, np.array([rings[i] for i in ids],
-                           dtype=np.int64).reshape(len(ids), m))
-            for m, ids in _size_groups([len(r) for r in rings])]
-
-
 def _shoelace(verts):
     """Ring coordinates, their successors and the shoelace cross terms."""
     x, y = verts[..., 0], verts[..., 1]
@@ -137,6 +132,45 @@ def _ring_is_simple(verts):
 # mesh container
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class Rings:
+    """Index rings stored flat: ring c is values[offsets[c]:offsets[c+1]].
+
+    ``groups`` holds the rings by vertex count, ascending: (ring ids,
+    (g, m) values) pairs.  Rings.of builds one.  Its arrays are read-only,
+    as a write through one ring would reach the array all rings share.
+    ``rings[c]`` is a view of ring c, and iteration yields them in order.
+    """
+
+    values: np.ndarray
+    offsets: np.ndarray
+    groups: tuple = field(repr=False)
+
+    @classmethod
+    def of(cls, values, sizes):
+        """The rings of the given vertex counts, back to back in values."""
+        values = np.asarray(values, dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        groups = tuple((ids, values[offsets[ids, None] + np.arange(m)])
+                       for m, ids in _size_groups(sizes))
+        for array in (values, offsets, *itertools.chain(*groups)):
+            array.flags.writeable = False
+        return cls(values, offsets, groups)
+
+    @property
+    def sizes(self):
+        return np.diff(self.offsets)
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    def __getitem__(self, c):
+        # range checks c, counts a negative c from the end, and its
+        # IndexError past the last ring ends iteration
+        c = range(len(self))[c]
+        return self.values[self.offsets[c]:self.offsets[c + 1]]
+
+
 @dataclass(frozen=True)
 class PolygonalMesh:
     """Planar polygonal subdivision with derived connectivity.
@@ -147,9 +181,9 @@ class PolygonalMesh:
     """
 
     vertices: np.ndarray
-    cells: list
+    cells: Rings
     edges: np.ndarray
-    cell_edges: list
+    cell_edges: Rings
     boundary_vertex_flags: np.ndarray
     boundary_edge_flags: np.ndarray
     h: float
@@ -176,7 +210,7 @@ def build_mesh(vertices, cells, check_domain_area=None):
     relative.
     """
     vertices, rings = _checked_input(vertices, cells)
-    if not rings:
+    if len(rings) == 0:
         raise MeshError("mesh has no cells")
 
     n_k = len(rings)
@@ -184,7 +218,7 @@ def build_mesh(vertices, cells, check_domain_area=None):
     diams = np.zeros(n_k)
     distinct = np.zeros(n_k, dtype=bool)
     simple = np.ones(n_k, dtype=bool)
-    for ids, ring in _ring_groups(rings):
+    for ids, ring in rings.groups:
         if ring.shape[1] < 3:
             continue
         poly = vertices[ring]
@@ -202,15 +236,13 @@ def build_mesh(vertices, cells, check_domain_area=None):
                             f"(area {areas[ci]:g})")
         raise MeshError(f"cell {ci}: ring is self-intersecting")
 
-    sizes = np.array([len(r) for r in rings])
-    ends = np.cumsum(sizes)
-    starts = np.concatenate(rings)
+    starts = rings.values
     successor = np.arange(1, len(starts) + 1)
-    successor[ends - 1] = ends - sizes
+    successor[rings.offsets[1:] - 1] = rings.offsets[:-1]
     sides = np.sort(np.column_stack([starts, starts[successor]]), axis=1)
     side_edge, first = _first_appearance(sides)
     edges = sides[first]
-    cell_edges = np.split(side_edge, ends[:-1])
+    cell_edges = Rings.of(side_edge, rings.sizes)
     counts = np.bincount(side_edge)
     if np.any(counts > 2):
         bad = int(np.argmax(counts > 2))
@@ -236,8 +268,9 @@ def build_mesh(vertices, cells, check_domain_area=None):
 
 
 def _checked_input(vertices, cells):
-    """Vertices as a finite (n, 2) float array and rings as int64 arrays of
-    indices in [0, n); raises MeshError on anything else."""
+    """Vertices as a finite (n, 2) float array and cells, Rings or a
+    sequence of rings, as Rings of indices in [0, n); raises MeshError on
+    anything else, naming the first bad cell."""
     try:
         vertices = np.asarray(vertices, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -246,22 +279,35 @@ def _checked_input(vertices, cells):
         raise MeshError("vertices must be a finite (n, 2) array, "
                         f"got shape {vertices.shape}")
     n = len(vertices)
-    try:
-        cells = list(cells)
-    except TypeError as exc:
-        raise MeshError(f"cells are not a sequence of rings: {exc}") from exc
-    rings = []
-    for ci, cell in enumerate(cells):
+    untyped = None   # the first cell that is not a ring of integer indices
+    if isinstance(cells, Rings):
+        rings = cells
+    else:
         try:
-            ring = np.asarray(cell)
-        except (TypeError, ValueError):
-            ring = None
-        if ring is None or ring.ndim != 1 or (ring.size and ring.dtype.kind not in "iu"):
-            raise MeshError(f"cell {ci}: ring must be a sequence of integer "
-                            "vertex indices")
-        if ring.size and (ring.min() < 0 or ring.max() >= n):
-            raise MeshError(f"cell {ci}: vertex index out of range [0, {n})")
-        rings.append(ring.astype(np.int64, copy=False))
+            cells = list(cells)
+        except TypeError as exc:
+            raise MeshError(f"cells are not a sequence of rings: {exc}") from exc
+        typed = []
+        for cell in cells:
+            try:
+                ring = np.asarray(cell)
+            except (TypeError, ValueError):
+                ring = None
+            if ring is None or ring.ndim != 1 or (ring.size and ring.dtype.kind not in "iu"):
+                untyped = len(typed)
+                break
+            typed.append(ring.astype(np.int64, copy=False))
+        rings = Rings.of(np.concatenate([np.empty(0, np.int64), *typed]),
+                         [len(r) for r in typed])
+    # an index out of range is reported for the first cell that has one,
+    # even when a later cell is not integer indices
+    outside = np.flatnonzero((rings.values < 0) | (rings.values >= n))
+    if outside.size:
+        ci = np.searchsorted(rings.offsets, outside[0], side="right") - 1
+        raise MeshError(f"cell {ci}: vertex index out of range [0, {n})")
+    if untyped is not None:
+        raise MeshError(f"cell {untyped}: ring must be a sequence of integer "
+                        "vertex indices")
     return vertices, rings
 
 
@@ -269,13 +315,13 @@ def _checked_input(vertices, cells):
 # generators
 # ---------------------------------------------------------------------------
 
-def _voronoi_groups(points):
+def _voronoi_cells(points):
     """Voronoi cells of points in (0,1)^2, clipped exactly to the square.
 
     Mirrors the generators across the four sides so every cell of an
     original point is bounded and its boundary pieces land on the square.
-    Returns the CCW cells grouped by vertex count: (point ids, (g, m, 2)
-    coordinates) pairs.
+    Returns the corners of the CCW cells, stacked as (N, 2) coordinates in
+    point order, and the Rings of their positions in that stack.
     """
     pts = np.asarray(points, dtype=float)
     mirrors = [pts * [-1.0, 1.0], pts * [1.0, -1.0],
@@ -283,36 +329,33 @@ def _voronoi_groups(points):
                np.column_stack([pts[:, 0], 2.0 - pts[:, 1]])]
     vor = Voronoi(np.vstack([pts] + mirrors))
     regions = [vor.regions[r] for r in vor.point_region[:len(pts)]]
-    groups = []
-    for ids, ring in _ring_groups(regions):
-        if (ring < 0).any():
-            raise MeshError("unbounded Voronoi cell; generator outside (0,1)^2?")
-        poly = vor.vertices[ring]
+    region_vertices = np.fromiter(itertools.chain.from_iterable(regions),
+                                  np.int64)
+    if (region_vertices < 0).any():
+        raise MeshError("unbounded Voronoi cell; generator outside (0,1)^2?")
+    corners = vor.vertices[region_vertices]
+    cells = Rings.of(np.arange(len(corners)), [len(r) for r in regions])
+    for _, at in cells.groups:
+        poly = corners[at]
         clockwise = polygon_area(poly) < 0
-        poly[clockwise] = poly[clockwise, ::-1]
-        # snap coordinates that should sit on the square boundary
-        poly = np.where(np.abs(poly) < _MERGE_TOL, 0.0, poly)
-        poly = np.where(np.abs(poly - 1.0) < _MERGE_TOL, 1.0, poly)
-        groups.append((ids, poly))
-    return groups
+        corners[at[clockwise]] = poly[clockwise, ::-1]
+    # snap coordinates that should sit on the square boundary
+    corners = np.where(np.abs(corners) < _MERGE_TOL, 0.0, corners)
+    corners = np.where(np.abs(corners - 1.0) < _MERGE_TOL, 1.0, corners)
+    return corners, cells
 
 
-def _clipped_voronoi_cells(points):
-    """The cells of _voronoi_groups as a list of (m, 2) rings in point order."""
-    polys = [None] * len(points)
-    for ids, poly in _voronoi_groups(points):
-        for i, p in zip(ids, poly):
-            polys[i] = p
-    return polys
+def _mesh_from_polygons(points, sizes):
+    """Merge polygons, their corners stacked as (N, 2) points with the
+    given vertex counts, into a shared-vertex mesh: (vertices, Rings).
 
-
-def _mesh_from_polygons(polys):
-    """Merge per-cell polygons into a shared-vertex mesh: points within
-    _MERGE_TOL share the first copy's vertex."""
-    points = np.concatenate(polys)
+    Points whose coordinates round to the same multiples of _MERGE_TOL
+    share the vertex of the first of them, at its coordinates.  Points
+    closer than _MERGE_TOL that round apart stay separate vertices.
+    """
     keys = np.rint(points / _MERGE_TOL).astype(np.int64)
     ids, first = _first_appearance(keys)
-    return points[first], np.split(ids, np.cumsum([len(p) for p in polys])[:-1])
+    return points[first], Rings.of(ids, sizes)
 
 
 def _triangular_lattice(nx, ny):
@@ -328,36 +371,36 @@ def _triangular_lattice(nx, ny):
 def _lloyd(points, iterations):
     pts = points
     for _ in range(iterations):
-        groups = _voronoi_groups(pts)
+        corners, cells = _voronoi_cells(pts)
         pts = np.empty(pts.shape)
-        for ids, poly in groups:
-            pts[ids] = polygon_centroid(poly)
+        for ids, at in cells.groups:
+            pts[ids] = polygon_centroid(corners[at])
     return pts
 
 
 def _hexagonal_mesh(level):
     nx, ny = _HEX_LEVELS[level]
-    polys = _clipped_voronoi_cells(_triangular_lattice(nx, ny))
-    return build_mesh(*_mesh_from_polygons(polys), check_domain_area=1.0)
+    corners, cells = _voronoi_cells(_triangular_lattice(nx, ny))
+    return build_mesh(*_mesh_from_polygons(corners, cells.sizes),
+                      check_domain_area=1.0)
 
 
 def _voronoi_mesh(level, rng_seed):
     n = 64 * 4 ** (level - 1)
     rng = np.random.default_rng(rng_seed)
     seeds = rng.uniform(0.02, 0.98, size=(n, 2))
-    seeds = _lloyd(seeds, LLOYD_ITERATIONS)
-    polys = _clipped_voronoi_cells(seeds)
-    return build_mesh(*_mesh_from_polygons(polys), check_domain_area=1.0)
+    corners, cells = _voronoi_cells(_lloyd(seeds, LLOYD_ITERATIONS))
+    return build_mesh(*_mesh_from_polygons(corners, cells.sizes),
+                      check_domain_area=1.0)
 
 
 def _random_polygons_mesh(level, rng_seed):
     n = 64 * 2 ** (level - 1)
     rng = np.random.default_rng(rng_seed)
     seeds = rng.uniform(0.03, 0.97, size=(n, 2))
-    polys = _clipped_voronoi_cells(seeds)
-    verts, rings = _mesh_from_polygons(polys)
-
-    base = build_mesh(verts, rings, check_domain_area=1.0)
+    corners, cells = _voronoi_cells(seeds)
+    base = build_mesh(*_mesh_from_polygons(corners, cells.sizes),
+                      check_domain_area=1.0)
     # split every interior edge at a randomly offset midpoint
     offsets = rng.uniform(-0.2, 0.2, size=base.n_edges)
     split = np.flatnonzero(~base.boundary_edge_flags)
@@ -370,15 +413,17 @@ def _random_polygons_mesh(level, rng_seed):
     new_verts = np.vstack([base.vertices, mids + offsets[split, None] * normal])
 
     # each ring vertex, then the midpoint of the side it starts if split
-    new_rings = [np.column_stack([r, mid_index[ce]]).ravel()
-                 for r, ce in zip(base.cells, base.cell_edges)]
-    new_rings = [r[r >= 0] for r in new_rings]
+    both = np.column_stack([base.cells.values,
+                            mid_index[base.cell_edges.values]]).ravel()
+    kept = both >= 0
+    # ring c's entries of both end at 2 offsets[c+1]
+    ends = np.cumsum(kept)[2 * base.cells.offsets[1:] - 1]
+    new_rings = Rings.of(both[kept], np.diff(ends, prepend=0))
 
     # damp offsets that break a centroid star-shaped fan
-    groups = _ring_groups(new_rings)
     for _ in range(60):
         bad = np.zeros(len(new_verts), dtype=bool)
-        for ids, ring in groups:
+        for ids, ring in new_rings.groups:
             poly = new_verts[ring]
             jac = _fan_jacobians(poly, polygon_centroid(poly)[:, None, :])
             bad[ring[jac.min(axis=(1, 2)) <= 1e-12]] = True
@@ -406,8 +451,8 @@ def _diamond_mesh(level):
                         np.column_stack([cx, cy + hh / 2])],  # top
                        axis=1)
     inside = ((corners >= 0.0) & (corners <= 1.0)).all(axis=-1)
-    polys = [c[keep] for c, keep in zip(corners, inside)]
-    return build_mesh(*_mesh_from_polygons(polys), check_domain_area=1.0)
+    return build_mesh(*_mesh_from_polygons(corners[inside], inside.sum(axis=1)),
+                      check_domain_area=1.0)
 
 
 def check_mesh_level(family, level):
@@ -549,7 +594,7 @@ def validate_geometry(mesh):
     """
     star = np.empty(mesh.n_cells)
     mind = np.empty(mesh.n_cells)
-    for ids, ring in _ring_groups(mesh.cells):
+    for ids, ring in mesh.cells.groups:
         diag = np.arange(ring.shape[1])
         for s in range(0, len(ids), _VALIDATE_BATCH):
             cells = ids[s:s + _VALIDATE_BATCH]

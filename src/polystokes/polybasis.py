@@ -25,6 +25,7 @@ __all__ = [
     "PowerTable",
     "IllConditionedBasisError",
     "poly_dim",
+    "check_basis_kind",
     "build_basis",
     "power_table",
     "evaluate",
@@ -201,6 +202,12 @@ def _monomial_factor(k, weights, powers):
     return np.copysign(1.0, np.diag(R))[:, None] * R
 
 
+def check_basis_kind(kind):
+    """Raise ValueError unless kind is one of BASIS_KINDS."""
+    if kind not in BASIS_KINDS:
+        raise ValueError(f"unknown basis kind {kind!r}")
+
+
 def build_basis(powers, weights, kind="scaled_monomial"):
     """Build the basis of degree powers.degree on the cell of a PowerTable.
 
@@ -210,8 +217,7 @@ def build_basis(powers, weights, kind="scaled_monomial"):
     R^-1, so its members are orthonormal in the quadrature inner product.
     Raises IllConditionedBasisError when R is numerically singular.
     """
-    if kind not in BASIS_KINDS:
-        raise ValueError(f"unknown basis kind {kind!r}")
+    check_basis_kind(kind)
     k = powers.degree
     R = _monomial_factor(k, weights, powers)
     basis = PolyBasis("scaled_monomial", k, powers.centroid, powers.diameter,

@@ -226,8 +226,14 @@ def test_power_tables_once_per_point_set(monkeypatch):
      (geo.check_mesh_level, "hexagonal", 7)),
     (lambda: an.run_convergence("hexagonal", [1], 0, "test1"),
      (vs.check_degree, 0)),
+    (lambda: an.run_alpha_sweep("voronoi", 1, 1, alphas=(1.0, 10.0),
+                                basis_kinds=("scaled_monomial", "nope")),
+     (pb.check_basis_kind, "nope")),
+    (lambda: an.run_convergence("hexagonal", [1, 2], 1, "test1",
+                                basis_kind="nope"),
+     (pb.check_basis_kind, "nope")),
 ], ids=["alpha-sweep-alpha", "alpha-sweep-k", "convergence-level",
-        "convergence-k"])
+        "convergence-k", "alpha-sweep-basis", "convergence-basis"])
 def test_studies_refuse_bad_input_before_any_work(study, refusal,
                                                   monkeypatch):
     # these generated meshes and solved (or computed condition numbers for)

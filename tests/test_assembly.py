@@ -52,6 +52,17 @@ def test_condensed_keyword_refused_before_any_work(condensed, monkeypatch):
         asm.assemble(mesh, 1, condensed=condensed)
 
 
+def test_bad_basis_kind_refused_before_any_work(monkeypatch):
+    # checked before the DOF map and the elements, so no cell is blamed
+    def reached(*args, **kwargs):
+        raise AssertionError("an element was built before the refusal")
+
+    monkeypatch.setattr(asm, "build_element", reached)
+    mesh = geo.generate_mesh("hexagonal", 1)
+    with pytest.raises(ValueError, match=r"^unknown basis kind 'nope'$"):
+        asm.assemble(mesh, 1, basis_kind="nope")
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_ill_conditioned_refusal_names_its_cell(k):
     sliver = geo.build_mesh([[0, 0], [1, 0], [2, 1e-13], [1, 1e-13]],

@@ -53,6 +53,14 @@ def test_mesh_generate_and_check(tmp_path, capsys):
     assert "vertices=62" in text
 
 
+def test_mesh_generate_prints_the_counts(tmp_path, capsys):
+    out = tmp_path / "mesh.json"
+    assert cli.main(["mesh", "generate", "--family", "diamond",
+                     "--level", "2", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == (f"wrote {out}: 149 vertices, "
+                                       "296 edges, 148 cells, h=0.25\n")
+
+
 def test_mesh_check_reports_bad_vertex_index(tmp_path, capsys):
     path = tmp_path / "mesh.json"
     path.write_text('{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], '

@@ -169,11 +169,12 @@ def test_mesh_from_polygons_merges_first_copies():
     # appeared and placed at its coordinates
     left = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
     right = np.array([[2, 0], [2, 1], [1, 1 + 1e-12], [1 - 1e-12, 0]])
-    verts, rings = geo._mesh_from_polygons([left, right])
+    verts, rings = geo._mesh_from_polygons(np.vstack([left, right]), [4, 4])
     assert np.array_equal(verts, np.vstack([left, [[2, 0], [2, 1.0]]]))
     assert [list(r) for r in rings] == [[0, 1, 2, 3], [4, 5, 2, 1]]
     # 1e-6 apart is beyond the merge tolerance: every point is its own vertex
-    verts, rings = geo._mesh_from_polygons([left, right + [1e-6, 0.0]])
+    verts, rings = geo._mesh_from_polygons(
+        np.vstack([left, right + [1e-6, 0.0]]), [4, 4])
     assert len(verts) == 8
     assert [list(r) for r in rings] == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
@@ -198,6 +199,26 @@ def test_build_mesh_rejects_bad_ring_index(ring):
 def test_build_mesh_rejects_bad_vertices(vertices):
     with pytest.raises(geo.MeshError, match="vertices"):
         geo.build_mesh(vertices, [[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("last", [[1, 2, 3, -1], [1.5, 2, 3, 4]],
+                         ids=["out-of-range", "fractional"])
+def test_build_mesh_names_the_first_bad_cell(last):
+    # cells of 4, 3 and 4 vertices: the first bad cell is found across the
+    # vertex-count groups, and before a later cell that is not integers
+    with pytest.raises(geo.MeshError,
+                       match=r"^cell 1: vertex index out of range \[0, 6\)$"):
+        geo.build_mesh(TWO_SQUARES, [[0, 1, 4, 5], [1, 2, 9], last])
+
+
+@pytest.mark.parametrize("name", ["cells", "cell_edges"])
+def test_mesh_rings_are_read_only(name):
+    # every ring is a view of one flat array shared by all rings
+    rings = getattr(geo.generate_mesh("hexagonal", 1), name)
+    with pytest.raises(ValueError, match="read-only"):
+        rings[3][0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        rings.values[0] = 0
 
 
 def test_import_mesh_rejects_bad_index(tmp_path):
