@@ -13,6 +13,15 @@ Run it on two checkouts with one BLAS thread and compare the outputs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digests.py
 
+The bit gate also compares the bytes of two CLI CSVs from the same
+checkouts:
+
+    PYTHONPATH=src python3 -m polystokes.cli convergence --cases test1 \
+        --families hexagonal --levels 1..3 --k 1,2,3 --no-timings \
+        --output conv.csv
+    PYTHONPATH=src python3 -m polystokes.cli alpha-sweep --family voronoi \
+        --level 1 --k 1..2 --output sweep.csv
+
 The cell blocks are rebuilt from the system's batches and hashed cell by
 cell without their zero padding.
 """
@@ -88,8 +97,7 @@ def main():
                                                   sol.bubbles))
                     print(tag, "errors", digest(np.array(
                         [rep.err0_u, rep.err1_u, rep.err0_p])))
-    for row in (run_alpha_sweep("voronoi", 1, 1)
-                + run_alpha_sweep("voronoi", 1, 2)):
+    for row in run_alpha_sweep("voronoi", 1, [1, 2]):
         print(f"alpha_sweep voronoi L1 k={row['k']} {row['basis']} "
               f"alpha={row['alpha']!r} cond {row['cond']!r}")
     for tag, mesh in meshes:

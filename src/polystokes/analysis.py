@@ -3,8 +3,8 @@
 Errors are computed against the cellwise L2 projections of the discrete
 solution (conforming velocity part and pressure); all norms are relative
 unless the exact norm vanishes, in which case the absolute error is
-reported.  The convergence and conditioning drivers write plain CSV files
-with one row per (mesh level) or (basis, alpha) combination.
+reported.  The convergence study and the conditioning sweep are one call
+each; write_csv writes their rows as plain CSV.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .stokes_local import StabilizationConfig
 from .vemspace import check_degree
 
 __all__ = ["ManufacturedCase", "trig_case", "poly_case", "patch_case",
-           "ErrorReport", "compute_errors", "run_convergence",
+           "case_for", "ErrorReport", "compute_errors", "run_convergence",
            "run_alpha_sweep", "write_csv", "DEFAULT_ALPHAS"]
 
 DEFAULT_ALPHAS = (1e-15, 1e-12, 1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1,
@@ -168,6 +168,14 @@ def get_case(name):
     raise ValueError(f"unknown case {name!r}")
 
 
+def case_for(case, k):
+    """The case to solve at degree k: the case of that name, where the name
+    "patch" means patch_k{k}, or a case that is not a name as given."""
+    if not isinstance(case, str):
+        return case
+    return get_case(f"patch_k{k}" if case == "patch" else case)
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     err0_u: float       # relative L2 velocity error of the projection
@@ -248,39 +256,53 @@ CONVERGENCE_FIELDS = ["family", "level", "k", "h", "n_dofs", "err0_u",
                       "seconds"]
 
 
+def _listed(value):
+    """value as a list: a list or tuple as it is, anything else as one item."""
+    return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
 def run_convergence(family, levels, k, case, basis_kind="scaled_monomial",
                     alpha=1.0, rng_seed=0, timings=True):
-    """Solve on a mesh sequence and tabulate errors and observed rates; every
-    input is checked before the first mesh is generated."""
-    if isinstance(case, str):
-        case = get_case(case)
+    """Solve on mesh sequences and tabulate errors and observed rates.
+
+    family, k and case (a ManufacturedCase or a name for case_for) are each
+    one value or a list.  Every input is checked before the first mesh, and
+    each (family, level) mesh is generated once, level by level.  Rows come
+    in the order case, family, k, level, with rates along each (case,
+    family, k) sequence; seconds cover assembly, solve and error norms.
+    """
+    families, ks = _listed(family), _listed(k)
+    for name in families:
+        for level in levels:
+            check_mesh_level(name, level)
+    for degree in ks:
+        check_degree(degree)
+    solves = [(c, d, degree, case_for(name, degree))
+              for c, name in enumerate(_listed(case))
+              for d, degree in enumerate(ks)]
     config = StabilizationConfig(alpha=alpha)
-    for level in levels:
-        check_mesh_level(family, level)
-    check_degree(k)
     pb.check_basis_kind(basis_kind)
-    rows = []
-    prev = None
-    for level in levels:
-        t0 = time.perf_counter()
-        mesh = generate_mesh(family, level, rng_seed=rng_seed)
-        sol = solve_stokes(mesh, k, f=case.forcing, g=case.velocity,
-                           config=config, basis_kind=basis_kind)
-        rep = compute_errors(sol, case)
-        seconds = time.perf_counter() - t0 if timings else 0.0
-        row = {
-            "family": family, "level": level, "k": k, "h": mesh.h,
-            "n_dofs": sol.n_dofs,
-            "err0_u": rep.err0_u, "err1_u": rep.err1_u, "err0_p": rep.err0_p,
-            "seconds": seconds,
-        }
-        for norm in ("0_u", "1_u", "0_p"):
-            row["rate" + norm] = (_rate(prev["err" + norm], prev["h"],
-                                        row["err" + norm], mesh.h)
-                                  if prev else float("nan"))
-        rows.append(row)
-        prev = row
-    return rows
+    series = {}     # (case, family, k) positions -> rows in level order
+    for f, name in enumerate(families):
+        for level in levels:
+            mesh = generate_mesh(name, level, rng_seed=rng_seed)
+            for c, d, degree, exact in solves:
+                t0 = time.perf_counter()
+                sol = solve_stokes(mesh, degree, f=exact.forcing,
+                                   g=exact.velocity, config=config,
+                                   basis_kind=basis_kind)
+                rep = compute_errors(sol, exact)
+                row = {"family": name, "level": level, "k": degree,
+                       "h": mesh.h, "n_dofs": sol.n_dofs, **vars(rep),
+                       "seconds": time.perf_counter() - t0 if timings else 0.0}
+                before = series.setdefault((c, f, d), [])
+                for norm in ("0_u", "1_u", "0_p"):
+                    row["rate" + norm] = (_rate(before[-1]["err" + norm],
+                                                before[-1]["h"],
+                                                row["err" + norm], mesh.h)
+                                          if before else float("nan"))
+                before.append(row)
+    return [row for key in sorted(series) for row in series[key]]
 
 
 ALPHA_FIELDS = ["basis", "k", "alpha", "cond"]
@@ -289,21 +311,26 @@ ALPHA_FIELDS = ["basis", "k", "alpha", "cond"]
 def run_alpha_sweep(family, level, k, alphas=DEFAULT_ALPHAS,
                     basis_kinds=("scaled_monomial", "l2_orthonormal"),
                     rng_seed=0):
-    """Condition number of the reduced system over a stabilization sweep;
-    every alpha, the degree and every basis kind are checked before the mesh
-    is generated."""
+    """Condition number of the reduced system over a stabilization sweep at
+    one degree k or a list of them; every input is checked before the one
+    mesh is generated.  Rows come in the order k, basis kind, alpha."""
+    ks = _listed(k)
+    for degree in ks:
+        check_degree(degree)
+    if len(alphas) == 0:
+        raise ValueError("no alphas given")
     configs = [StabilizationConfig(alpha=alpha) for alpha in alphas]
-    check_degree(k)
     for kind in basis_kinds:
         pb.check_basis_kind(kind)
     mesh = generate_mesh(family, level, rng_seed=rng_seed)
     rows = []
-    for kind in basis_kinds:
-        base = assemble(mesh, k, config=configs[0], basis_kind=kind)
-        for alpha in alphas:
-            system = with_alpha(base, alpha)
-            rows.append({"basis": kind, "k": k, "alpha": alpha,
-                         "cond": condition_number(system)})
+    for degree in ks:
+        for kind in basis_kinds:
+            base = assemble(mesh, degree, config=configs[0], basis_kind=kind)
+            for alpha in alphas:
+                system = with_alpha(base, alpha)
+                rows.append({"basis": kind, "k": degree, "alpha": alpha,
+                             "cond": condition_number(system)})
     return rows
 
 

@@ -39,10 +39,6 @@ def _basis_kind(name):
     return BASIS_KINDS[name]
 
 
-def _parse_float_list(text):
-    return [float(t) for t in text.split(",")]
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="polystokes",
@@ -113,12 +109,6 @@ def _basis_kwargs(args):
     return {} if args.basis is None else {"basis_kind": BASIS_KINDS[args.basis]}
 
 
-def _case_for(name, k):
-    if name == "patch":
-        name = f"patch_k{k}"
-    return analysis.get_case(name)
-
-
 def _cmd_mesh(args):
     if args.mesh_command == "generate":
         mesh = geometry.generate_mesh(args.family, args.level,
@@ -145,7 +135,7 @@ def _cmd_mesh(args):
 
 
 def _cmd_solve(args):
-    case = _case_for(args.case, args.k)
+    case = analysis.case_for(args.case, args.k)
     # the weights and the degree are checked before the mesh is generated
     config = StabilizationConfig(alpha=args.alpha, beta_sharp=args.beta_sharp)
     check_degree(args.k)
@@ -165,45 +155,22 @@ def _cmd_solve(args):
 
 
 def _cmd_convergence(args):
-    names = args.cases.split(",")
-    families = args.families.split(",")
-    levels = _parse_int_list(args.levels)
-    k_list = _parse_int_list(args.k)
-    # every family, level, degree and case is checked before the first solve
-    for family in families:
-        for level in levels:
-            geometry.check_mesh_level(family, level)
-    for k in k_list:
-        check_degree(k)
-    cases = {(name, k): _case_for(name, k) for name in names for k in k_list}
-    rows = []
-    for name in names:
-        for family in families:
-            for k in k_list:
-                rows.extend(analysis.run_convergence(
-                    family, levels, k, cases[name, k], alpha=args.alpha,
-                    rng_seed=args.seed, timings=not args.no_timings,
-                    **_basis_kwargs(args)))
+    rows = analysis.run_convergence(
+        args.families.split(","), _parse_int_list(args.levels),
+        _parse_int_list(args.k), args.cases.split(","), alpha=args.alpha,
+        rng_seed=args.seed, timings=not args.no_timings, **_basis_kwargs(args))
     analysis.write_csv(args.output, rows, analysis.CONVERGENCE_FIELDS)
     print(f"wrote {args.output}: {len(rows)} rows")
     return 0
 
 
 def _cmd_alpha_sweep(args):
-    k_list = _parse_int_list(args.k)
     kinds = tuple(_basis_kind(b) for b in args.basis.split(","))
-    alphas = (tuple(_parse_float_list(args.alphas)) if args.alphas
-              else analysis.DEFAULT_ALPHAS)
-    # every degree and weight is checked before the first condition number
-    for k in k_list:
-        check_degree(k)
-    for alpha in alphas:
-        StabilizationConfig(alpha=alpha)
-    rows = []
-    for k in k_list:
-        rows.extend(analysis.run_alpha_sweep(args.family, args.level, k,
-                                             alphas=alphas, basis_kinds=kinds,
-                                             rng_seed=args.seed))
+    alphas = (tuple(float(t) for t in args.alphas.split(","))
+              if args.alphas else analysis.DEFAULT_ALPHAS)
+    rows = analysis.run_alpha_sweep(args.family, args.level,
+                                    _parse_int_list(args.k), alphas=alphas,
+                                    basis_kinds=kinds, rng_seed=args.seed)
     analysis.write_csv(args.output, rows, analysis.ALPHA_FIELDS)
     print(f"wrote {args.output}: {len(rows)} rows")
     return 0

@@ -73,9 +73,12 @@ def _size_groups(sizes):
 
 
 def _first_appearance(rows):
-    """Number the distinct rows of an array in order of first appearance:
-    the number of every row and the position of each number's first row."""
-    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+    """Number distinct (n, 2) integer rows by first appearance: each row's
+    number and each number's first row.  Rows are coded as one int64, below
+    n_vertices² for ring sides and (1e9 + 1)² for rounded point keys."""
+    rows = rows - rows.min(axis=0)
+    codes = rows[:, 0] * (rows[:, 1].max() + 1) + rows[:, 1]
+    _, first, inverse = np.unique(codes, return_index=True,
                                   return_inverse=True)
     order = np.argsort(first)
     number = np.empty_like(order)

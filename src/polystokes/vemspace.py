@@ -130,7 +130,9 @@ def _lagrange_matrix(k):
 
 
 def check_degree(k):
-    """Raise ValueError unless the degree k is at least 1."""
+    """Raise ValueError unless the degree k is an integer of at least 1."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"degree must be an integer, not {k!r}")
     if k < 1:
         raise ValueError("degree must be >= 1")
 

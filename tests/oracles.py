@@ -593,6 +593,18 @@ def ring_is_simple(verts):
     return True
 
 
+def first_appearance(rows):
+    """The distinct rows of an array numbered in order of first appearance,
+    through a row-wise np.unique: the number of every row and the position
+    of each number's first row."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return number[inverse.ravel()], first[order]
+
+
 def build_mesh(vertices, cells, check_domain_area=None):
     """The mesh container with every check made cell by cell."""
     vertices = np.asarray(vertices, dtype=float)

@@ -147,6 +147,51 @@ def test_run_alpha_sweep_rows():
     assert [r["alpha"] for r in rows] == [1e-2, 1.0]
 
 
+def _exact(rows):
+    """The rows with every float as its repr, so that NaN rates compare
+    equal and every other float compares to the bit."""
+    return [{key: repr(v) if isinstance(v, float) else v
+             for key, v in row.items()} for row in rows]
+
+
+def _counting_meshes(monkeypatch):
+    """Record the (family, level) of every mesh the studies generate."""
+    calls = []
+    real = an.generate_mesh
+
+    def counted(family, level, **kwargs):
+        calls.append((family, level))
+        return real(family, level, **kwargs)
+
+    monkeypatch.setattr(an, "generate_mesh", counted)
+    return calls
+
+
+def test_run_convergence_over_lists_equals_the_slices(monkeypatch):
+    # one call over every (case, family, k) gives the rows of one call per
+    # slice, in the CLI's order, and generates each (family, level) once
+    families, levels, ks, cases = ["hexagonal", "diamond"], [1, 2], [1, 2], \
+        ["test1", "patch"]
+    slices = [row for case in cases for family in families for k in ks
+              for row in an.run_convergence(family, levels, k, case,
+                                            timings=False)]
+    calls = _counting_meshes(monkeypatch)
+    rows = an.run_convergence(families, levels, ks, cases, timings=False)
+    assert _exact(rows) == _exact(slices)
+    assert calls == [(f, level) for f in families for level in levels]
+
+
+def test_run_alpha_sweep_over_degrees_equals_the_slices(monkeypatch):
+    kwargs = dict(alphas=(1e-2, 1.0), basis_kinds=("scaled_monomial",
+                                                   "l2_orthonormal"))
+    slices = [row for k in (1, 2)
+              for row in an.run_alpha_sweep("hexagonal", 1, k, **kwargs)]
+    calls = _counting_meshes(monkeypatch)
+    rows = an.run_alpha_sweep("hexagonal", 1, [1, 2], **kwargs)
+    assert _exact(rows) == _exact(slices)
+    assert calls == [("hexagonal", 1)]
+
+
 def test_alpha_plateau_pinned_factor():
     # with the orthonormal basis the condition number levels off once the
     # pressure stabilization stops dominating; pinned at 1.5x the first
@@ -232,12 +277,28 @@ def test_power_tables_once_per_point_set(monkeypatch):
     (lambda: an.run_convergence("hexagonal", [1, 2], 1, "test1",
                                 basis_kind="nope"),
      (pb.check_basis_kind, "nope")),
+    (lambda: an.run_convergence("hexagonal", [1, 2], 1.5, "test1"),
+     (vs.check_degree, 1.5)),
+    (lambda: asm.assemble(geo.generate_mesh("hexagonal", 1), 2.0),
+     (vs.check_degree, 2.0)),
+    # no function but the study refuses an empty sweep; run unpatched, this
+    # reference ends in an IndexError unless the study checks it
+    (lambda: an.run_alpha_sweep("voronoi", 1, 1, alphas=()),
+     (an.run_alpha_sweep, "voronoi", 1, 1, ())),
+    (lambda: an.run_convergence(["hexagonal", "voronoi"], [1], [1, 2],
+                                ["test1", "nope"]),
+     (an.get_case, "nope")),
+    (lambda: an.run_alpha_sweep("voronoi", 1, [1, 0]), (vs.check_degree, 0)),
 ], ids=["alpha-sweep-alpha", "alpha-sweep-k", "convergence-level",
-        "convergence-k", "alpha-sweep-basis", "convergence-basis"])
+        "convergence-k", "alpha-sweep-basis", "convergence-basis",
+        "convergence-non-integer-k", "assemble-non-integer-k",
+        "alpha-sweep-no-alphas", "convergence-late-case",
+        "alpha-sweep-late-k"])
 def test_studies_refuse_bad_input_before_any_work(study, refusal,
                                                   monkeypatch):
     # these generated meshes and solved (or computed condition numbers for)
-    # every earlier level or alpha before refusing
+    # every earlier level or alpha before refusing; a non-integer degree
+    # got as far as the first mesh, or failed with a TypeError in assemble
     call, *args = refusal
     with pytest.raises(ValueError) as want:
         call(*args)
@@ -247,6 +308,7 @@ def test_studies_refuse_bad_input_before_any_work(study, refusal,
 
     for name in ("generate_mesh", "solve_stokes", "condition_number"):
         monkeypatch.setattr(an, name, reached)
+    monkeypatch.setattr(asm, "build_element", reached)
     with pytest.raises(ValueError) as got:
         study()
     assert str(got.value) == str(want.value)

@@ -142,8 +142,8 @@ def test_convergence_deterministic(tmp_path):
 def test_convergence_checks_names_before_solving(names, message, tmp_path,
                                                   capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli.analysis, "run_convergence",
-                        lambda *args, **kwargs: calls.append(args) or [])
+    monkeypatch.setattr(cli.analysis, "generate_mesh",
+                        lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "conv.csv"
     assert cli.main(["convergence", *names, "--levels", "1", "--k", "1,4",
                      "--output", str(out)]) == 1
@@ -175,10 +175,10 @@ def test_bad_input_refused_before_solving(args, refusal, tmp_path, capsys,
     # these solved (or computed condition numbers for) every earlier row
     # before refusing, and wrote no CSV
     def reached(*args, **kwargs):
-        raise AssertionError("a study started before the input was checked")
+        raise AssertionError("a mesh was generated before the input was "
+                             "checked")
 
-    monkeypatch.setattr(cli.analysis, "run_convergence", reached)
-    monkeypatch.setattr(cli.analysis, "run_alpha_sweep", reached)
+    monkeypatch.setattr(cli.analysis, "generate_mesh", reached)
     out = tmp_path / "out.csv"
     assert cli.main(args + ["--output", str(out)]) == 1
     assert capsys.readouterr().err == _library_message(*refusal)

@@ -179,6 +179,20 @@ def test_mesh_from_polygons_merges_first_copies():
     assert [list(r) for r in rings] == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=40),
+       st.sampled_from([1, 10 ** 9]))
+@settings(max_examples=60, deadline=None)
+def test_first_appearance_equals_row_unique(pairs, scale):
+    # the one-int64 encoding numbers rows as the row-wise np.unique does,
+    # also for negative entries and rounded unit-square keys near 1e9
+    rows = np.array(pairs, dtype=np.int64) * scale
+    got = geo._first_appearance(rows)
+    want = oracles.first_appearance(rows)
+    assert all(np.array_equal(g, w) and g.dtype == w.dtype
+               for g, w in zip(got, want))
+
+
 TWO_SQUARES = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1.0]])
 
 
