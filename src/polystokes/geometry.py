@@ -517,9 +517,10 @@ DISTANCE_RATIO_MIN = 0.1
 @dataclass(frozen=True)
 class GeometryReport:
     """Per-cell shape diagnostics against STAR_RATIO_MIN and
-    DISTANCE_RATIO_MIN."""
+    DISTANCE_RATIO_MIN.  The kernel ball is the largest ball inside the
+    cell's kernel, the points that see the whole cell."""
 
-    star_ratio: np.ndarray       # inscribed-ball diameter / cell diameter
+    star_ratio: np.ndarray       # kernel-ball diameter / cell diameter
     min_distance_ratio: np.ndarray  # min vertex-pair distance / cell diameter
 
     @property
@@ -529,24 +530,6 @@ class GeometryReport:
     @property
     def distance_violations(self):
         return self.min_distance_ratio < DISTANCE_RATIO_MIN
-
-
-def _distance_to_boundary(points, verts):
-    """Distance from points (..., p, 2) to the sides of rings (..., m, 2)."""
-    m = verts.shape[-2]
-    px, py = points[..., 0], points[..., 1]
-    dmin = np.full(px.shape, np.inf)
-    for i in range(m):
-        a = verts[..., i:i + 1, :]
-        d = verts[..., (i + 1) % m, None, :] - a
-        # a matmul, not x * dx + y * dy: BLAS rounds these dot products its
-        # own way (with FMA), and it does so alike for one ring or a group
-        dt = np.swapaxes(d, -1, -2)
-        t = np.clip(((points - a) @ dt)[..., 0] / (d @ dt)[..., 0], 0.0, 1.0)
-        ex = px - (a[..., 0] + t * d[..., 0])
-        ey = py - (a[..., 1] + t * d[..., 1])
-        dmin = np.minimum(dmin, np.sqrt(ex * ex + ey * ey))
-    return dmin
 
 
 def _fan_jacobians(verts, centers):
@@ -559,54 +542,99 @@ def _fan_jacobians(verts, centers):
     return (x - cx) * (yn - cy) - (y - cy) * (xn - cx)
 
 
-def _kernel_samples(verts):
-    """A 32 x 32 grid over each ring's bounding box, plus its centroid."""
-    lo, hi = verts.min(axis=-2), verts.max(axis=-2)
-    gx = np.linspace(lo[..., 0], hi[..., 0], 32, axis=-1)
-    gy = np.linspace(lo[..., 1], hi[..., 1], 32, axis=-1)
-    grid = np.stack([np.repeat(gx, 32, axis=-1), np.tile(gy, 32)], axis=-1)
-    return np.concatenate([grid, polygon_centroid(verts)[..., None, :]], axis=-2)
+# (cell, side triple) pairs times vertex count per chunk of _kernel_balls,
+# which bounds each temporary to a few MB whatever the cells
+_CHUNK = 1 << 18
+# relative to the cell diameter: dual values this close to the least are
+# optimal, and a kernel ball no wider than this is empty
+_KERNEL_TOL = 1e-12
 
 
-def _star_ratio(verts):
-    """Largest inscribed-ball diameter over diameter, ball center in the
-    kernel, of rings (..., m, 2); 0 where no sample lies in the kernel.
+def _kernel_balls(verts, diameters):
+    """Centres (g, 2) and radii (g,) of the largest balls inside the kernels
+    of rings (g, m, 2) of the given diameters; r <= 0: the kernel is empty.
 
-    Kernel membership is sampled on _kernel_samples; a center must see
-    every edge from its inner side.
+    The kernel is the intersection of the sides' inner half-planes
+    n_i.x <= b_i, n_i the unit outer normals.  Its largest ball maximises r
+    subject to n_i.x + r <= b_i (the Chebyshev centre).  The dual of that LP
+    has a vertex on each triple of sides (i, j, k) whose weights
+    y ~ (n_j x n_k, n_k x n_i, n_i x n_j) have one sign, and r is the least
+    b.y over them.  The centre is, of the primal vertices of the triples
+    within _KERNEL_TOL of r, the one farthest inside every side; a cell's
+    search ends once one is within _KERNEL_TOL of r.
     """
-    pts = _kernel_samples(verts)
-    kernel = (_fan_jacobians(verts, pts) >= 0).all(axis=-1)
-    radii = np.where(kernel, _distance_to_boundary(pts, verts), -np.inf)
-    return np.where(kernel.any(axis=-1),
-                    2.0 * radii.max(axis=-1) / polygon_diameter(verts), 0.0)
+    local = verts - verts[:, :1]    # b on the scale of the cell, not its place
+    d = np.roll(local, -1, axis=1) - local
+    n = np.stack([d[..., 1], -d[..., 0]], axis=-1) / np.hypot(
+        d[..., 0], d[..., 1])[..., None]
+    b = n[..., 0] * local[..., 0] + n[..., 1] * local[..., 1]
+    g, m = b.shape
+    # triple t is (i, j, j + 1 + t - first[p]) for the pair p = (i, j) that
+    # it extends, and there are first[-1] triples
+    i, j = np.triu_indices(m, 1)
+    first = np.cumsum(m - 1 - j) - (m - 1 - j)
+    total, step = g * first[-1], max(1, _CHUNK // m)
 
+    def chunks():
+        """Cells, normals, offsets, weight sums and dual values (inf where
+        the weights do not have one sign) of the (cell, triple) pairs, cell
+        by cell, step at a time."""
+        for start in range(0, total, step):
+            cells, t = np.divmod(np.arange(start, min(start + step, total)),
+                                 first[-1])
+            p = np.searchsorted(first, t, side="right") - 1
+            sides = np.stack([i[p], j[p], j[p] + 1 + t - first[p]], axis=1)
+            nt, bt = n[cells[:, None], sides], b[cells[:, None], sides]
+            # each side's weight is the cross of the next two, cyclically
+            nj, nk = nt[:, [1, 2, 0]], nt[:, [2, 0, 1]]
+            w = nj[..., 0] * nk[..., 1] - nj[..., 1] * nk[..., 0]
+            s = w.sum(axis=1)
+            one_sign = ((w >= 0).all(axis=1) | (w <= 0).all(axis=1)) & (s != 0)
+            yield cells, nt, bt, s, np.divide((bt * w).sum(axis=1), s,
+                                              out=np.full(len(s), np.inf),
+                                              where=one_sign)
 
-# cells per batch in validate_geometry, bounding its (cells, samples, m)
-# temporaries to a few MB
-_VALIDATE_BATCH = 32
+    r = np.full(g, np.inf)
+    for cells, *_, value in chunks():
+        np.minimum.at(r, cells, value)
+    lo, hi = r - _KERNEL_TOL * diameters, r + _KERNEL_TOL * diameters
+    centre, clearance = np.zeros((g, 2)), np.full(g, -np.inf)
+    for cells, nt, bt, s, value in chunks():
+        # the triples near r, of cells whose centre is not yet within tol
+        near = (value <= hi[cells]) & (clearance[cells] < lo[cells])
+        cells, nt, bt, s = cells[near], nt[near], bt[near], s[near]
+        # their primal vertices solve (n_i - n_k).x = b_i - b_k and
+        # (n_j - n_k).x = b_j - b_k, whose determinant is s
+        e, f = nt[:, :2] - nt[:, 2:], bt[:, :2] - bt[:, 2:]
+        x = np.stack([f[:, 0] * e[:, 1, 1] - f[:, 1] * e[:, 0, 1],
+                      e[:, 0, 0] * f[:, 1] - e[:, 1, 0] * f[:, 0]], axis=1)
+        x /= s[:, None]
+        clear = (b[cells] - n[cells, :, 0] * x[:, :1]
+                 - n[cells, :, 1] * x[:, 1:]).min(axis=1)
+        np.maximum.at(clearance, cells, clear)
+        best = clear == clearance[cells]
+        centre[cells[best]] = x[best]
+    return centre + verts[:, 0], r
 
 
 def validate_geometry(mesh):
-    """Estimate the shape-regularity ratios of every cell.
+    """The shape-regularity ratios of every cell.
 
-    star_ratio reports the inscribed-ball diameter relative to the cell
-    diameter (a sampled lower bound); min_distance_ratio the smallest
-    vertex-pair distance relative to the cell diameter.  The report flags
-    cells below STAR_RATIO_MIN or DISTANCE_RATIO_MIN; they are not fatal.
+    star_ratio is the diameter of the largest ball inside the cell's kernel
+    (the points that see the whole cell) relative to the cell diameter, 0
+    where the kernel is empty; min_distance_ratio the smallest vertex-pair
+    distance relative to the cell diameter.  The report flags cells below
+    STAR_RATIO_MIN or DISTANCE_RATIO_MIN; they are not fatal.
     """
     star = np.empty(mesh.n_cells)
     mind = np.empty(mesh.n_cells)
     for ids, ring in mesh.cells.groups:
-        diag = np.arange(ring.shape[1])
-        for s in range(0, len(ids), _VALIDATE_BATCH):
-            cells = ids[s:s + _VALIDATE_BATCH]
-            poly = mesh.vertices[ring[s:s + _VALIDATE_BATCH]]
-            star[cells] = _star_ratio(poly)
-            d = poly[:, :, None, :] - poly[:, None, :, :]
-            dist = np.sqrt(np.sum(d * d, axis=-1))
-            dist[:, diag, diag] = np.inf
-            mind[cells] = dist.min(axis=(1, 2)) / mesh.cell_diameters[cells]
+        poly, diameters = mesh.vertices[ring], mesh.cell_diameters[ids]
+        star[ids] = np.maximum(2.0 * _kernel_balls(poly, diameters)[1]
+                               / diameters, 0.0)
+        i, j = np.triu_indices(ring.shape[1], 1)
+        d = poly[:, i] - poly[:, j]
+        mind[ids] = np.sqrt(np.sum(d * d, axis=-1)).min(axis=1) / diameters
     return GeometryReport(star_ratio=star, min_distance_ratio=mind)
 
 
@@ -651,9 +679,9 @@ def polygon_quadrature(verts, exactness_degree):
     """Quadrature over a polygon by fanning triangles from a kernel point.
 
     The fan center is the centroid when every fan triangle has positive
-    area there; otherwise the point of _kernel_samples whose smallest fan
-    triangle is largest.  Raises ValueError when no sample lies strictly
-    inside the kernel.
+    area there; otherwise the centre of the largest ball inside the kernel
+    (the points that see the whole polygon).  Raises ValueError when that
+    ball's radius is at most _KERNEL_TOL times the diameter.
     """
     verts = np.asarray(verts, dtype=float)
     if exactness_degree < 0:
@@ -662,13 +690,12 @@ def polygon_quadrature(verts, exactness_degree):
     c = polygon_centroid(verts)
     jac = _fan_jacobians(verts, c[None, :])[0]
     if jac.min() <= 0:
-        centers = _kernel_samples(verts)
-        jacs = _fan_jacobians(verts, centers)
-        best = np.argmax(jacs.min(axis=1))
-        if jacs[best].min() <= 0:
-            raise ValueError("polygon is not star-shaped: no sampled point "
-                             "lies strictly inside its kernel")
-        c, jac = centers[best], jacs[best]
+        diameter = polygon_diameter(verts)
+        centre, r = _kernel_balls(verts[None], diameter[None])
+        if r[0] <= _KERNEL_TOL * diameter:
+            raise ValueError("polygon is not star-shaped: the largest ball "
+                             f"in its kernel has radius {r[0]:.3g}")
+        c, jac = centre[0], _fan_jacobians(verts, centre)[0]
     a = verts - c
     b = np.roll(verts, -1, axis=0) - c
     pts = (c + ref_pts[None, :, 0:1] * a[:, None, :]

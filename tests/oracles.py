@@ -6,6 +6,7 @@ library's fan-triangulation quadrature.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -821,36 +822,22 @@ def generate_mesh(family, level, rng_seed=0):
     return build_mesh(*mesh_from_polygons(polys), check_domain_area=1.0)
 
 
-def _distance_to_boundary(points, verts):
-    n = len(verts)
-    dmin = np.full(len(points), np.inf)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        d = b - a
-        t = np.clip(((points - a) @ d) / (d @ d), 0.0, 1.0)
-        proj = a + t[:, None] * d[None, :]
-        dist = np.linalg.norm(points - proj, axis=1)
-        dmin = np.minimum(dmin, dist)
-    return dmin
-
-
-def _kernel_samples(verts):
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
-    gx = np.linspace(lo[0], hi[0], 32)
-    gy = np.linspace(lo[1], hi[1], 32)
-    pts = np.column_stack([np.repeat(gx, 32), np.tile(gy, 32)])
-    return np.vstack([pts, polygon_centroid(verts)[None, :]])
-
-
-def star_ratio(verts):
-    pts = _kernel_samples(verts)
-    a = verts[None, :, :] - pts[:, None, :]
-    b = np.roll(verts, -1, axis=0)[None, :, :] - pts[:, None, :]
-    kernel = ((a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]) >= 0).all(axis=1)
-    if not kernel.any():
-        return 0.0
-    radii = _distance_to_boundary(pts[kernel], verts)
-    return float(2.0 * np.max(radii) / polygon_diameter(verts))
+def kernel_ball_radius(verts):
+    """Radius of the largest ball inside one ring's kernel: the least dual
+    value b.y over the triples of sides whose weights have one sign."""
+    local = verts - verts[0]
+    d = np.roll(local, -1, axis=0) - local
+    n = (np.column_stack([d[:, 1], -d[:, 0]])
+         / np.hypot(d[:, 0], d[:, 1])[:, None])
+    b = n[:, 0] * local[:, 0] + n[:, 1] * local[:, 1]
+    sides = np.array(list(itertools.combinations(range(len(verts)), 3)))
+    nt, bt = n[sides], b[sides]
+    nj, nk = nt[:, [1, 2, 0]], nt[:, [2, 0, 1]]
+    w = nj[..., 0] * nk[..., 1] - nj[..., 1] * nk[..., 0]
+    s = w.sum(axis=1)
+    feasible = ((w >= 0).all(axis=1) | (w <= 0).all(axis=1)) & (s != 0)
+    return float(np.min((bt[feasible] * w[feasible]).sum(axis=1)
+                        / s[feasible]))
 
 
 def validate_geometry(mesh):
@@ -860,7 +847,8 @@ def validate_geometry(mesh):
     mind = np.empty(n)
     for c in range(n):
         poly = mesh.vertices[mesh.cells[c]]
-        star[c] = star_ratio(poly)
+        star[c] = max(2.0 * kernel_ball_radius(poly) / mesh.cell_diameters[c],
+                      0.0)
         d = poly[:, None, :] - poly[None, :, :]
         dist = np.sqrt(np.sum(d * d, axis=2))
         np.fill_diagonal(dist, np.inf)

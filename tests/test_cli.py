@@ -83,6 +83,15 @@ def test_mesh_check_counts_the_violations(capsys):
     assert line.startswith("star violations=0 distance violations=37 ")
 
 
+def test_mesh_check_counts_empty_and_thin_kernels(capsys):
+    # three random_polygons L3 cells have a kernel ball narrower than
+    # STAR_RATIO_MIN of their diameter
+    assert cli.main(["mesh", "check", "--family", "random_polygons",
+                     "--level", "3"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("star violations=3 distance violations=185 ")
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_solve_degree_below_one_exits_1(k, capsys):
     assert cli.main(["solve", "--case", "test1", "--family", "hexagonal",

@@ -1,15 +1,18 @@
 """Mesh generators, validation, and quadrature."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from polystokes import geometry as geo
 import oracles
 from oracles import monomial_integral
+from test_vemspace import star_polygons
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 PENTAGON = np.array([[0.0, 0.0], [0.7, 0.1], [1.1, 0.6], [0.5, 1.2],
@@ -72,19 +75,60 @@ def test_polygon_quadrature_rejects_nonstar_fan():
 L_CELL = np.array([[0, 0], [3, 0], [3, 0.6], [1, 0.6], [1, 1.6], [0, 1.6]])
 
 
-def test_polygon_quadrature_star_cell_off_centroid_kernel():
-    rep = geo.validate_geometry(geo.build_mesh(L_CELL, [np.arange(6)]))
-    assert not rep.star_violations.any() and not rep.distance_violations.any()
-    degree = 8
-    rule = geo.polygon_quadrature(L_CELL, degree)
+def _assert_quadrature_exact(verts, degree):
+    rule = geo.polygon_quadrature(verts, degree)
     assert np.all(rule.weights > 0)
     for d in range(degree + 1):
         for a in range(d + 1):
             b = d - a
             got = np.sum(rule.weights * rule.points[:, 0] ** a
                          * rule.points[:, 1] ** b)
-            want = monomial_integral(L_CELL, a, b)
+            want = monomial_integral(verts, a, b)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+def test_polygon_quadrature_star_cell_off_centroid_kernel():
+    rep = geo.validate_geometry(geo.build_mesh(L_CELL, [np.arange(6)]))
+    assert not rep.star_violations.any() and not rep.distance_violations.any()
+    _assert_quadrature_exact(L_CELL, 8)
+
+
+# An hourglass whose kernel is a sliver about (1.5, 0.5) between its two
+# reflex corners: its centroid (0.832, 0.5) lies outside the kernel, and a
+# 32 x 32 grid over its bounding box has no point inside it.
+HOURGLASS = np.array([[-2, -1], [3, 0], [1.52, 0.5], [3, 1], [-2, 2],
+                      [1.48, 0.5]])
+
+
+def test_polygon_quadrature_thin_kernel():
+    rep = geo.validate_geometry(geo.build_mesh(HOURGLASS, [np.arange(6)]))
+    assert rep.star_ratio[0] == pytest.approx(0.0026290, abs=5e-8)
+    _assert_quadrature_exact(HOURGLASS, 8)
+
+
+def _assert_kernel_ball(verts):
+    verts = np.asarray(verts, dtype=float)
+    diameter = geo.polygon_diameter(verts)
+    centre, r = geo._kernel_balls(verts[None], diameter[None])
+    d = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(
+        d, axis=1)[:, None]
+    clearance = np.min(np.sum(normals * (verts - centre), axis=1))
+    # the clearance of the centre is r to 1e-12 of the diameter
+    assert abs(clearance - r[0]) <= 1e-12 * diameter
+    assert geo._fan_jacobians(verts, centre).min() > 0
+
+
+@given(star_polygons())
+@settings(max_examples=50, deadline=None)
+def test_kernel_ball_centre_sees_every_side(verts):
+    _assert_kernel_ball(verts)
+
+
+@pytest.mark.parametrize("verts", [L_CELL, HOURGLASS],
+                         ids=["l_cell", "hourglass"])
+def test_kernel_ball_centre_in_a_kernel_off_the_centroid(verts):
+    _assert_kernel_ball(verts)
 
 
 @pytest.mark.parametrize("degree", [1, 3, 6, 9])
@@ -362,11 +406,27 @@ def test_generate_mesh_refuses_levels_outside_the_table(family, monkeypatch):
 def test_validate_geometry_square():
     mesh = _single_square_mesh()
     rep = geo.validate_geometry(mesh)
-    # inscribed-ball diameter 1 over cell diameter sqrt(2)
-    assert rep.star_ratio[0] == pytest.approx(1 / np.sqrt(2), abs=0.02)
-    assert rep.star_ratio[0] >= 0.5
     assert rep.min_distance_ratio[0] == pytest.approx(1 / np.sqrt(2), rel=1e-12)
     assert not rep.star_violations.any()
+
+
+@pytest.mark.parametrize("m", [4, 6, 200])
+def test_validate_geometry_regular_polygon(m):
+    # the kernel ball of a regular m-gon is its inscribed circle, of radius
+    # cos(pi/m) times the circumradius, and an even m has diameter 2
+    t = 2 * np.pi * np.arange(m) / m
+    mesh = geo.build_mesh(np.column_stack([np.cos(t), np.sin(t)]),
+                          [np.arange(m)])
+    tracemalloc.start()
+    try:
+        rep = geo.validate_geometry(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.star_ratio[0] == pytest.approx(np.cos(np.pi / m), abs=1e-12)
+    # the (cell, side triple) pairs go in chunks: about 10 MiB at m = 200,
+    # where all 1,313,400 of them at once take 1.6 GiB
+    assert peak < 32 * 2 ** 20
 
 
 def _assert_reports_equal(rep, ref):
@@ -390,13 +450,32 @@ def test_validate_geometry_equals_per_cell_loop_on_l_cell():
                           oracles.validate_geometry(mesh))
 
 
-def test_validate_geometry_hexagon():
-    # regular hexagon: inscribed diameter sqrt(3), diameter 2
-    t = np.linspace(0, 2 * np.pi, 7)[:-1]
-    verts = np.column_stack([np.cos(t), np.sin(t)])
-    mesh = geo.build_mesh(verts, [list(range(6))])
+def _linprog_star_ratio(verts, diameter):
+    """The star ratio at the kernel-ball centre HiGHS finds, from the
+    clearance of its x rather than its reported r."""
+    d = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(
+        d, axis=1)[:, None]
+    offsets = np.sum(normals * verts, axis=1)
+    res = linprog([0, 0, -1], A_ub=np.column_stack([normals, np.ones(len(d))]),
+                  b_ub=offsets, bounds=[(None, None)] * 3, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    clearance = np.min(offsets - normals @ res.x[:2])
+    return max(2.0 * clearance / diameter, 0.0)
+
+
+@pytest.mark.parametrize("family, level", [
+    ("random_polygons", 1), ("random_polygons", 2), ("random_polygons", 3),
+    ("voronoi", 1), ("hexagonal", 2), ("diamond", 2)])
+def test_validate_geometry_matches_linprog(family, level):
+    mesh = geo.generate_mesh(family, level)
     rep = geo.validate_geometry(mesh)
-    assert rep.star_ratio[0] == pytest.approx(np.sqrt(3) / 2, abs=0.02)
+    want = [_linprog_star_ratio(mesh.vertices[ring], diameter)
+            for ring, diameter in zip(mesh.cells, mesh.cell_diameters)]
+    # the kernel-ball radius within 1e-9 of the diameter
+    assert np.abs(rep.star_ratio - want).max() <= 2e-9
 
 
 # ---------------------------------------------------------------------------
