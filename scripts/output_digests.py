@@ -7,20 +7,18 @@ blocks, the gathered system (k0, c_values, rhs, free, signs), the solution
 `test1` solve, then the `cond` of every point of the benchmark's alpha sweep
 (voronoi L1, mesh seed 0, k=1-2, both bases, the 13 default alphas), then
 one line per (family, level) for the mesh itself (vertices, rings,
-cell_edges, edges, boundary flags, cell areas and diameters, h).
+cell_edges, edges, boundary flags, cell areas and diameters, h).  The last
+two lines are the full sha256 of two CLI CSVs, which the script writes
+through `polystokes.cli.main` into a temporary directory, as
+
+    polystokes convergence --cases test1 --families hexagonal \
+        --levels 1..3 --k 1,2,3 --no-timings --output conv.csv
+    polystokes alpha-sweep --family voronoi --level 1 --k 1..2 \
+        --output sweep.csv
 
 Run it on two checkouts with one BLAS thread and compare the outputs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digests.py
-
-The bit gate also compares the bytes of two CLI CSVs from the same
-checkouts:
-
-    PYTHONPATH=src python3 -m polystokes.cli convergence --cases test1 \
-        --families hexagonal --levels 1..3 --k 1,2,3 --no-timings \
-        --output conv.csv
-    PYTHONPATH=src python3 -m polystokes.cli alpha-sweep --family voronoi \
-        --level 1 --k 1..2 --output sweep.csv
 
 The cell blocks are rebuilt from the system's batches and hashed cell by
 cell without their zero padding.
@@ -28,13 +26,18 @@ cell without their zero padding.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import pathlib
+import tempfile
 
 import numpy as np
 
 from polystokes import (assemble, build_blocks, compute_errors, generate_mesh,
                         get_case, solve)
 from polystokes.analysis import run_alpha_sweep
+from polystokes.cli import main as cli_main
 
 FAMILIES = ("hexagonal", "voronoi", "random_polygons", "diamond")
 LEVELS = (1, 2)
@@ -42,6 +45,13 @@ KS = (1, 2, 3)
 BASES = ("scaled_monomial", "l2_orthonormal")
 BLOCK_FIELDS = ("A_u", "A_b", "B_u", "B_b", "C_p", "mean_weights", "F_u",
                 "F_b")
+# the CLI arguments of the two CSVs, each ending in --output <name>
+CLI_CSVS = {
+    "conv.csv": ["convergence", "--cases", "test1", "--families", "hexagonal",
+                 "--levels", "1..3", "--k", "1,2,3", "--no-timings"],
+    "sweep.csv": ["alpha-sweep", "--family", "voronoi", "--level", "1",
+                  "--k", "1..2"],
+}
 
 
 def digest(*arrays):
@@ -57,6 +67,18 @@ def mesh_digest(mesh):
     return digest(mesh.vertices, *mesh.cells, *mesh.cell_edges, mesh.edges,
                   mesh.boundary_vertex_flags, mesh.boundary_edge_flags,
                   mesh.cell_areas, mesh.cell_diameters, mesh.h)
+
+
+def cli_csv_digest(args, name):
+    """The sha256 of the CSV that the CLI writes for args, in a temporary
+    directory; its "wrote ..." line is not printed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli_main([*args, "--output", str(path)])
+        if status != 0:
+            raise RuntimeError(f"polystokes {' '.join(args)} exited {status}")
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def cell_blocks(system, forcing):
@@ -102,6 +124,8 @@ def main():
               f"alpha={row['alpha']!r} cond {row['cond']!r}")
     for tag, mesh in meshes:
         print(tag, "mesh", mesh_digest(mesh))
+    for name, args in CLI_CSVS.items():
+        print("cli", name, cli_csv_digest(args, name))
 
 
 if __name__ == "__main__":

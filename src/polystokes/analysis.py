@@ -261,24 +261,33 @@ def _listed(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+def _given(values, what):
+    """values, unless there are none: then ValueError("no {what} given")."""
+    if len(values) == 0:
+        raise ValueError(f"no {what} given")
+    return values
+
+
 def run_convergence(family, levels, k, case, basis_kind="scaled_monomial",
                     alpha=1.0, rng_seed=0, timings=True):
     """Solve on mesh sequences and tabulate errors and observed rates.
 
     family, k and case (a ManufacturedCase or a name for case_for) are each
-    one value or a list.  Every input is checked before the first mesh, and
-    each (family, level) mesh is generated once, level by level.  Rows come
+    one value or a list.  Every input is checked, and an empty list refused,
+    before the first mesh; each (family, level) mesh is generated once,
+    level by level.  Rows come
     in the order case, family, k, level, with rates along each (case,
     family, k) sequence; seconds cover assembly, solve and error norms.
     """
-    families, ks = _listed(family), _listed(k)
+    families = _given(_listed(family), "families")
+    ks = _given(_listed(k), "degrees")
     for name in families:
-        for level in levels:
+        for level in _given(levels, "levels"):
             check_mesh_level(name, level)
     for degree in ks:
         check_degree(degree)
     solves = [(c, d, degree, case_for(name, degree))
-              for c, name in enumerate(_listed(case))
+              for c, name in enumerate(_given(_listed(case), "cases"))
               for d, degree in enumerate(ks)]
     config = StabilizationConfig(alpha=alpha)
     pb.check_basis_kind(basis_kind)
@@ -312,15 +321,14 @@ def run_alpha_sweep(family, level, k, alphas=DEFAULT_ALPHAS,
                     basis_kinds=("scaled_monomial", "l2_orthonormal"),
                     rng_seed=0):
     """Condition number of the reduced system over a stabilization sweep at
-    one degree k or a list of them; every input is checked before the one
-    mesh is generated.  Rows come in the order k, basis kind, alpha."""
-    ks = _listed(k)
+    one degree k or a list of them; every input is checked, and an empty
+    list refused, before the one mesh is generated.  Rows come in the order k, basis kind, alpha."""
+    ks = _given(_listed(k), "degrees")
     for degree in ks:
         check_degree(degree)
-    if len(alphas) == 0:
-        raise ValueError("no alphas given")
-    configs = [StabilizationConfig(alpha=alpha) for alpha in alphas]
-    for kind in basis_kinds:
+    configs = [StabilizationConfig(alpha=alpha)
+               for alpha in _given(alphas, "alphas")]
+    for kind in _given(basis_kinds, "basis kinds"):
         pb.check_basis_kind(kind)
     mesh = generate_mesh(family, level, rng_seed=rng_seed)
     rows = []

@@ -167,7 +167,7 @@ def _cmd_convergence(args):
 def _cmd_alpha_sweep(args):
     kinds = tuple(_basis_kind(b) for b in args.basis.split(","))
     alphas = (tuple(float(t) for t in args.alphas.split(","))
-              if args.alphas else analysis.DEFAULT_ALPHAS)
+              if args.alphas is not None else analysis.DEFAULT_ALPHAS)
     rows = analysis.run_alpha_sweep(args.family, args.level,
                                     _parse_int_list(args.k), alphas=alphas,
                                     basis_kinds=kinds, rng_seed=args.seed)

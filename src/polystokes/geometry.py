@@ -542,79 +542,79 @@ def _fan_jacobians(verts, centers):
     return (x - cx) * (yn - cy) - (y - cy) * (xn - cx)
 
 
-# (cell, side triple) pairs times vertex count per chunk of _kernel_balls,
+# (cell, side triple) pairs times vertex count per chunk of _side_triples,
 # which bounds each temporary to a few MB whatever the cells
 _CHUNK = 1 << 18
-# relative to the cell diameter: dual values this close to the least are
-# optimal, and a kernel ball no wider than this is empty
+# relative to the cell diameter: a kernel ball no wider than this is empty
 _KERNEL_TOL = 1e-12
 
 
-def _kernel_balls(verts, diameters):
-    """Centres (g, 2) and radii (g,) of the largest balls inside the kernels
-    of rings (g, m, 2) of the given diameters; r <= 0: the kernel is empty.
-
-    The kernel is the intersection of the sides' inner half-planes
-    n_i.x <= b_i, n_i the unit outer normals.  Its largest ball maximises r
-    subject to n_i.x + r <= b_i (the Chebyshev centre).  The dual of that LP
-    has a vertex on each triple of sides (i, j, k) whose weights
-    y ~ (n_j x n_k, n_k x n_i, n_i x n_j) have one sign, and r is the least
-    b.y over them.  The centre is, of the primal vertices of the triples
-    within _KERNEL_TOL of r, the one farthest inside every side; a cell's
-    search ends once one is within _KERNEL_TOL of r.
-    """
-    local = verts - verts[:, :1]    # b on the scale of the cell, not its place
+def _sides(verts):
+    """Unit outer normals n (g, m, 2) and offsets b (g, m) of the sides of
+    rings (g, m, 2), whose kernels are n_i.x <= b_i; b is taken from each
+    ring's first vertex, on the scale of the cell, not its place."""
+    local = verts - verts[:, :1]
     d = np.roll(local, -1, axis=1) - local
     n = np.stack([d[..., 1], -d[..., 0]], axis=-1) / np.hypot(
         d[..., 0], d[..., 1])[..., None]
-    b = n[..., 0] * local[..., 0] + n[..., 1] * local[..., 1]
+    return n, n[..., 0] * local[..., 0] + n[..., 1] * local[..., 1]
+
+
+def _side_triples(n, b):
+    """The (ring, side triple) pairs of sides n (g, m, 2), b (g, m) whose
+    weights y ~ (n_j x n_k, n_k x n_i, n_i x n_j) have one sign, in chunks:
+    rings (q,), normals (q, 3, 2), offsets (q, 3) and weights (q, 3).  They
+    are the vertices of the dual of the kernel's Chebyshev-ball LP, max r
+    subject to n_i.x + r <= b_i, and b.y is the dual value of each."""
     g, m = b.shape
     # triple t is (i, j, j + 1 + t - first[p]) for the pair p = (i, j) that
     # it extends, and there are first[-1] triples
     i, j = np.triu_indices(m, 1)
     first = np.cumsum(m - 1 - j) - (m - 1 - j)
     total, step = g * first[-1], max(1, _CHUNK // m)
+    for start in range(0, total, step):
+        cells, t = np.divmod(np.arange(start, min(start + step, total)),
+                             first[-1])
+        p = np.searchsorted(first, t, side="right") - 1
+        sides = np.stack([i[p], j[p], j[p] + 1 + t - first[p]], axis=1)
+        nt, bt = n[cells[:, None], sides], b[cells[:, None], sides]
+        # each side's weight is the cross of the next two, cyclically
+        nj, nk = nt[:, [1, 2, 0]], nt[:, [2, 0, 1]]
+        w = nj[..., 0] * nk[..., 1] - nj[..., 1] * nk[..., 0]
+        one_sign = (((w >= 0).all(axis=1) | (w <= 0).all(axis=1))
+                    & (w.sum(axis=1) != 0))
+        yield cells[one_sign], nt[one_sign], bt[one_sign], w[one_sign]
 
-    def chunks():
-        """Cells, normals, offsets, weight sums and dual values (inf where
-        the weights do not have one sign) of the (cell, triple) pairs, cell
-        by cell, step at a time."""
-        for start in range(0, total, step):
-            cells, t = np.divmod(np.arange(start, min(start + step, total)),
-                                 first[-1])
-            p = np.searchsorted(first, t, side="right") - 1
-            sides = np.stack([i[p], j[p], j[p] + 1 + t - first[p]], axis=1)
-            nt, bt = n[cells[:, None], sides], b[cells[:, None], sides]
-            # each side's weight is the cross of the next two, cyclically
-            nj, nk = nt[:, [1, 2, 0]], nt[:, [2, 0, 1]]
-            w = nj[..., 0] * nk[..., 1] - nj[..., 1] * nk[..., 0]
-            s = w.sum(axis=1)
-            one_sign = ((w >= 0).all(axis=1) | (w <= 0).all(axis=1)) & (s != 0)
-            yield cells, nt, bt, s, np.divide((bt * w).sum(axis=1), s,
-                                              out=np.full(len(s), np.inf),
-                                              where=one_sign)
 
-    r = np.full(g, np.inf)
-    for cells, *_, value in chunks():
-        np.minimum.at(r, cells, value)
-    lo, hi = r - _KERNEL_TOL * diameters, r + _KERNEL_TOL * diameters
-    centre, clearance = np.zeros((g, 2)), np.full(g, -np.inf)
-    for cells, nt, bt, s, value in chunks():
-        # the triples near r, of cells whose centre is not yet within tol
-        near = (value <= hi[cells]) & (clearance[cells] < lo[cells])
-        cells, nt, bt, s = cells[near], nt[near], bt[near], s[near]
-        # their primal vertices solve (n_i - n_k).x = b_i - b_k and
-        # (n_j - n_k).x = b_j - b_k, whose determinant is s
+def _kernel_radii(verts):
+    """Radii (g,) of the largest balls inside the kernels of rings
+    (g, m, 2), r <= 0 where the kernel is empty: by LP duality, the least
+    dual value b.y over the one-sign side triples."""
+    r = np.full(len(verts), np.inf)
+    for cells, _, bt, w in _side_triples(*_sides(verts)):
+        np.minimum.at(r, cells, (bt * w).sum(axis=1) / w.sum(axis=1))
+    return r
+
+
+def _kernel_centre(verts):
+    """The centre (2,) of the largest ball inside the kernel of one ring
+    (m, 2), and its clearance min_i (b_i - n_i.x), which is the ball's
+    radius: of the points at equal distance from the three sides of a
+    one-sign triple, the one farthest inside every side."""
+    n, b = _sides(verts[None])
+    centre, clearance = np.zeros(2), -np.inf
+    for _, nt, bt, w in _side_triples(n, b):
+        # the point solves (n_i - n_k).x = b_i - b_k and
+        # (n_j - n_k).x = b_j - b_k, whose determinant is the weights' sum
         e, f = nt[:, :2] - nt[:, 2:], bt[:, :2] - bt[:, 2:]
         x = np.stack([f[:, 0] * e[:, 1, 1] - f[:, 1] * e[:, 0, 1],
                       e[:, 0, 0] * f[:, 1] - e[:, 1, 0] * f[:, 0]], axis=1)
-        x /= s[:, None]
-        clear = (b[cells] - n[cells, :, 0] * x[:, :1]
-                 - n[cells, :, 1] * x[:, 1:]).min(axis=1)
-        np.maximum.at(clearance, cells, clear)
-        best = clear == clearance[cells]
-        centre[cells[best]] = x[best]
-    return centre + verts[:, 0], r
+        x /= w.sum(axis=1)[:, None]
+        clear = (b - n[..., 0] * x[:, :1] - n[..., 1] * x[:, 1:]).min(axis=1)
+        if clear.size and clear.max() > clearance:
+            best = np.argmax(clear)
+            centre, clearance = x[best], clear[best]
+    return centre + verts[0], clearance
 
 
 def validate_geometry(mesh):
@@ -630,8 +630,7 @@ def validate_geometry(mesh):
     mind = np.empty(mesh.n_cells)
     for ids, ring in mesh.cells.groups:
         poly, diameters = mesh.vertices[ring], mesh.cell_diameters[ids]
-        star[ids] = np.maximum(2.0 * _kernel_balls(poly, diameters)[1]
-                               / diameters, 0.0)
+        star[ids] = np.maximum(2.0 * _kernel_radii(poly) / diameters, 0.0)
         i, j = np.triu_indices(ring.shape[1], 1)
         d = poly[:, i] - poly[:, j]
         mind[ids] = np.sqrt(np.sum(d * d, axis=-1)).min(axis=1) / diameters
@@ -690,12 +689,11 @@ def polygon_quadrature(verts, exactness_degree):
     c = polygon_centroid(verts)
     jac = _fan_jacobians(verts, c[None, :])[0]
     if jac.min() <= 0:
-        diameter = polygon_diameter(verts)
-        centre, r = _kernel_balls(verts[None], diameter[None])
-        if r[0] <= _KERNEL_TOL * diameter:
+        c, r = _kernel_centre(verts)
+        if r <= _KERNEL_TOL * polygon_diameter(verts):
             raise ValueError("polygon is not star-shaped: the largest ball "
-                             f"in its kernel has radius {r[0]:.3g}")
-        c, jac = centre[0], _fan_jacobians(verts, centre)[0]
+                             f"in its kernel has radius {r:.3g}")
+        jac = _fan_jacobians(verts, c[None, :])[0]
     a = verts - c
     b = np.roll(verts, -1, axis=0) - c
     pts = (c + ref_pts[None, :, 0:1] * a[:, None, :]

@@ -281,19 +281,35 @@ def test_power_tables_once_per_point_set(monkeypatch):
      (vs.check_degree, 1.5)),
     (lambda: asm.assemble(geo.generate_mesh("hexagonal", 1), 2.0),
      (vs.check_degree, 2.0)),
-    # no function but the study refuses an empty sweep; run unpatched, this
-    # reference ends in an IndexError unless the study checks it
+    # no function but the study refuses an empty list; run unpatched, the
+    # empty-alphas reference ends in an IndexError unless the study checks
+    # it, and the others return no rows
     (lambda: an.run_alpha_sweep("voronoi", 1, 1, alphas=()),
      (an.run_alpha_sweep, "voronoi", 1, 1, ())),
     (lambda: an.run_convergence(["hexagonal", "voronoi"], [1], [1, 2],
                                 ["test1", "nope"]),
      (an.get_case, "nope")),
     (lambda: an.run_alpha_sweep("voronoi", 1, [1, 0]), (vs.check_degree, 0)),
+    (lambda: an.run_convergence([], [1, 2], 1, "test1"),
+     (an.run_convergence, [], [1, 2], 1, "test1")),
+    (lambda: an.run_convergence("hexagonal", [], 1, "test1"),
+     (an.run_convergence, "hexagonal", [], 1, "test1")),
+    (lambda: an.run_convergence("hexagonal", [1, 2], [], "test1"),
+     (an.run_convergence, "hexagonal", [1, 2], [], "test1")),
+    (lambda: an.run_convergence("hexagonal", [1, 2], 1, []),
+     (an.run_convergence, "hexagonal", [1, 2], 1, [])),
+    (lambda: an.run_alpha_sweep("voronoi", 1, []),
+     (an.run_alpha_sweep, "voronoi", 1, [])),
+    (lambda: an.run_alpha_sweep("voronoi", 1, 1, basis_kinds=()),
+     (an.run_alpha_sweep, "voronoi", 1, 1, an.DEFAULT_ALPHAS, ())),
 ], ids=["alpha-sweep-alpha", "alpha-sweep-k", "convergence-level",
         "convergence-k", "alpha-sweep-basis", "convergence-basis",
         "convergence-non-integer-k", "assemble-non-integer-k",
         "alpha-sweep-no-alphas", "convergence-late-case",
-        "alpha-sweep-late-k"])
+        "alpha-sweep-late-k", "convergence-no-families",
+        "convergence-no-levels", "convergence-no-degrees",
+        "convergence-no-cases", "alpha-sweep-no-degrees",
+        "alpha-sweep-no-basis-kinds"])
 def test_studies_refuse_bad_input_before_any_work(study, refusal,
                                                   monkeypatch):
     # these generated meshes and solved (or computed condition numbers for)

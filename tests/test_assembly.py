@@ -73,13 +73,14 @@ def test_ill_conditioned_refusal_names_its_cell(k):
     assert isinstance(exc.value.__cause__, pb.IllConditionedBasisError)
 
 
+# three teeth: the inner sides of the outer two confine the kernel to
+# x <= 0.2 and x >= 2.8, so it is empty
+COMB = np.array([[0, 0], [3, 0], [3, 1], [2.8, 1], [2.8, 0.2], [1.6, 0.2],
+                 [1.6, 1], [1.4, 1], [1.4, 0.2], [0.2, 0.2], [0.2, 1], [0, 1]])
+
+
 def test_kernel_refusal_names_its_cell():
-    # three teeth: the inner sides of the outer two confine the kernel to
-    # x <= 0.2 and x >= 2.8, so it is empty
-    comb = geo.build_mesh(
-        [[0, 0], [3, 0], [3, 1], [2.8, 1], [2.8, 0.2], [1.6, 0.2], [1.6, 1],
-         [1.4, 1], [1.4, 0.2], [0.2, 0.2], [0.2, 1], [0, 1]],
-        [np.arange(12)])
+    comb = geo.build_mesh(COMB, [np.arange(12)])
     with pytest.raises(ValueError,
                        match=r"^cell 0: polygon is not star-shaped") as exc:
         asm.assemble(comb, 1)

@@ -263,10 +263,15 @@ def test_unknown_basis_names_the_choices(tmp_path, capsys):
      "--k", "1", "--beta-sharp", "inf"],
     ["alpha-sweep", "--family", "hexagonal", "--level", "1", "--k", "1",
      "--alphas", "nan"],
-], ids=["alpha-nan", "beta-sharp-inf", "sweep-alpha-nan"])
+    ["alpha-sweep", "--family", "hexagonal", "--level", "1", "--k", "1",
+     "--alphas", ""],
+], ids=["alpha-nan", "beta-sharp-inf", "sweep-alpha-nan",
+        "sweep-alphas-empty"])
 def test_non_finite_weights_exit_1(args, tmp_path, capsys):
-    # NaN passed the old sign checks and ended in a singular-factor traceback
+    # NaN passed the old sign checks and ended in a singular-factor traceback;
+    # an empty --alphas ran the 13 default alphas
     if args[0] == "alpha-sweep":
         args = args + ["--output", str(tmp_path / "sweep.csv")]
     assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "sweep.csv").exists()

@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 from polystokes import geometry as geo
 import oracles
 from oracles import monomial_integral
+from test_assembly import COMB
 from test_vemspace import star_polygons
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -109,14 +110,14 @@ def test_polygon_quadrature_thin_kernel():
 def _assert_kernel_ball(verts):
     verts = np.asarray(verts, dtype=float)
     diameter = geo.polygon_diameter(verts)
-    centre, r = geo._kernel_balls(verts[None], diameter[None])
+    centre, r = geo._kernel_centre(verts)[0], geo._kernel_radii(verts[None])
     d = np.roll(verts, -1, axis=0) - verts
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(
         d, axis=1)[:, None]
     clearance = np.min(np.sum(normals * (verts - centre), axis=1))
     # the clearance of the centre is r to 1e-12 of the diameter
     assert abs(clearance - r[0]) <= 1e-12 * diameter
-    assert geo._fan_jacobians(verts, centre).min() > 0
+    assert geo._fan_jacobians(verts, centre[None]).min() > 0
 
 
 @given(star_polygons())
@@ -129,6 +130,38 @@ def test_kernel_ball_centre_sees_every_side(verts):
                          ids=["l_cell", "hourglass"])
 def test_kernel_ball_centre_in_a_kernel_off_the_centroid(verts):
     _assert_kernel_ball(verts)
+
+
+def _assert_chunks_change_nothing(rings):
+    """The kernel routines on rings (g, m, 2) give the same radii, bit for
+    bit, when every chunk holds a few (ring, triple) pairs: 40 // 6 = 6 of
+    them for 6-gons, so a chunk straddles two rings of 20 triples each."""
+    rings = np.asarray(rings, dtype=float)
+    want = geo._kernel_radii(rings)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "_CHUNK", 40)
+        got = geo._kernel_radii(rings)
+        assert np.array_equal(got, want)
+        assert got.tolist() == [oracles.kernel_ball_radius(v) for v in rings]
+        for verts, r in zip(rings, got):
+            if r > 0:
+                _assert_kernel_ball(verts)
+            else:
+                with pytest.raises(ValueError, match="not star-shaped"):
+                    geo.polygon_quadrature(verts, 2)
+
+
+@pytest.mark.parametrize("rings", [[L_CELL, HOURGLASS], [COMB]],
+                         ids=["l_cell+hourglass", "comb"])
+def test_kernel_routines_across_chunk_boundaries(rings):
+    _assert_chunks_change_nothing(rings)
+
+
+@given(star_polygons())
+@settings(max_examples=30, deadline=None)
+def test_kernel_routines_across_chunk_boundaries_on_star_polygons(verts):
+    # the ring and the same ring numbered from its second vertex
+    _assert_chunks_change_nothing([verts, np.roll(verts, 1, axis=0)])
 
 
 @pytest.mark.parametrize("degree", [1, 3, 6, 9])
