@@ -5,7 +5,8 @@ Prints one line per (family, level, k, basis) and output group: the cell
 blocks, the gathered system (k0, c_values, rhs, free, signs), the solution
 (ux, uy, p and the recovered bubbles) and the ErrorReport floats of the
 `test1` solve, then the `cond` of every point of the benchmark's alpha sweep
-(voronoi L1, mesh seed 0, k=1-2, both bases, the 13 default alphas), then
+(voronoi L1, mesh seed 0, k=1-2, both bases, the 13 default alphas), read
+from the CLI's sweep CSV below, then
 one line per (family, level) for the mesh itself (vertices, rings,
 cell_edges, edges, boundary flags, cell areas and diameters, h).  The last
 two lines are the full sha256 of two CLI CSVs, which the script writes
@@ -27,6 +28,7 @@ cell without their zero padding.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import pathlib
@@ -36,7 +38,6 @@ import numpy as np
 
 from polystokes import (assemble, build_blocks, compute_errors, generate_mesh,
                         get_case, solve)
-from polystokes.analysis import run_alpha_sweep
 from polystokes.cli import main as cli_main
 
 FAMILIES = ("hexagonal", "voronoi", "random_polygons", "diamond")
@@ -69,8 +70,8 @@ def mesh_digest(mesh):
                   mesh.cell_areas, mesh.cell_diameters, mesh.h)
 
 
-def cli_csv_digest(args, name):
-    """The sha256 of the CSV that the CLI writes for args, in a temporary
+def cli_csv(args, name):
+    """The bytes of the CSV that the CLI writes for args, in a temporary
     directory; its "wrote ..." line is not printed."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / name
@@ -78,7 +79,7 @@ def cli_csv_digest(args, name):
             status = cli_main([*args, "--output", str(path)])
         if status != 0:
             raise RuntimeError(f"polystokes {' '.join(args)} exited {status}")
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return path.read_bytes()
 
 
 def cell_blocks(system, forcing):
@@ -119,13 +120,15 @@ def main():
                                                   sol.bubbles))
                     print(tag, "errors", digest(np.array(
                         [rep.err0_u, rep.err1_u, rep.err0_p])))
-    for row in run_alpha_sweep("voronoi", 1, [1, 2]):
+    csvs = {name: cli_csv(args, name) for name, args in CLI_CSVS.items()}
+    # the sweep CSV holds each float as its repr, the form these lines print
+    for row in csv.DictReader(io.StringIO(csvs["sweep.csv"].decode())):
         print(f"alpha_sweep voronoi L1 k={row['k']} {row['basis']} "
-              f"alpha={row['alpha']!r} cond {row['cond']!r}")
+              f"alpha={row['alpha']} cond {row['cond']}")
     for tag, mesh in meshes:
         print(tag, "mesh", mesh_digest(mesh))
-    for name, args in CLI_CSVS.items():
-        print("cli", name, cli_csv_digest(args, name))
+    for name, data in csvs.items():
+        print("cli", name, hashlib.sha256(data).hexdigest())
 
 
 if __name__ == "__main__":

@@ -268,21 +268,29 @@ def _given(values, what):
     return values
 
 
+def _once_each(values, what):
+    """values, unless one of them repeats: then ValueError naming it."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{what} {v!r} given twice")
+    return values
+
+
 def run_convergence(family, levels, k, case, basis_kind="scaled_monomial",
                     alpha=1.0, rng_seed=0, timings=True):
     """Solve on mesh sequences and tabulate errors and observed rates.
 
     family, k and case (a ManufacturedCase or a name for case_for) are each
-    one value or a list.  Every input is checked, and an empty list refused,
-    before the first mesh; each (family, level) mesh is generated once,
-    level by level.  Rows come
+    one value or a list.  Every input is checked, and an empty list or a
+    repeated family or level refused, before the first mesh; each (family,
+    level) mesh is generated once, level by level.  Rows come
     in the order case, family, k, level, with rates along each (case,
     family, k) sequence; seconds cover assembly, solve and error norms.
     """
-    families = _given(_listed(family), "families")
+    families = _once_each(_given(_listed(family), "families"), "family")
     ks = _given(_listed(k), "degrees")
     for name in families:
-        for level in _given(levels, "levels"):
+        for level in _once_each(_given(levels, "levels"), "level"):
             check_mesh_level(name, level)
     for degree in ks:
         check_degree(degree)

@@ -227,15 +227,6 @@ def _matrix(k0, c_positions, c_values, alpha):
     return sp.csc_matrix((data, k0.indices, k0.indptr), k0.shape)
 
 
-def _element(mesh, c, k, basis_kind):
-    """build_element of cell c; a refusal of the cell names it."""
-    try:
-        return build_element(mesh.vertices[mesh.cells[c]], k,
-                             basis_kind=basis_kind)
-    except (pb.IllConditionedBasisError, ValueError) as exc:
-        raise type(exc)(f"cell {c}: {exc}") from exc
-
-
 def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,
              config=StabilizationConfig(), basis_kind="scaled_monomial", *,
              condensed=True):
@@ -251,7 +242,7 @@ def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,
                          f"condensed must be True, not {condensed!r}")
     pb.check_basis_kind(basis_kind)
     dof_map = build_dof_map(mesh, k)
-    batches = build_batches([_element(mesh, c, k, basis_kind)
+    batches = build_batches([build_element(mesh, c, k, basis_kind=basis_kind)
                              for c in range(dof_map.n_cells)])
     constrained, values = _boundary_scalar_data(mesh, dof_map, g)
     # the cell blocks are dropped once gathered

@@ -191,6 +191,7 @@ class PolygonalMesh:
     boundary_edge_flags: np.ndarray
     h: float
     cell_areas: np.ndarray = field(repr=False)
+    cell_centroids: np.ndarray = field(repr=False)   # (n_cells, 2)
     cell_diameters: np.ndarray = field(repr=False)
 
     @property
@@ -238,6 +239,9 @@ def build_mesh(vertices, cells, check_domain_area=None):
             raise MeshError(f"cell {ci}: ring is clockwise or degenerate "
                             f"(area {areas[ci]:g})")
         raise MeshError(f"cell {ci}: ring is self-intersecting")
+    centroids = np.empty((n_k, 2))
+    for ids, ring in rings.groups:
+        centroids[ids] = polygon_centroid(vertices[ring])
 
     starts = rings.values
     successor = np.arange(1, len(starts) + 1)
@@ -267,7 +271,8 @@ def build_mesh(vertices, cells, check_domain_area=None):
     return PolygonalMesh(
         vertices=vertices, cells=rings, edges=edges, cell_edges=cell_edges,
         boundary_vertex_flags=boundary_verts, boundary_edge_flags=boundary_edges,
-        h=float(np.max(diams)), cell_areas=areas, cell_diameters=diams)
+        h=float(np.max(diams)), cell_areas=areas, cell_centroids=centroids,
+        cell_diameters=diams)
 
 
 def _checked_input(vertices, cells):
@@ -674,29 +679,33 @@ def triangle_rule(degree):
     return pts, w
 
 
-def polygon_quadrature(verts, exactness_degree):
+def polygon_quadrature(verts, exactness_degree, centre):
     """Quadrature over a polygon by fanning triangles from a kernel point.
 
-    The fan center is the centroid when every fan triangle has positive
-    area there; otherwise the centre of the largest ball inside the kernel
-    (the points that see the whole polygon).  Raises ValueError when that
-    ball's radius is at most _KERNEL_TOL times the diameter.
+    The fan centre is the given centre (2,) when every fan triangle has
+    positive area there; otherwise the centre of the largest ball inside
+    the kernel (the points that see the whole polygon).  Raises ValueError
+    for a clockwise or degenerate ring, and when that ball's radius is at
+    most _KERNEL_TOL times the diameter.
     """
     verts = np.asarray(verts, dtype=float)
     if exactness_degree < 0:
         raise ValueError("exactness_degree must be >= 0")
     ref_pts, ref_w = triangle_rule(exactness_degree)
-    c = polygon_centroid(verts)
-    jac = _fan_jacobians(verts, c[None, :])[0]
+    jac = _fan_jacobians(verts, centre[None, :])[0]
     if jac.min() <= 0:
-        c, r = _kernel_centre(verts)
+        # a clockwise ring's sides face inwards: its kernel would read as empty
+        area = polygon_area(verts)
+        if area <= 0:
+            raise ValueError(f"ring is clockwise or degenerate (area {area:g})")
+        centre, r = _kernel_centre(verts)
         if r <= _KERNEL_TOL * polygon_diameter(verts):
             raise ValueError("polygon is not star-shaped: the largest ball "
                              f"in its kernel has radius {r:.3g}")
-        jac = _fan_jacobians(verts, c[None, :])[0]
-    a = verts - c
-    b = np.roll(verts, -1, axis=0) - c
-    pts = (c + ref_pts[None, :, 0:1] * a[:, None, :]
+        jac = _fan_jacobians(verts, centre[None, :])[0]
+    a = verts - centre
+    b = np.roll(verts, -1, axis=0) - centre
+    pts = (centre + ref_pts[None, :, 0:1] * a[:, None, :]
            + ref_pts[None, :, 1:2] * b[:, None, :])
     return QuadratureRule(pts.reshape(-1, 2), (jac[:, None] * ref_w).ravel(),
                           exactness_degree)

@@ -11,9 +11,9 @@ All projector matrices map DOF vectors to coefficient vectors in the cell's
 polynomial basis of degree k+2 (whose graded prefixes serve as the degree-k
 and degree-(k-2) bases).
 
-Element construction is split at the basis: build_element makes one cell's
-quadrature and basis, and build_batches stacks cells of equal vertex count
-and computes their layout, areas, edge nodes, projectors and matrices over
+Element construction is split at the basis: build_element makes one mesh
+cell's quadrature and basis, and build_batches stacks cells of equal vertex
+count and computes their layout, edge nodes, projectors and matrices over
 the stack.
 """
 
@@ -32,9 +32,6 @@ from .geometry import (
     edge_quadrature,
     gauss_legendre_rule,
     gauss_lobatto_points,
-    polygon_area,
-    polygon_centroid,
-    polygon_diameter,
     polygon_quadrature,
 )
 
@@ -67,12 +64,13 @@ class LocalDofLayout:
 
 @dataclass(frozen=True)
 class ElementContext:
-    """One cell's quadrature and basis: the per-cell inputs of build_batches."""
+    """One cell's quadrature, basis and area, the inputs of build_batches."""
 
     verts: np.ndarray
     k: int
     basis: pb.PolyBasis          # degree k+2
     quad: object
+    area: float
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ class ElementBatch(ElementContext):
 
     cells: np.ndarray            # positions in the list given to build_batches
     layout: LocalDofLayout
-    area: np.ndarray
     edge_nodes: np.ndarray       # (n_edges, k-1, 2) interior trace nodes
     mass: np.ndarray             # (dim P_{k+2})^2 Gram matrices
     stiffness: np.ndarray
@@ -143,17 +140,24 @@ def build_layout(n_vertex, k):
                           n_moment=pb.poly_dim(k - 2), n_bubble=2 * k + 1)
 
 
-def build_element(verts, k, basis_kind="scaled_monomial", quad_degree=None):
-    """One cell's quadrature and basis (QR of its scaled monomials).
-    Raises IllConditionedBasisError as build_basis."""
-    verts = np.asarray(verts, dtype=float)
+def build_element(mesh, c, k, basis_kind="scaled_monomial", quad_degree=None):
+    """Cell c's quadrature and basis (QR of its scaled monomials), from its
+    vertices, centroid, diameter and area on the mesh.  Raises
+    IllConditionedBasisError as build_basis and ValueError as
+    polygon_quadrature, naming the cell."""
+    verts = mesh.vertices[mesh.cells[c]]
+    centroid = mesh.cell_centroids[c]
     if quad_degree is None:
         quad_degree = 2 * k + 6
-    quad = polygon_quadrature(verts, quad_degree)
-    at_quad = pb.power_table(k + 2, polygon_centroid(verts),
-                             polygon_diameter(verts), quad.points)
-    basis = pb.build_basis(at_quad, quad.weights, basis_kind)
-    return ElementContext(verts=verts, k=k, basis=basis, quad=quad)
+    try:
+        quad = polygon_quadrature(verts, quad_degree, centroid)
+        at_quad = pb.power_table(k + 2, centroid, mesh.cell_diameters[c],
+                                 quad.points)
+        basis = pb.build_basis(at_quad, quad.weights, basis_kind)
+    except (pb.IllConditionedBasisError, ValueError) as exc:
+        raise type(exc)(f"cell {c}: {exc}") from exc
+    return ElementContext(verts=verts, k=k, basis=basis, quad=quad,
+                          area=mesh.cell_areas[c])
 
 
 def _stacked(items, name=""):
@@ -254,7 +258,6 @@ def _build_batch(cells, ctx):
     k, verts, basis = ctx.k, ctx.verts, ctx.basis
     g, nv = verts.shape[:2]
     lay = build_layout(nv, k)
-    cell_area = polygon_area(verts)
     gl = gauss_lobatto_points(k + 1)[1:-1]
     edge_nodes = (verts[:, :, None, :] + 0.5 * (gl[:, None] + 1.0)
                   * (np.roll(verts, -1, axis=1) - verts)[:, :, None, :])
@@ -264,7 +267,7 @@ def _build_batch(cells, ctx):
     nsc = lay.n_scalar
     sl = slice(nlow, nk)
     moment0 = lay.n_vertex + lay.n_edge
-    area = cell_area[:, None, None]
+    area = ctx.area[:, None, None]
     centroid = basis.centroid[:, None, :]
     diameter = basis.diameter[:, None, None]
 
@@ -338,7 +341,7 @@ def _build_batch(cells, ctx):
     return ElementBatch(
         **{f.name: getattr(ctx, f.name)
            for f in dataclasses.fields(ElementContext)},
-        cells=cells, layout=lay, area=cell_area, edge_nodes=edge_nodes,
+        cells=cells, layout=lay, edge_nodes=edge_nodes,
         mass=mass, stiffness=_t(A) @ stiff_o @ A,
         pinabla_k=pinabla, pizero_k=pizero, bubble_pinabla=bubble_pinabla,
         bubble_pizero_k=bubble_pizero, dof_matrix=D,

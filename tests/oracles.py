@@ -260,10 +260,15 @@ def batch(ctx):
     return out
 
 
+def one_cell(verts):
+    """The one-cell mesh of a simple CCW polygon, for build_element."""
+    return geo.build_mesh(verts, [np.arange(len(verts))])
+
+
 def element_set(mesh, k, kind):
     """Every cell's ElementContext on a mesh, and build_batches of them."""
-    contexts = [vs.build_element(mesh.vertices[c], k, basis_kind=kind)
-                for c in mesh.cells]
+    contexts = [vs.build_element(mesh, c, k, basis_kind=kind)
+                for c in range(mesh.n_cells)]
     return contexts, vs.build_batches(contexts)
 
 
@@ -334,10 +339,10 @@ def interpolate_scalar(ctx, f):
 
 def build_operators(ctx):
     """One cell's ElementBatch fields beyond the ElementContext ones but the
-    cell index (layout, area, edge nodes, mass, stiffness, projector and
-    DOF matrices, quadrature values and member integrals) as a dict,
-    computed for that cell alone: the reference that the batches of
-    vemspace.build_batches must equal bit for bit.
+    cell index (layout, edge nodes, mass, stiffness, projector and DOF
+    matrices, quadrature values and member integrals) as a dict, computed
+    for that cell alone, on its own area: the reference that the batches
+    of vemspace.build_batches must equal bit for bit.
 
     Every Gram system is solved in the orthonormal basis q = m R^-1, and a
     projector is T Pi^orth S (see vemspace._build_batch).
@@ -409,7 +414,7 @@ def build_operators(ctx):
     bubble_pizero = area * T[:nk, sl] @ Sb
 
     values = pb.evaluate(basis, at_quad)[:, :nk]
-    return dict(layout=layout, area=area, edge_nodes=edge_nodes,
+    return dict(layout=layout, edge_nodes=edge_nodes,
                 mass=mass, stiffness=A.T @ stiff_o @ A,
                 pinabla_k=pinabla, pizero_k=pizero,
                 bubble_pinabla=bubble_pinabla, bubble_pizero_k=bubble_pizero,
@@ -611,6 +616,7 @@ def build_mesh(vertices, cells, check_domain_area=None):
     vertices = np.asarray(vertices, dtype=float)
     rings = [np.asarray(c, dtype=np.int64) for c in cells]
     areas = np.empty(len(rings))
+    centroids = np.empty((len(rings), 2))
     diams = np.empty(len(rings))
     for ci, ring in enumerate(rings):
         if len(ring) < 3 or len(np.unique(ring)) != len(ring):
@@ -622,6 +628,7 @@ def build_mesh(vertices, cells, check_domain_area=None):
         if not ring_is_simple(poly):
             raise geo.MeshError(f"cell {ci}: ring is self-intersecting")
         areas[ci] = a
+        centroids[ci] = polygon_centroid(poly)
         diams[ci] = polygon_diameter(poly)
 
     edge_index = {}
@@ -650,7 +657,8 @@ def build_mesh(vertices, cells, check_domain_area=None):
     return geo.PolygonalMesh(
         vertices=vertices, cells=rings, edges=edges, cell_edges=cell_edges,
         boundary_vertex_flags=boundary_verts, boundary_edge_flags=boundary_edges,
-        h=float(np.max(diams)), cell_areas=areas, cell_diameters=diams)
+        h=float(np.max(diams)), cell_areas=areas, cell_centroids=centroids,
+        cell_diameters=diams)
 
 
 def clipped_voronoi_cells(points):

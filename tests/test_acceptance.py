@@ -37,8 +37,7 @@ def test_criterion_1_projector_identities():
             mesh = geo.generate_mesh(family, level)
             for k in (1, 2, 3, 4):
                 batches = vs.build_batches([
-                    vs.build_element(mesh.vertices[cell], k)
-                    for cell in mesh.cells])
+                    vs.build_element(mesh, c, k) for c in range(mesh.n_cells)])
                 for c, ctx in cell_elements(batches):
                     defect = projector_defect(ctx)
                     if defect > worst:
@@ -55,13 +54,13 @@ def test_criterion_2_bubble_harmonic_orthogonality():
     for family in geo.MESH_FAMILIES:
         mesh = geo.generate_mesh(family, 1)
         idx = rng.choice(len(mesh.cells), size=13, replace=False)
-        cells.extend(mesh.vertices[mesh.cells[i]] for i in idx)
+        cells.extend((mesh, i) for i in idx)
     cells = cells[:50]
     assert len(cells) == 50
     worst = 0.0
-    for verts in cells:
+    for mesh, c in cells:
         for k in (1, 2):
-            ctx = element(vs.build_element(verts, k))
+            ctx = element(vs.build_element(mesh, c, k))
             H = harmonic_subspace(ctx.basis, k + 2)
             pair = H.T @ ctx.stiffness @ ctx.bubble_pinabla
             scale = (np.linalg.norm(ctx.stiffness) * np.abs(H).max()
@@ -212,8 +211,8 @@ def test_criterion_7_interpolation_order():
             # touches exactly (degree-2k mass Gram, degree-(2k-2) moments
             # and stiffness)
             batches = vs.build_batches([
-                vs.build_element(mesh.vertices[cell], k, quad_degree=2 * k + 2)
-                for cell in mesh.cells])
+                vs.build_element(mesh, c, k, quad_degree=2 * k + 2)
+                for c in range(mesh.n_cells)])
             for batch in batches:
                 dofs = vs.interpolate_scalar(batch, f)[..., None]
                 vals = (batch.quad_values @ batch.pizero_k @ dofs)[..., 0]

@@ -302,6 +302,14 @@ def test_power_tables_once_per_point_set(monkeypatch):
      (an.run_alpha_sweep, "voronoi", 1, [])),
     (lambda: an.run_alpha_sweep("voronoi", 1, 1, basis_kinds=()),
      (an.run_alpha_sweep, "voronoi", 1, 1, an.DEFAULT_ALPHAS, ())),
+    # a repeated level or family generated its meshes twice, and a repeated
+    # level gave nan rates from log(1) / log(1)
+    (lambda: an.run_convergence("hexagonal", [1, 1], 1, "test1"),
+     (an.run_convergence, "hexagonal", [1, 1], 1, "test1")),
+    (lambda: an.run_convergence(["hexagonal", "voronoi", "hexagonal"], [1],
+                                1, "test1"),
+     (an.run_convergence, ["hexagonal", "voronoi", "hexagonal"], [1], 1,
+      "test1")),
 ], ids=["alpha-sweep-alpha", "alpha-sweep-k", "convergence-level",
         "convergence-k", "alpha-sweep-basis", "convergence-basis",
         "convergence-non-integer-k", "assemble-non-integer-k",
@@ -309,7 +317,8 @@ def test_power_tables_once_per_point_set(monkeypatch):
         "alpha-sweep-late-k", "convergence-no-families",
         "convergence-no-levels", "convergence-no-degrees",
         "convergence-no-cases", "alpha-sweep-no-degrees",
-        "alpha-sweep-no-basis-kinds"])
+        "alpha-sweep-no-basis-kinds", "convergence-repeated-level",
+        "convergence-repeated-family"])
 def test_studies_refuse_bad_input_before_any_work(study, refusal,
                                                   monkeypatch):
     # these generated meshes and solved (or computed condition numbers for)

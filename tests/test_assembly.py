@@ -87,6 +87,26 @@ def test_kernel_refusal_names_its_cell():
     assert type(exc.value.__cause__) is ValueError
 
 
+def test_cell_geometry_read_from_the_mesh(monkeypatch):
+    # build_mesh computes each cell's centroid, diameter and area once;
+    # assemble computed the centroid twice more per cell and the diameter
+    # and area once more
+    mesh = geo.generate_mesh("hexagonal", 2)
+    calls = []
+    for name in ("polygon_centroid", "polygon_diameter", "polygon_area"):
+        real = getattr(geo, name)
+
+        def counted(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(geo, name, counted)
+    for k in (1, 2, 3):
+        for kind in ("scaled_monomial", "l2_orthonormal"):
+            asm.assemble(mesh, k, basis_kind=kind)
+    assert calls == []
+
+
 def test_dof_map_counts_k2():
     mesh = geo.generate_mesh("hexagonal", 1)
     dm = asm.build_dof_map(mesh, 2)

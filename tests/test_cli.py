@@ -177,8 +177,11 @@ def _library_message(call, *args):
      (vs.check_degree, 0)),
     (["alpha-sweep", "--family", "voronoi", "--level", "1", "--k", "1",
       "--alphas", "1,10,-1"], (StabilizationConfig, -1.0)),
+    (["convergence", "--cases", "test1", "--families", "hexagonal",
+      "--levels", "1,1", "--k", "1"],
+     (cli.analysis.run_convergence, "hexagonal", [1, 1], 1, "test1")),
 ], ids=["convergence-level", "convergence-k", "alpha-sweep-k",
-        "alpha-sweep-alpha"])
+        "alpha-sweep-alpha", "convergence-repeated-level"])
 def test_bad_input_refused_before_solving(args, refusal, tmp_path, capsys,
                                           monkeypatch):
     # these solved (or computed condition numbers for) every earlier row

@@ -48,7 +48,7 @@ def test_polygon_area_matches_oracle_pentagon():
 @pytest.mark.parametrize("degree", [1, 2, 4, 7, 10])
 @pytest.mark.parametrize("verts", [UNIT_SQUARE, PENTAGON], ids=["square", "pentagon"])
 def test_polygon_quadrature_exact_on_monomials(verts, degree):
-    rule = geo.polygon_quadrature(verts, degree)
+    rule = geo.polygon_quadrature(verts, degree, geo.polygon_centroid(verts))
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
             got = np.sum(rule.weights * rule.points[:, 0] ** a
@@ -58,7 +58,7 @@ def test_polygon_quadrature_exact_on_monomials(verts, degree):
 
 
 def test_polygon_quadrature_positive_weights():
-    rule = geo.polygon_quadrature(PENTAGON, 8)
+    rule = geo.polygon_quadrature(PENTAGON, 8, geo.polygon_centroid(PENTAGON))
     assert np.all(rule.weights > 0)
 
 
@@ -68,7 +68,20 @@ def test_polygon_quadrature_rejects_nonstar_fan():
     verts = np.array([[0, 0], [4, 0], [4, 1], [1, 1], [1, 3], [4, 3],
                       [4, 4], [0, 4.0]])
     with pytest.raises(ValueError):
-        geo.polygon_quadrature(verts, 2)
+        geo.polygon_quadrature(verts, 2, geo.polygon_centroid(verts))
+
+
+@pytest.mark.parametrize("verts", [UNIT_SQUARE, PENTAGON],
+                         ids=["square", "pentagon"])
+def test_polygon_quadrature_refuses_clockwise_ring(verts):
+    # a clockwise ring was called not star-shaped, its kernel radius the
+    # negative of the inscribed ball's
+    cw = verts[::-1]
+    area = geo.polygon_area(cw)
+    assert area < 0
+    with pytest.raises(ValueError) as exc:
+        geo.polygon_quadrature(cw, 2, geo.polygon_centroid(cw))
+    assert str(exc.value) == f"ring is clockwise or degenerate (area {area:g})"
 
 
 # An L-shaped cell whose centroid lies outside its kernel: the centroid fan
@@ -77,7 +90,7 @@ L_CELL = np.array([[0, 0], [3, 0], [3, 0.6], [1, 0.6], [1, 1.6], [0, 1.6]])
 
 
 def _assert_quadrature_exact(verts, degree):
-    rule = geo.polygon_quadrature(verts, degree)
+    rule = geo.polygon_quadrature(verts, degree, geo.polygon_centroid(verts))
     assert np.all(rule.weights > 0)
     for d in range(degree + 1):
         for a in range(d + 1):
@@ -148,7 +161,8 @@ def _assert_chunks_change_nothing(rings):
                 _assert_kernel_ball(verts)
             else:
                 with pytest.raises(ValueError, match="not star-shaped"):
-                    geo.polygon_quadrature(verts, 2)
+                    geo.polygon_quadrature(verts, 2,
+                                           geo.polygon_centroid(verts))
 
 
 @pytest.mark.parametrize("rings", [[L_CELL, HOURGLASS], [COMB]],
@@ -348,7 +362,8 @@ def test_mesh_h_decreases_with_level():
 
 def _assert_meshes_equal(mesh, ref):
     for name in ("vertices", "edges", "boundary_vertex_flags",
-                 "boundary_edge_flags", "cell_areas", "cell_diameters"):
+                 "boundary_edge_flags", "cell_areas", "cell_centroids",
+                 "cell_diameters"):
         got, want = getattr(mesh, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert mesh.h == ref.h
@@ -565,7 +580,7 @@ def convex_polygons(draw):
        st.integers(min_value=0, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_quadrature_matches_oracle_on_random_polygons(verts, a, b):
-    rule = geo.polygon_quadrature(verts, a + b)
+    rule = geo.polygon_quadrature(verts, a + b, geo.polygon_centroid(verts))
     got = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
     want = monomial_integral(verts, a, b)
     assert got == pytest.approx(want, rel=1e-11, abs=1e-12)

@@ -13,9 +13,10 @@ PENTAGON = np.array([[0.0, 0.0], [0.7, 0.1], [1.1, 0.6], [0.5, 1.2],
 
 
 def _basis(k, kind="scaled_monomial", verts=PENTAGON):
-    quad = geo.polygon_quadrature(verts, 2 * k + 2)
-    powers = pb.power_table(k, geo.polygon_centroid(verts),
-                            geo.polygon_diameter(verts), quad.points)
+    centroid = geo.polygon_centroid(verts)
+    quad = geo.polygon_quadrature(verts, 2 * k + 2, centroid)
+    powers = pb.power_table(k, centroid, geo.polygon_diameter(verts),
+                            quad.points)
     return pb.build_basis(powers, quad.weights, kind), quad
 
 
@@ -169,9 +170,10 @@ def test_harmonic_subspace(k):
 def test_ill_conditioned_basis_raises():
     # degenerate sliver drives the scaled-monomial mass matrix singular
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-13], [1.0, 1e-13]])
-    quad = geo.polygon_quadrature(verts, 14)
-    powers = pb.power_table(6, geo.polygon_centroid(verts),
-                            geo.polygon_diameter(verts), quad.points)
+    centroid = geo.polygon_centroid(verts)
+    quad = geo.polygon_quadrature(verts, 14, centroid)
+    powers = pb.power_table(6, centroid, geo.polygon_diameter(verts),
+                            quad.points)
     with pytest.raises(pb.IllConditionedBasisError):
         pb.build_basis(powers, quad.weights, "l2_orthonormal")
 

@@ -10,7 +10,7 @@ from polystokes import polybasis as pb
 from polystokes import stokes_local as sl
 from polystokes import vemspace as vs
 from polystokes.analysis import get_case
-from oracles import monomial_integral
+from oracles import monomial_integral, one_cell
 
 PENTAGON = np.array([[0.0, 0.0], [0.7, 0.1], [1.1, 0.6], [0.5, 1.2],
                      [-0.2, 0.7]])
@@ -41,7 +41,7 @@ def test_stabilization_config_validation():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_blocks_symmetric(k):
-    ctx = vs.build_element(PENTAGON, k)
+    ctx = vs.build_element(one_cell(PENTAGON), 0, k)
     A_u, A_b = _blocks(ctx).A_u, _blocks(ctx).A_b
     assert np.abs(A_u - A_u.T).max() <= 1e-13 * max(np.abs(A_u).max(), 1.0)
     assert np.abs(A_b - A_b.T).max() <= 1e-13 * max(np.abs(A_b).max(), 1.0)
@@ -49,7 +49,7 @@ def test_a_blocks_symmetric(k):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_positive_semidefinite_with_constant_kernel(k):
-    ctx = vs.build_element(PENTAGON, k)
+    ctx = vs.build_element(one_cell(PENTAGON), 0, k)
     A_u = _blocks(ctx).A_u
     eigs = np.linalg.eigvalsh(A_u)
     assert eigs.min() > -1e-12
@@ -64,7 +64,7 @@ def test_a_positive_semidefinite_with_constant_kernel(k):
 def test_a_consistency_on_polynomials(k):
     # for polynomial DOF vectors the stabilization part vanishes and the
     # block reduces to the exact grad-grad pairing of the polynomials
-    ctx = vs.build_element(PENTAGON, k)
+    ctx = vs.build_element(one_cell(PENTAGON), 0, k)
     el = oracles.element(ctx)
     nk = pb.poly_dim(k)
     A_u = _blocks(ctx).A_u
@@ -83,7 +83,7 @@ def test_a_consistency_on_polynomials(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_c_symmetric_and_polynomial_kernel(k):
-    ctx = vs.build_element(PENTAGON, k)
+    ctx = vs.build_element(one_cell(PENTAGON), 0, k)
     C = _blocks(ctx).C_p
     assert np.abs(C - C.T).max() <= 1e-14 * max(np.abs(C).max(), 1.0)
     rng = np.random.default_rng(7)
@@ -93,7 +93,7 @@ def test_c_symmetric_and_polynomial_kernel(k):
 
 def test_c_positive_on_nonpolynomial_mode():
     # a single vertex hat on a pentagon at k=1 is not a polynomial
-    ctx = vs.build_element(PENTAGON, 1)
+    ctx = vs.build_element(one_cell(PENTAGON), 0, 1)
     C = _blocks(ctx).C_p
     q = np.zeros(len(C))
     q[0] = 1.0
@@ -104,7 +104,7 @@ def test_c_positive_on_nonpolynomial_mode():
 def test_b_consistency_polynomial_pair(k):
     # for v = interpolated polynomial velocity and q = polynomial pressure
     # DOFs, B matches the exact integral of q div v
-    ctx = vs.build_element(UNIT_SQUARE, k)
+    ctx = vs.build_element(one_cell(UNIT_SQUARE), 0, k)
     B_u = _blocks(ctx).B_u
     # v = (x^k, 0), q = x^(k-1): int q div v = k int x^(2k-2)
     batch = oracles.batch(ctx)
@@ -119,7 +119,7 @@ def test_b_consistency_polynomial_pair(k):
 
 def test_b_bubble_vanishes_for_low_order_pressure():
     # bubble divergence pairing uses only the top-degree pressure slice
-    ctx = vs.build_element(PENTAGON, 2)
+    ctx = vs.build_element(one_cell(PENTAGON), 0, 2)
     B_b = _blocks(ctx).B_b
     # constant pressure: zero pairing (bubbles vanish on the boundary)
     (qd,) = vs.interpolate_scalar(oracles.batch(ctx),
@@ -130,8 +130,8 @@ def test_b_bubble_vanishes_for_low_order_pressure():
 @pytest.mark.parametrize("k", [1, 2])
 def test_scaling_of_blocks(k):
     # scaling coordinates by s leaves A unchanged and multiplies B by s
-    ctx1 = vs.build_element(PENTAGON, k)
-    ctx2 = vs.build_element(2.0 * PENTAGON, k)
+    ctx1 = vs.build_element(one_cell(PENTAGON), 0, k)
+    ctx2 = vs.build_element(one_cell(2.0 * PENTAGON), 0, k)
     b1, b2 = _blocks(ctx1), _blocks(ctx2)
     A1, Ab1 = b1.A_u, b1.A_b
     A2, Ab2 = b2.A_u, b2.A_b
@@ -144,7 +144,7 @@ def test_scaling_of_blocks(k):
 
 
 def test_rhs_zero_forcing():
-    ctx = vs.build_element(PENTAGON, 1)
+    ctx = vs.build_element(one_cell(PENTAGON), 0, 1)
     b = _blocks(ctx, f=lambda p: np.zeros((len(p), 2)))
     F_u, F_b = b.F_u, b.F_b
     assert np.all(F_u == 0.0) and np.all(F_b == 0.0)
@@ -153,7 +153,7 @@ def test_rhs_zero_forcing():
 @pytest.mark.parametrize("k", [1, 2])
 def test_rhs_constant_forcing_partition_of_unity(k):
     # sum over one component's scalar DOFs of (f, pizero phi_i) = c |K|
-    ctx = vs.build_element(PENTAGON, k)
+    ctx = vs.build_element(one_cell(PENTAGON), 0, k)
     c1, c2 = 2.0, -3.0
     F_u = _blocks(ctx, f=lambda p: np.tile([c1, c2], (len(p), 1))).F_u
     batch = oracles.batch(ctx)
@@ -168,7 +168,7 @@ def test_rhs_constant_forcing_partition_of_unity(k):
 
 
 def test_beta_sharp_adds_bubble_stabilization():
-    ctx = vs.build_element(PENTAGON, 1)
+    ctx = vs.build_element(one_cell(PENTAGON), 0, 1)
     Ab0 = _blocks(ctx, sl.StabilizationConfig(beta_sharp=0.0)).A_b
     Ab1 = _blocks(ctx, sl.StabilizationConfig(beta_sharp=1.0)).A_b
     diff = Ab1 - Ab0
@@ -179,8 +179,8 @@ def test_beta_sharp_adds_bubble_stabilization():
 
 def test_build_blocks_shapes():
     # cells stacked in list order, padded to the widest cell
-    small = vs.build_element(UNIT_SQUARE, 2)
-    ctx = vs.build_element(PENTAGON, 2)
+    small = vs.build_element(one_cell(UNIT_SQUARE), 0, 2)
+    ctx = vs.build_element(one_cell(PENTAGON), 0, 2)
     blocks = sl.build_blocks(vs.build_batches([ctx, small, ctx]),
                              f=lambda p: np.ones((len(p), 2)))
     lay = vs.build_layout(len(PENTAGON), 2)

@@ -11,7 +11,7 @@ from polystokes import geometry as geo
 from polystokes import polybasis as pb
 from polystokes import vemspace as vs
 import oracles
-from oracles import projector_defect
+from oracles import one_cell, projector_defect
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 PENTAGON = np.array([[0.0, 0.0], [0.7, 0.1], [1.1, 0.6], [0.5, 1.2],
@@ -35,7 +35,8 @@ def test_layout_rejects_k0():
 @pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_projectors_reproduce_polynomials(k, kind):
-    ctx = oracles.element(vs.build_element(PENTAGON, k, basis_kind=kind))
+    ctx = oracles.element(vs.build_element(one_cell(PENTAGON), 0, k,
+                                           basis_kind=kind))
     nk = pb.poly_dim(k)
     assert np.abs(ctx.pinabla_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-11
     assert np.abs(ctx.pizero_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-11
@@ -47,10 +48,8 @@ def test_projectors_on_badly_shaped_cell(kind):
     # matrix has condition number 3.4e15, so solves against monomial Gram
     # matrices lose the projector identities there
     mesh = geo.generate_mesh("random_polygons", 2)
-    cell = mesh.cells[109]
-    assert len(cell) == 12
-    ctx = oracles.element(vs.build_element(mesh.vertices[cell], 4,
-                                           basis_kind=kind))
+    assert len(mesh.cells[109]) == 12
+    ctx = oracles.element(vs.build_element(mesh, 109, 4, basis_kind=kind))
     assert projector_defect(ctx) <= 1e-11
 
 
@@ -59,7 +58,7 @@ def test_projectors_on_star_cell_off_centroid_kernel(k):
     # L-shaped cell whose centroid lies outside its kernel, so its
     # quadrature fans from another kernel point
     verts = np.array([[0, 0], [3, 0], [3, 0.6], [1, 0.6], [1, 1.6], [0, 1.6]])
-    ctx = oracles.element(vs.build_element(verts, k))
+    ctx = oracles.element(vs.build_element(one_cell(verts), 0, k))
     nk = pb.poly_dim(k)
     assert np.abs(ctx.pinabla_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-11
     assert np.abs(ctx.pizero_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-11
@@ -68,7 +67,7 @@ def test_projectors_on_star_cell_off_centroid_kernel(k):
 
 def test_pinabla_square_example():
     # unit square, k=1: vertex values (0,0,1,0) project to -1/4 + x/2 + y/2
-    ctx = oracles.element(vs.build_element(UNIT_SQUARE, 1))
+    ctx = oracles.element(vs.build_element(one_cell(UNIT_SQUARE), 0, 1))
     coef = ctx.pinabla_k @ np.array([0.0, 0.0, 1.0, 0.0])
     pts = np.array([[0.3, 0.4], [0.9, 0.1], [0.0, 0.0]])
     basis = ctx.basis.prefix(1)
@@ -81,7 +80,7 @@ def test_pinabla_square_example():
 def test_pizero_is_l2_projection(k):
     # interpolate a non-polynomial and check quadrature orthogonality of
     # the residual moments encoded in the DOFs themselves
-    batch = oracles.batch(vs.build_element(UNIT_SQUARE, k))
+    batch = oracles.batch(vs.build_element(one_cell(UNIT_SQUARE), 0, k))
     ctx = oracles.unstacked(batch, 0)
 
     def f(p):
@@ -101,7 +100,8 @@ def test_pizero_is_l2_projection(k):
 @pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_interpolated_polynomial_projects_to_itself(k, kind):
-    batch = oracles.batch(vs.build_element(PENTAGON, k, basis_kind=kind))
+    batch = oracles.batch(vs.build_element(one_cell(PENTAGON), 0, k,
+                                           basis_kind=kind))
     ctx = oracles.unstacked(batch, 0)
     rng = np.random.default_rng(k)
     coeffs = rng.standard_normal(pb.poly_dim(k))
@@ -119,7 +119,7 @@ def test_interpolated_polynomial_projects_to_itself(k, kind):
 def test_bubble_projection_energy_orthogonal_to_pk(k):
     # grad of the projected bubble is orthogonal to grad P_k: the bubble
     # vanishes on the boundary and its P_(k-2) moments are zero
-    ctx = oracles.element(vs.build_element(PENTAGON, k))
+    ctx = oracles.element(vs.build_element(one_cell(PENTAGON), 0, k))
     nk = pb.poly_dim(k)
     pair = ctx.stiffness[:nk, :] @ ctx.bubble_pinabla
     scale = np.linalg.norm(ctx.stiffness) * np.abs(ctx.bubble_pinabla).max()
@@ -129,7 +129,7 @@ def test_bubble_projection_energy_orthogonal_to_pk(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_bubble_projection_orthogonal_to_harmonics(k):
     # harmonic polynomials of degree <= k+2 pair to zero in energy
-    ctx = oracles.element(vs.build_element(PENTAGON, k))
+    ctx = oracles.element(vs.build_element(one_cell(PENTAGON), 0, k))
     H = oracles.harmonic_subspace(ctx.basis, k + 2)
     pair = H.T @ ctx.stiffness @ ctx.bubble_pinabla
     scale = (np.linalg.norm(ctx.stiffness) * np.abs(H).max()
@@ -139,7 +139,7 @@ def test_bubble_projection_orthogonal_to_harmonics(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_bubble_pizero_moments(k):
-    ctx = oracles.element(vs.build_element(PENTAGON, k))
+    ctx = oracles.element(vs.build_element(one_cell(PENTAGON), 0, k))
     nk = pb.poly_dim(k)
     lo = ctx.layout.n_moment
     got = ctx.mass[lo:nk, :nk] @ ctx.bubble_pizero_k / ctx.area
@@ -150,7 +150,7 @@ def test_bubble_pizero_moments(k):
 
 
 def test_edge_trace_dofs_ordering():
-    batch = oracles.batch(vs.build_element(UNIT_SQUARE, 3))
+    batch = oracles.batch(vs.build_element(one_cell(UNIT_SQUARE), 0, 3))
     # the first edge runs from vertex 0 to vertex 1; its k-1 interior nodes
     # are the Gauss-Lobatto points of the edge
     gl = geo.gauss_lobatto_points(4)[1:-1]
@@ -177,7 +177,7 @@ def star_polygons(draw):
 @given(star_polygons(), st.integers(min_value=1, max_value=3))
 @settings(max_examples=20, deadline=None)
 def test_projector_identity_random_cells(verts, k):
-    ctx = oracles.element(vs.build_element(verts, k))
+    ctx = oracles.element(vs.build_element(one_cell(verts), 0, k))
     nk = pb.poly_dim(k)
     assert np.abs(ctx.pinabla_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-9
     assert np.abs(ctx.pizero_k @ ctx.dof_matrix - np.eye(nk)).max() < 1e-9
@@ -188,7 +188,8 @@ def test_projector_identity_random_cells(verts, k):
 def test_stored_quadrature_values(kind, k):
     # the context keeps the degree-k values the blocks read, and
     # interpolation reads its moments from them with unchanged bits
-    batch = oracles.batch(vs.build_element(PENTAGON, k, basis_kind=kind))
+    batch = oracles.batch(vs.build_element(one_cell(PENTAGON), 0, k,
+                                           basis_kind=kind))
     ctx = oracles.unstacked(batch, 0)
     nk = pb.poly_dim(k)
     full = pb.evaluate(ctx.basis, oracles.table(ctx.basis, ctx.quad.points))
@@ -262,12 +263,13 @@ def test_interpolate_scalar_equals_per_cell_oracle(element_sets):
 def test_build_batches_refuses_mixed_cells():
     # cells of equal vertex count share a batch, which keeps one basis kind
     # and one quadrature degree: cells that differ in them are refused
-    mixed = {"basis.kind": [vs.build_element(PENTAGON, 2),
-                            vs.build_element(PENTAGON, 2, "l2_orthonormal")],
+    pentagon = one_cell(PENTAGON)
+    mixed = {"basis.kind": [vs.build_element(pentagon, 0, 2),
+                            vs.build_element(pentagon, 0, 2, "l2_orthonormal")],
              # degrees 10 and 11 give rules of the same size
              "quad.exactness_degree": [
-                 vs.build_element(PENTAGON, 2),
-                 vs.build_element(PENTAGON, 2, quad_degree=11)]}
+                 vs.build_element(pentagon, 0, 2),
+                 vs.build_element(pentagon, 0, 2, quad_degree=11)]}
     for name, contexts in mixed.items():
         with pytest.raises(ValueError, match=name):
             vs.build_batches(contexts)
