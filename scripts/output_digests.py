@@ -8,7 +8,7 @@ blocks, the gathered system (k0, c_values, rhs, free, signs), the solution
 (voronoi L1, mesh seed 0, k=1-2, both bases, the 13 default alphas), read
 from the CLI's sweep CSV below, then
 one line per (family, level) for the mesh itself (vertices, rings,
-cell_edges, edges, boundary flags, cell areas and diameters, h).  The last
+cell_edges, edges, boundary flags, cell areas and diameters, h).  The next
 two lines are the full sha256 of two CLI CSVs, which the script writes
 through `polystokes.cli.main` into a temporary directory, as
 
@@ -16,6 +16,12 @@ through `polystokes.cli.main` into a temporary directory, as
         --levels 1..3 --k 1,2,3 --no-timings --output conv.csv
     polystokes alpha-sweep --family voronoi --level 1 --k 1..2 \
         --output sweep.csv
+
+The last lines, one per (family, level), digest the cell centroids that
+the mesh stores (`cell_centroids`).  They come after all the others, so the
+lines before them are those that earlier versions of this script printed;
+run on any tree whose meshes store `cell_centroids`, the script prints the
+same centroid lines as long as the meshes keep their bits.
 
 Run it on two checkouts with one BLAS thread and compare the outputs:
 
@@ -129,6 +135,8 @@ def main():
         print(tag, "mesh", mesh_digest(mesh))
     for name, data in csvs.items():
         print("cli", name, hashlib.sha256(data).hexdigest())
+    for tag, mesh in meshes:
+        print(tag, "centroids", digest(mesh.cell_centroids))
 
 
 if __name__ == "__main__":

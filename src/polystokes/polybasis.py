@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 __all__ = [
     "PolyBasis",
@@ -90,7 +90,7 @@ class PolyBasis:
         if self.kind == "l2_orthonormal":
             return self
         R = self.monomial_factor
-        C = solve_triangular(R, np.eye(R.shape[-1]))
+        C = _solve_upper(R, np.eye(R.shape[-1]))
         return PolyBasis("l2_orthonormal", self.degree, self.centroid,
                          self.diameter, C, R)
 
@@ -187,6 +187,32 @@ def _monomial_derivative_maps(k, diameter):
     return dx / diameter, dy / diameter
 
 
+def _solve_upper(R, B, trans="N"):
+    """X with R X = B (R^T X = B for trans "T"), R (n, n) upper triangular,
+    B (n, m), either stacked along leading axes that broadcast: one LAPACK
+    dtrtrs per slice with scipy.linalg.solve_triangular's arguments, into
+    column-major slices as there, so with its bits and layout but not its
+    per-slice Python checks.  Raises ValueError when R or B is not finite
+    and LinAlgError when R has a zero on its diagonal."""
+    if not (np.isfinite(R).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    stack = np.broadcast_shapes(R.shape[:-2], B.shape[:-2])
+    R = np.broadcast_to(R, stack + R.shape[-2:])
+    X = np.empty(stack + B.shape[-1:] + B.shape[-2:-1]).swapaxes(-1, -2)
+    X[...] = B
+    t = int(trans == "T")
+    for i in np.ndindex(stack):
+        # solved in place in X[i]; an R[i] that is not column-major goes as
+        # its transpose, the lower factor of the transposed system
+        flip = not R[i].flags.f_contiguous
+        _, info = dtrtrs(R[i].T if flip else R[i], X[i], lower=flip,
+                         trans=t ^ flip, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {info - 1}")
+    return X
+
+
 class IllConditionedBasisError(RuntimeError):
     """The scaled monomials are numerically dependent at the quadrature points."""
 
@@ -195,7 +221,11 @@ def _monomial_factor(k, weights, powers):
     """R of the Householder QR sqrt(W) V = Q R, with diag(R) > 0."""
     V = powers.values(k)
     R = np.linalg.qr(np.sqrt(weights)[:, None] * V, mode="r")
-    if np.linalg.cond(R) > 1e15:
+    # ||R||_F ||R^-1||_F >= cond_2(R), so the SVD of np.linalg.cond runs only
+    # on the factors that this bound, two orders below 1e15, cannot clear
+    inv, info = dtrtri(R)
+    bound = np.linalg.norm(R) * np.linalg.norm(inv) if info == 0 else np.inf
+    if not bound <= 1e13 and np.linalg.cond(R) > 1e15:
         raise IllConditionedBasisError(
             "scaled monomials numerically dependent at the quadrature "
             "points; reduce the degree or improve the cell shape")
@@ -248,7 +278,7 @@ def laplacian_in_lower_basis(basis):
     n_low = poly_dim(k - 2)
     if n_low == 0:
         return mono
-    return solve_triangular(basis.change_of_basis[..., :n_low, :n_low], mono)
+    return _solve_upper(basis.change_of_basis[..., :n_low, :n_low], mono)
 
 
 def derivative_matrices(basis):
@@ -256,7 +286,7 @@ def derivative_matrices(basis):
     stacked for a stacked basis."""
     dx, dy = _monomial_derivative_maps(basis.degree, basis.diameter)
     C = basis.change_of_basis
-    return (solve_triangular(C, dx @ C), solve_triangular(C, dy @ C))
+    return _solve_upper(C, dx @ C), _solve_upper(C, dy @ C)
 
 
 def stiffness(basis, weights, at):

@@ -12,9 +12,9 @@ polynomial basis of degree k+2 (whose graded prefixes serve as the degree-k
 and degree-(k-2) bases).
 
 Element construction is split at the basis: build_element makes one mesh
-cell's quadrature and basis, and build_batches stacks cells of equal vertex
-count and computes their layout, edge nodes, projectors and matrices over
-the stack.
+cell's quadrature, power table there and basis, and build_batches stacks
+cells of equal vertex count, one batch at a time, and computes their
+layout, edge nodes, projectors and matrices over the stack.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import polybasis as pb
 from .geometry import (
@@ -63,8 +62,8 @@ class LocalDofLayout:
 
 
 @dataclass(frozen=True)
-class ElementContext:
-    """One cell's quadrature, basis and area, the inputs of build_batches."""
+class _Cell:
+    """The fields that an ElementBatch keeps of its cells' contexts."""
 
     verts: np.ndarray
     k: int
@@ -74,11 +73,19 @@ class ElementContext:
 
 
 @dataclass(frozen=True)
-class ElementBatch(ElementContext):
+class ElementContext(_Cell):
+    """One cell's quadrature, basis and area, the inputs of build_batches,
+    and the PowerTable at the quadrature points that the basis was built on."""
+
+    at_quad: pb.PowerTable
+
+
+@dataclass(frozen=True)
+class ElementBatch(_Cell):
     """Cells of equal vertex count, stacked, with their projectors.
 
-    Every array and float of the ElementContext fields, and every field
-    added here but the layout, carries a leading cell axis; ints and
+    Every array and float of the fields kept of the contexts, and every
+    field added here but the layout, carries a leading cell axis; ints and
     strings, equal within a batch, are kept once.  Shapes are per cell.
     """
 
@@ -157,7 +164,7 @@ def build_element(mesh, c, k, basis_kind="scaled_monomial", quad_degree=None):
     except (pb.IllConditionedBasisError, ValueError) as exc:
         raise type(exc)(f"cell {c}: {exc}") from exc
     return ElementContext(verts=verts, k=k, basis=basis, quad=quad,
-                          area=mesh.cell_areas[c])
+                          area=mesh.cell_areas[c], at_quad=at_quad)
 
 
 def _stacked(items, name=""):
@@ -186,12 +193,20 @@ def build_batches(contexts):
     vertex count, in increasing vertex count, each with its projectors and
     matrices.  All contexts must share k, the basis kind and the quadrature
     degree: ValueError otherwise."""
+    return _batched([len(ctx.verts) for ctx in contexts], contexts.__getitem__)
+
+
+def _batched(sizes, element):
+    """The batches of build_batches for cells of the given vertex counts,
+    built one at a time: each from the contexts element(c) of its cells, in
+    increasing vertex count and then position c, which are dropped once
+    their batch is built."""
     batches = []
-    for _, ids in _size_groups([len(ctx.verts) for ctx in contexts]):
+    for _, ids in _size_groups(sizes):
         for s in range(0, len(ids), _BATCH):
             cells = ids[s:s + _BATCH]
-            batches.append(_build_batch(cells, _stacked([contexts[i]
-                                                         for i in cells])))
+            batches.append(_build_batch(cells, _stacked([element(c)
+                                                         for c in cells])))
     return batches
 
 
@@ -277,7 +292,8 @@ def _build_batch(cells, ctx):
     else:
         A, T = basis.monomial_factor, ortho.change_of_basis
     mass = _t(A) @ A
-    at_quad = pb.power_table(k + 2, centroid, diameter, ctx.quad.points)
+    at_quad = dataclasses.replace(ctx.at_quad, centroid=centroid,
+                                  diameter=diameter)
     stiff_o = pb.stiffness(ortho, ctx.quad.weights, at_quad)
     ortho_k = ortho.prefix(k)
 
@@ -322,7 +338,7 @@ def _build_batch(cells, ctx):
     c = np.zeros((g, nk, nsc))
     c[:, :nlow, moment0:] = area * np.eye(nlow)
     c[:, sl, :] = (_t(Ak) @ pinabla_o)[:, sl, :]
-    pizero = solve_triangular(Ak, solve_triangular(Ak, c, trans="T"))
+    pizero = pb._solve_upper(Ak, pb._solve_upper(Ak, c, trans="T"))
 
     # bubble projectors ----------------------------------------------------
     lap_k2 = pb.laplacian_in_lower_basis(ortho)               # (g, nk, nk2)
@@ -339,8 +355,7 @@ def _build_batch(cells, ctx):
 
     values = pb.evaluate(basis, at_quad)[..., :nk]
     return ElementBatch(
-        **{f.name: getattr(ctx, f.name)
-           for f in dataclasses.fields(ElementContext)},
+        **{f.name: getattr(ctx, f.name) for f in dataclasses.fields(_Cell)},
         cells=cells, layout=lay, edge_nodes=edge_nodes,
         mass=mass, stiffness=_t(A) @ stiff_o @ A,
         pinabla_k=pinabla, pizero_k=pizero, bubble_pinabla=bubble_pinabla,

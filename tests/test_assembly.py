@@ -73,6 +73,24 @@ def test_ill_conditioned_refusal_names_its_cell(k):
     assert isinstance(exc.value.__cause__, pb.IllConditionedBasisError)
 
 
+def test_elements_built_in_batch_order(monkeypatch):
+    # assemble builds each batch from its own cells' elements, batch after
+    # batch: vertex count ascending, then cell id
+    calls = []
+    real = asm.build_element
+
+    def recorded(mesh, c, *args, **kwargs):
+        calls.append(c)
+        return real(mesh, c, *args, **kwargs)
+
+    monkeypatch.setattr(asm, "build_element", recorded)
+    mesh = geo.generate_mesh("hexagonal", 2)
+    system = asm.assemble(mesh, 2)
+    order = sorted(range(mesh.n_cells), key=lambda c: (len(mesh.cells[c]), c))
+    assert calls == order != list(range(mesh.n_cells))
+    assert [c for batch in system.batches for c in batch.cells] == order
+
+
 # three teeth: the inner sides of the outer two confine the kernel to
 # x <= 0.2 and x >= 2.8, so it is empty
 COMB = np.array([[0, 0], [3, 0], [3, 1], [2.8, 1], [2.8, 0.2], [1.6, 0.2],

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from polystokes import geometry as geo
 from polystokes import polybasis as pb
+from polystokes import vemspace as vs
 import oracles
 from oracles import scaled_monomial_integral, table
 
@@ -199,3 +201,114 @@ def test_power_table_serves_lower_degrees_and_stacked_cells():
         one = pb.power_table(3, b.centroid, b.diameter, pts[i])
         assert np.array_equal(stacked.values(3)[i], one.values(3))
         assert np.array_equal(stacked.gradients(3)[i], one.gradients(3))
+
+
+def _upper(rng, shape):
+    """Upper-triangular factors with diagonal entries in [1, 2]."""
+    R = np.triu(rng.uniform(-1.0, 1.0, shape))
+    n = shape[-1]
+    R[..., np.arange(n), np.arange(n)] = rng.uniform(1.0, 2.0, shape[:-1])
+    return R
+
+
+def test_solve_upper_equals_solve_triangular():
+    # the bits and the layout of scipy's batched solve: each slice is
+    # column-major, and a row-major factor goes to LAPACK transposed
+    rng = np.random.default_rng(7)
+    R = _upper(rng, (5, 21, 21))
+    B = rng.standard_normal((5, 21, 4))
+    cases = [(R, B), (R, np.eye(21)), (R[..., :10, :10], B[:, :10]),
+             (R[..., :6, :6], rng.standard_normal((5, 6, 10))),
+             (np.asfortranarray(R[0]), B[0]), (R[0], B[0]),
+             (R[1], np.eye(21)), (R[:, :3, :3], B[:, :3, :2]),
+             # one column: dtrtrs on R and on R^T, lower, then round apart
+             (R[2], B[2, :, :1])]
+    # a stack of column-major factors, as solve_triangular returns one
+    cases.append((solve_triangular(R, np.eye(21)), B))
+    for R_, B_ in cases:
+        for trans in ("N", "T"):
+            want = solve_triangular(R_, B_, trans=trans)
+            got = pb._solve_upper(R_, B_, trans=trans)
+            assert got.strides == want.strides and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_upper_refuses_what_solve_triangular_refuses(bad):
+    rng = np.random.default_rng(8)
+    R = _upper(rng, (3, 6, 6))
+    B = rng.standard_normal((3, 6, 2))
+    for which in (0, 1):
+        args = [R.copy(), B.copy()]
+        args[which][1, 1, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_triangular(*args)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pb._solve_upper(*args)
+    singular = R.copy()
+    singular[2, 4, 4] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal 4"):
+        solve_triangular(singular, B)
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal 4"):
+        pb._solve_upper(singular, B)
+
+
+class _Values:
+    """A stand-in for a PowerTable whose monomial values are V."""
+
+    def __init__(self, V):
+        self.V = V
+
+    def values(self, k):
+        return self.V
+
+
+def _refused(k, weights, powers):
+    try:
+        pb._monomial_factor(k, weights, powers)
+    except pb.IllConditionedBasisError:
+        return True
+    return False
+
+
+def test_svd_screen_refuses_exactly_the_factors_above_1e15():
+    # ||R||_F ||R^-1||_F bounds cond_2(R) from above, so it only decides
+    # when the SVD runs, never what is refused
+    rng = np.random.default_rng(9)
+    n = pb.poly_dim(5)
+    Q = np.linalg.qr(rng.standard_normal((60, n)))[0]
+    cases = []
+    for e in (12, 13, 13.5, 14, 14.5, 15, 15.2, 15.5, 16, 17):
+        U, _, Wt = np.linalg.svd(rng.standard_normal((n, n)))
+        R = np.linalg.qr(U * np.logspace(0, -e, n) @ Wt, mode="r")
+        cases.append((5, np.ones(60), _Values(Q @ R)))
+    # the sliver cell of test_ill_conditioned_refusal_names_its_cell
+    sliver = geo.build_mesh([[0, 0], [1, 0], [2, 1e-13], [1, 1e-13]],
+                            [np.arange(4)])
+    verts, centroid = sliver.vertices, sliver.cell_centroids[0]
+    for k in (1, 2):
+        quad = geo.polygon_quadrature(verts, 2 * k + 6, centroid)
+        cases.append((k + 2, quad.weights, pb.power_table(
+            k + 2, centroid, sliver.cell_diameters[0], quad.points)))
+    refusals = []
+    for k, weights, powers in cases:
+        R = np.linalg.qr(np.sqrt(weights)[:, None] * powers.values(k),
+                         mode="r")
+        refusals.append(np.linalg.cond(R) > 1e15)
+        assert _refused(k, weights, powers) == refusals[-1]
+    assert 0 < sum(refusals[:10]) < 10 and all(refusals[10:])
+
+
+def test_svd_screen_clears_every_cell_of_hexagonal_l2(monkeypatch):
+    calls = []
+    real = np.linalg.cond
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    mesh = geo.generate_mesh("hexagonal", 2)
+    for kind in ("scaled_monomial", "l2_orthonormal"):
+        for c in range(mesh.n_cells):
+            vs.build_element(mesh, c, 3, kind)
+    assert calls == []

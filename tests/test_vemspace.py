@@ -209,6 +209,26 @@ def test_stored_quadrature_values(kind, k):
     assert np.array_equal(vs.interpolate_scalar(batch, f)[0], want)
 
 
+@pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
+def test_power_table_travels_with_the_context_only(kind):
+    # the table the basis was built from is the one the batch reads; the
+    # batch keeps no table, and no context or batch field is None
+    mesh = one_cell(PENTAGON)
+    ctx = vs.build_element(mesh, 0, 2, basis_kind=kind)
+    want = pb.power_table(4, mesh.cell_centroids[0], mesh.cell_diameters[0],
+                          ctx.quad.points)
+    assert (ctx.at_quad.degree, ctx.at_quad.centroid, ctx.at_quad.diameter) \
+        == (4, ctx.basis.centroid, ctx.basis.diameter)
+    assert np.array_equal(ctx.at_quad.x, want.x)
+    assert np.array_equal(ctx.at_quad.y, want.y)
+    batch = oracles.batch(ctx)
+    for record in (ctx, batch):
+        fields = [getattr(record, f.name) for f in dataclasses.fields(record)]
+        assert all(x is not None for x in fields)
+    assert not any(isinstance(getattr(batch, f.name), pb.PowerTable)
+                   for f in dataclasses.fields(batch))
+
+
 # The ElementBatch fields computed by the batch step: all but the cell
 # positions and the per-cell inputs of build_batches
 _BATCH_STEP_FIELDS = tuple(
