@@ -2,15 +2,17 @@
 """SHA-256 digests of the solver's outputs, for bit-identity checks.
 
 Prints one line per (family, level, k, basis) and output group: the cell
-blocks, the gathered system (k0, c_values, rhs, free, signs), the solution
-(ux, uy, p and the recovered bubbles) and the ErrorReport floats of the
-`test1` solve, then the `cond` of every point of the benchmark's alpha sweep
-(voronoi L1, mesh seed 0, k=1-2, both bases, the 13 default alphas), read
-from the CLI's sweep CSV below, then
-one line per (family, level) for the mesh itself (vertices, rings,
-cell_edges, edges, boundary flags, cell areas and diameters, h).  The next
-two lines are the full sha256 of two CLI CSVs, which the script writes
-through `polystokes.cli.main` into a temporary directory, as
+blocks, the gathered system (k0, c_values, rhs, free, signs; k0 is the
+alpha-free matrix, hashed as the matrix's data with c_base put back at
+c_positions, then its indices and indptr), the solution (ux, uy, p and the
+recovered bubbles) and the ErrorReport floats of the `test1` solve, then
+the `cond` of every point of the benchmark's alpha sweep (voronoi L1, mesh
+seed 0, k=1-2, both bases, the 13 default alphas), read from the CLI's
+sweep CSV below, then one line per (family, level) for the mesh itself
+(vertices, rings, cell_edges, edges, boundary flags, cell areas and
+diameters, h).  The next two lines are the full sha256 of two CLI CSVs,
+which the script writes through `polystokes.cli.main` into a temporary
+directory, as
 
     polystokes convergence --cases test1 --families hexagonal \
         --levels 1..3 --k 1,2,3 --no-timings --output conv.csv
@@ -88,6 +90,14 @@ def cli_csv(args, name):
         return path.read_bytes()
 
 
+def alpha_free(system):
+    """The data, indices and indptr of the alpha-free matrix k0: the
+    matrix's data with c_base put back at c_positions, on its pattern."""
+    data = system.matrix.data.copy()
+    data[system.c_positions] = system.c_base
+    return data, system.matrix.indices, system.matrix.indptr
+
+
 def cell_blocks(system, forcing):
     """Every cell's blocks, unpadded, field by field in cell order."""
     blocks = build_blocks(system.batches, system.config, forcing)
@@ -119,9 +129,8 @@ def main():
                     print(tag, "blocks",
                           digest(*cell_blocks(system, case.forcing)))
                     print(tag, "system", digest(
-                        system.k0.data, system.k0.indices, system.k0.indptr,
-                        system.c_values, system.rhs, system.free,
-                        system.signs))
+                        *alpha_free(system), system.c_values,
+                        system.rhs, system.free, system.signs))
                     print(tag, "solution", digest(sol.ux, sol.uy, sol.p,
                                                   sol.bubbles))
                     print(tag, "errors", digest(np.array(

@@ -18,9 +18,9 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from . import polybasis as pb
 from .geometry import gauss_lobatto_points
@@ -43,6 +43,8 @@ MAX_REFINE = 5
 # matrix within 10 eps |K| of K, so the smallest modulus, and with it the
 # condition number, is accurate to about 10 eps cond relative.
 COND_BACKWARD_ERROR = 10 * np.finfo(float).eps
+# columns of K per long-double block of the residual (~0.8 MiB at k=3)
+_COLUMNS = 512
 
 
 @dataclass(frozen=True)
@@ -110,10 +112,10 @@ class GlobalSystem:
     # +1 velocity rows, -1 pressure/multiplier
     signs: np.ndarray = field(repr=False)
     batches: list = field(repr=False)   # vemspace.ElementBatch
-    # matrix = k0 + alpha C on k0's pattern: C's entries are c_values at
-    # k0.data[c_positions]; rhs, free and signs do not depend on alpha
-    k0: sp.csc_matrix = field(repr=False)
+    # matrix.data[c_positions] = c_base + alpha c_values holds the pressure
+    # block's entries; rhs, free and signs do not depend on alpha
     c_positions: np.ndarray = field(repr=False)
+    c_base: np.ndarray = field(repr=False)
     c_values: np.ndarray = field(repr=False)
     # (inv(A_b) B_b^T, inv(A_b) F_b) per cell, padded like dof_map.cell_dofs
     recovery: tuple = field(repr=False)
@@ -156,10 +158,10 @@ def _boundary_scalar_data(mesh, dof_map, g):
     return np.concatenate([idx, idx + dof_map.n_scalar]), vals.T.ravel()
 
 
-def _affine(dof_map, blocks, constrained, boundary_values):
-    """rhs, free, signs, k0, c_positions, c_values and recovery of the
-    condensed system, gathered once from the stacked cell blocks (padded to
-    the width of dof_map.cell_dofs)."""
+def _affine(dof_map, blocks, constrained, boundary_values, alpha):
+    """GlobalSystem's rhs, free, signs, matrix (at alpha), c_positions,
+    c_base, c_values and recovery, gathered once from the stacked cell
+    blocks (padded to the width of dof_map.cell_dofs)."""
     table = dof_map.cell_dofs
     n_sc, n_cells = dof_map.n_scalar, dof_map.n_cells
     n_sys = dof_map.n_system
@@ -223,16 +225,12 @@ def _affine(dof_map, blocks, constrained, boundary_values):
     # pattern of k0 holds the pressure block and with it that of C
     k0 = csc(*between_free(blocks))
     C = csc(*between_free([(prs, prs, C_p)]))
-    signs = np.where(free < 2 * n_sc, 1.0, -1.0)
-    return (rhs, free, signs, k0, np.searchsorted(keys(k0), keys(C)), C.data,
-            recovery)
-
-
-def _matrix(k0, c_positions, c_values, alpha):
-    """k0 + alpha C on k0's pattern."""
-    data = k0.data.copy()
-    data[c_positions] += alpha * c_values
-    return sp.csc_matrix((data, k0.indices, k0.indptr), k0.shape)
+    positions = np.searchsorted(keys(k0), keys(C))
+    base = k0.data[positions]
+    k0.data[positions] += alpha * C.data     # k0 becomes the matrix
+    return dict(rhs=rhs, free=free, signs=np.where(free < 2 * n_sc, 1.0, -1.0),
+                matrix=k0, c_positions=positions, c_base=base,
+                c_values=C.data, recovery=recovery)
 
 
 def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,
@@ -260,21 +258,20 @@ def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,
         mesh, c, k, basis_kind=basis_kind))
     constrained, values = _boundary_scalar_data(mesh, dof_map, g)
     # the cell blocks are dropped once gathered
-    rhs, free, signs, k0, c_positions, c_values, recovery = _affine(
-        dof_map, build_blocks(batches, config, f), constrained, values)
     return GlobalSystem(
-        config=config, dof_map=dof_map, rhs=rhs, free=free, signs=signs,
-        matrix=_matrix(k0, c_positions, c_values, config.alpha),
-        constrained=constrained, boundary_values=values, batches=batches,
-        k0=k0, c_positions=c_positions, c_values=c_values, recovery=recovery)
+        config=config, dof_map=dof_map, constrained=constrained,
+        boundary_values=values, batches=batches, **_affine(
+            dof_map, build_blocks(batches, config, f), constrained, values,
+            config.alpha))
 
 
 def with_alpha(system, alpha):
-    """The system for a different pressure weight: matrix = k0 + alpha C
-    from the data gathered once by assemble."""
+    """The system at another pressure weight: a copy of the matrix with its
+    pressure-block entries rewritten, equal to assemble's at alpha."""
+    K, data = system.matrix, system.matrix.data.copy()
+    data[system.c_positions] = system.c_base + alpha * system.c_values
     return replace(system, config=replace(system.config, alpha=alpha),
-                   matrix=_matrix(system.k0, system.c_positions,
-                                  system.c_values, alpha))
+                   matrix=sp.csc_matrix((data, K.indices, K.indptr), K.shape))
 
 
 # SuperLU options in the order solve tries them.  The first is LU without
@@ -291,9 +288,23 @@ FACTORIZATIONS = (
 )
 
 
+def _longdouble_matvec(K, x):
+    """K.astype(np.longdouble) @ x.astype(np.longdouble), same bits, with no
+    long-double copy of K: scipy's CSC kernel adds K's blocks of _COLUMNS
+    columns, each converted alone, into one vector in the same row order."""
+    y = np.zeros(K.shape[0], np.longdouble)
+    for j in range(0, K.shape[1], _COLUMNS):
+        ptr = K.indptr[j:j + _COLUMNS + 1]
+        at = slice(ptr[0], ptr[-1])
+        _sparsetools.csc_matvec(len(y), len(ptr) - 1, ptr - ptr[0],
+                                K.indices[at], K.data[at].astype(y.dtype),
+                                x[j:j + len(ptr) - 1].astype(y.dtype), y)
+    return y
+
+
 def _refined_solve(K, b, options):
     """Factor K with the SuperLU options and solve K x = b with iterative
-    refinement; returns x and the relative residual.
+    refinement on long-double residuals; returns x and the relative residual.
 
     Raises RuntimeError when SuperLU finds the factor singular.
     """
@@ -301,13 +312,11 @@ def _refined_solve(K, b, options):
     x = lu.solve(b)
     # residuals in extended precision: refinement then reduces the forward
     # error below cond(K) * eps, which matters for patch-exactness checks
-    Kl = K.astype(np.longdouble)
     bl = b.astype(np.longdouble)
     bnorm = float(np.linalg.norm(b)) or 1.0
 
     def residual(vec):
-        return np.asarray(bl - Kl @ vec.astype(np.longdouble),
-                          dtype=np.float64)
+        return np.asarray(bl - _longdouble_matvec(K, vec), dtype=np.float64)
 
     # a tiny residual does not imply a small forward error at large
     # condition numbers, so the loop watches the correction size instead
@@ -417,5 +426,6 @@ def condition_number(system):
 def export_matrix(system, path):
     """Write the reduced system matrix in Matrix Market format to path
     (mmwrite given a file name would append .mtx to it)."""
+    import scipy.io     # only here: most processes never export
     with open(path, "wb") as fh:
         scipy.io.mmwrite(fh, system.matrix.tocoo())

@@ -1,5 +1,9 @@
 """Global system: DOF counts, solves, condensation, conditioning."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -335,7 +339,68 @@ def test_with_alpha_matches_fresh_assembly():
             config = StabilizationConfig(alpha=alpha, beta_sharp=beta_sharp)
             return asm.assemble(mesh, k, config=config, **data)
 
-        _assert_identical(asm.with_alpha(build(1.0), 1e-3), build(1e-3))
+        base = build(1.0)
+        _assert_identical(asm.with_alpha(base, 1e-3), build(1e-3))
+        # with_alpha rewrites the pressure block of the matrix it is given:
+        # a chain of rebuilds ends where one rebuild does
+        once = asm.with_alpha(base, 1e3)
+        _assert_identical(asm.with_alpha(asm.with_alpha(base, 1e-3), 1e3),
+                          once)
+        _assert_identical(once, build(1e3))
+
+
+def _longdouble_cases():
+    hexagonal = asm.assemble(geo.generate_mesh("hexagonal", 2), 3).matrix
+    voronoi = asm.assemble(geo.generate_mesh("voronoi", 1), 2,
+                           basis_kind="l2_orthonormal").matrix
+    # more columns than one block, column 7 empty
+    small = sp.random(300, 2 * asm._COLUMNS + 5, density=0.05, format="csc",
+                      rng=np.random.default_rng(3))
+    small.data[small.indptr[7]:small.indptr[8]] = 0.0
+    small.eliminate_zeros()
+    assert small.indptr[8] == small.indptr[7]
+    return [hexagonal, voronoi, small]
+
+
+def test_longdouble_residual_keeps_its_bits():
+    # the blocked residual sums every row in the order of scipy's own
+    # long-double product; a change of scipy's kernel shows here
+    rng = np.random.default_rng(0)
+    for K in _longdouble_cases():
+        x = rng.standard_normal(K.shape[1]) * 10.0 ** rng.integers(
+            -8, 8, K.shape[1])
+        got = asm._longdouble_matvec(K, x)
+        want = K.astype(np.longdouble) @ x.astype(np.longdouble)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, want)
+
+
+def test_solve_holds_no_longdouble_copy_of_the_matrix():
+    # SuperLU's factor lives outside tracemalloc; what it sees of solve is
+    # the vectors and one block of long-double values at a time, where a
+    # long-double copy of K alone takes 16 bytes per stored entry
+    case = an.get_case("test1")
+    system = asm.assemble(geo.generate_mesh("hexagonal", 2), 3,
+                          f=case.forcing, g=case.velocity)
+    tracemalloc.start()
+    try:
+        sol = asm.solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.residual <= asm.RESIDUAL_BOUND
+    assert peak <= 8 * system.matrix.nnz, peak / system.matrix.nnz
+
+
+def test_solving_does_not_load_scipy_io():
+    script = ("import sys; from polystokes import assembly as asm, geometry;"
+              "asm.solve(asm.assemble(geometry.generate_mesh('hexagonal', 1),"
+              " 1)); assert 'scipy.io' not in sys.modules")
+    # the subprocess must import the same polystokes package as the tests
+    src = os.path.dirname(os.path.dirname(os.path.abspath(asm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 def test_solve_warns_on_bad_residual():
