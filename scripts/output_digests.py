@@ -30,7 +30,13 @@ Run it on two checkouts with one BLAS thread and compare the outputs:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digests.py
 
 The cell blocks are rebuilt from the system's batches and hashed cell by
-cell without their zero padding.
+cell without their zero padding, over both velocity components: the
+library stores one component's blocks, A_sc and Ab_sc, and the divergence
+blocks and loads per component, and the script joins them as
+A_u = diag(A_sc, A_sc), A_b = diag(Ab_sc, Ab_sc), B_u = [B_x | B_y],
+B_b = [Bb_x | Bb_y], F_u = [F_x, F_y] and F_b = [Fb_x, Fb_y].  Joining
+copies every entry exactly, so these lines equal those of trees that
+stored the joined blocks.
 """
 
 from __future__ import annotations
@@ -52,8 +58,6 @@ FAMILIES = ("hexagonal", "voronoi", "random_polygons", "diamond")
 LEVELS = (1, 2)
 KS = (1, 2, 3)
 BASES = ("scaled_monomial", "l2_orthonormal")
-BLOCK_FIELDS = ("A_u", "A_b", "B_u", "B_b", "C_p", "mean_weights", "F_u",
-                "F_b")
 # the CLI arguments of the two CSVs, each ending in --output <name>
 CLI_CSVS = {
     "conv.csv": ["convergence", "--cases", "test1", "--families", "hexagonal",
@@ -98,18 +102,26 @@ def alpha_free(system):
     return data, system.matrix.indices, system.matrix.indptr
 
 
+def diag2(a):
+    """diag(a, a)."""
+    zero = np.zeros_like(a)
+    return np.block([[a, zero], [zero, a]])
+
+
 def cell_blocks(system, forcing):
-    """Every cell's blocks, unpadded, field by field in cell order."""
-    blocks = build_blocks(system.batches, system.config, forcing)
+    """Every cell's blocks, unpadded, in cell order: A_u, A_b, B_u, B_b,
+    C_p, mean_weights, F_u and F_b, joined over both components."""
+    b = build_blocks(system.batches, system.config, forcing)
     layouts = {int(c): batch.layout for batch in system.batches
                for c in batch.cells}
     for c in range(len(layouts)):
-        n, nb = layouts[c].n_scalar, 2 * layouts[c].n_bubble
-        shapes = {"A_u": (2 * n, 2 * n), "A_b": (nb, nb), "B_u": (n, 2 * n),
-                  "B_b": (n, nb), "C_p": (n, n), "mean_weights": (n,),
-                  "F_u": (2 * n,), "F_b": (nb,)}
-        for name in BLOCK_FIELDS:
-            yield getattr(blocks, name)[c][tuple(map(slice, shapes[name]))]
+        n = layouts[c].n_scalar
+        yield from (diag2(b.A_sc[c, :n, :n]), diag2(b.Ab_sc[c]),
+                    np.hstack([b.B_x[c, :n, :n], b.B_y[c, :n, :n]]),
+                    np.hstack([b.Bb_x[c, :n], b.Bb_y[c, :n]]),
+                    b.C_p[c, :n, :n], b.mean_weights[c, :n],
+                    np.concatenate([b.F_x[c, :n], b.F_y[c, :n]]),
+                    np.concatenate([b.Fb_x[c], b.Fb_y[c]]))
 
 
 def main():

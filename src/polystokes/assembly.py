@@ -25,7 +25,7 @@ from scipy.sparse import _sparsetools
 from . import polybasis as pb
 from .geometry import gauss_lobatto_points
 from .stokes_local import StabilizationConfig, build_blocks
-from .vemspace import _batched, build_element, check_degree
+from .vemspace import _batched, _t, build_element, check_degree
 
 __all__ = ["GlobalDofMap", "GlobalSystem", "Solution", "build_dof_map",
            "assemble", "solve", "solve_stokes",
@@ -158,34 +158,34 @@ def _boundary_scalar_data(mesh, dof_map, g):
     return np.concatenate([idx, idx + dof_map.n_scalar]), vals.T.ravel()
 
 
-def _affine(dof_map, blocks, constrained, boundary_values, alpha):
+def _affine(dof_map, b, constrained, boundary_values, alpha):
     """GlobalSystem's rhs, free, signs, matrix (at alpha), c_positions,
     c_base, c_values and recovery, gathered once from the stacked cell
-    blocks (padded to the width of dof_map.cell_dofs)."""
+    blocks b (padded to the width of dof_map.cell_dofs)."""
     table = dof_map.cell_dofs
     n_sc, n_cells = dof_map.n_scalar, dof_map.n_cells
-    n_sys = dof_map.n_system
-    A_u, B_u, F_u, A_b, B_b, C_p, w, F_b = (
-        blocks.A_u, blocks.B_u, blocks.F_u, blocks.A_b, blocks.B_b,
-        blocks.C_p, blocks.mean_weights, blocks.F_b)
+    n_sys, width = dof_map.n_system, table.shape[1]
 
-    # global index of each local slot; padding goes to n_sys.  A cell's
-    # velocity slots are its x DOFs, its y DOFs, then the padding
-    prs = np.where(table < 0, n_sys, table + 2 * n_sc)
-    cell, j = np.nonzero(table >= 0)
-    vel = np.full((n_cells, 2 * table.shape[1]), n_sys)
-    vel[cell, j] = table[cell, j]
-    vel[cell, j + np.count_nonzero(table >= 0, axis=1)[cell]] = \
-        table[cell, j] + n_sc
+    # global index of each local slot of the x velocity, the y velocity and
+    # the pressure; padding goes to n_sys
+    ux, uy, prs = (np.where(table < 0, n_sys, table + shift)
+                   for shift in (0, n_sc, 2 * n_sc))
     mult = np.full((n_cells, 1), n_sys - 1)
-    # bubbles = inv(A_b) (F_b + B_b^T p), from one batched solve
-    rec = np.linalg.solve(A_b, np.concatenate(
-        [B_b.transpose(0, 2, 1), F_b[:, :, None]], axis=2))
-    recovery = (rec[:, :, :-1], rec[:, :, -1])
-    blocks = [(prs, prs, B_b @ recovery[0]), (vel, vel, A_u),
-              (vel, prs, -B_u.transpose(0, 2, 1)), (prs, vel, B_u),
-              (prs, mult, w[:, :, None]), (mult, prs, w[:, None, :])]
-    loads = [(vel, F_u), (prs, -np.einsum("cib,cb->ci", B_b, recovery[1]))]
+    # bubbles = inv(Ab_sc) (Fb + Bb^T p) for both components, from one
+    # batched solve with the scalar bubble block
+    W_x, W_y, g_x, g_y = np.split(np.linalg.solve(b.Ab_sc, np.concatenate(
+        [_t(b.Bb_x), _t(b.Bb_y), b.Fb_x[:, :, None], b.Fb_y[:, :, None]],
+        axis=2)), [width, 2 * width, -1], axis=2)
+    recovery = (np.concatenate([W_x, W_y], axis=1),
+                np.concatenate([g_x, g_y], axis=1)[:, :, 0])
+    blocks = [(prs, prs, b.Bb_x @ W_x + b.Bb_y @ W_y),
+              (ux, ux, b.A_sc), (uy, uy, b.A_sc),
+              (ux, prs, -_t(b.B_x)), (uy, prs, -_t(b.B_y)),
+              (prs, ux, b.B_x), (prs, uy, b.B_y),
+              (prs, mult, b.mean_weights[:, :, None]),
+              (mult, prs, b.mean_weights[:, None, :])]
+    loads = [(ux, b.F_x), (uy, b.F_y),
+             (prs, -(b.Bb_x @ g_x + b.Bb_y @ g_y)[:, :, 0])]
 
     free = np.setdiff1d(np.arange(n_sys), constrained)
     n = len(free)
@@ -222,14 +222,15 @@ def _affine(dof_map, blocks, constrained, boundary_values, alpha):
         return np.repeat(np.arange(n) * n, np.diff(m.indptr)) + m.indices
 
     # every block contributes its whole pattern, zeros included, so the
-    # pattern of k0 holds the pressure block and with it that of C
-    k0 = csc(*between_free(blocks))
-    C = csc(*between_free([(prs, prs, C_p)]))
-    positions = np.searchsorted(keys(k0), keys(C))
-    base = k0.data[positions]
-    k0.data[positions] += alpha * C.data     # k0 becomes the matrix
+    # pattern of K holds each cell's whole pressure block and with it that
+    # of C; no block couples the x and y velocities
+    K = csc(*between_free(blocks))
+    C = csc(*between_free([(prs, prs, b.C_p)]))
+    positions = np.searchsorted(keys(K), keys(C))
+    base = K.data[positions]
+    K.data[positions] += alpha * C.data
     return dict(rhs=rhs, free=free, signs=np.where(free < 2 * n_sc, 1.0, -1.0),
-                matrix=k0, c_positions=positions, c_base=base,
+                matrix=K, c_positions=positions, c_base=base,
                 c_values=C.data, recovery=recovery)
 
 

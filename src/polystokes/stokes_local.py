@@ -1,8 +1,10 @@
 """Element matrices for the bubble-enriched Stokes discretization.
 
-Velocity DOFs are ordered [x-component scalar DOFs | y-component scalar
-DOFs] for the conforming part and [x bubbles | y bubbles] for the
-enrichment; there is no coupling block between the two parts.  The
+The velocity space is a pair of scalar spaces, so each velocity block is
+stored once, as the block of one component: the grad-grad form is
+diag(A_sc, A_sc) on the conforming DOFs and diag(Ab_sc, Ab_sc) on the
+bubbles, with no coupling between the components or between the two
+parts.  The divergence blocks and loads are stored per component.  The
 stabilizations are plain dofi-dofi sums on the projector complements.
 The blocks are computed over the element batches of vemspace.build_batches.
 """
@@ -42,19 +44,24 @@ class StabilizationConfig:
 class LocalStokesBlocks:
     """The blocks of every cell, stacked in cell order along the first axis.
 
-    Each cell's blocks are zero-padded at the end of every other axis to the
-    widest cell's n_sc scalar DOFs; a cell's velocity rows and columns are
-    its x DOFs, its y DOFs, then the padding.  nb = 2 (2k+1) bubble DOFs.
+    Each velocity block is that of one component, shared by x and y; the
+    divergence blocks (pressure rows) and loads come per component.  Each
+    cell's blocks are zero-padded at the end of every n_sc axis to the
+    widest cell's n_sc scalar DOFs.  nb = 2k+1 bubble DOFs per component.
     """
 
-    A_u: np.ndarray      # (n_cells, 2 n_sc, 2 n_sc)
-    A_b: np.ndarray      # (n_cells, nb, nb)
-    B_u: np.ndarray      # (n_cells, n_sc, 2 n_sc), pressure rows
-    B_b: np.ndarray      # (n_cells, n_sc, nb)
+    A_sc: np.ndarray     # (n_cells, n_sc, n_sc)
+    Ab_sc: np.ndarray    # (n_cells, nb, nb)
+    B_x: np.ndarray      # (n_cells, n_sc, n_sc), pressure rows
+    B_y: np.ndarray      # (n_cells, n_sc, n_sc)
+    Bb_x: np.ndarray     # (n_cells, n_sc, nb)
+    Bb_y: np.ndarray     # (n_cells, n_sc, nb)
     C_p: np.ndarray      # (n_cells, n_sc, n_sc)
     mean_weights: np.ndarray   # (n_cells, n_sc), pressure-mean constraint rows
-    F_u: np.ndarray      # (n_cells, 2 n_sc)
-    F_b: np.ndarray      # (n_cells, nb)
+    F_x: np.ndarray      # (n_cells, n_sc)
+    F_y: np.ndarray      # (n_cells, n_sc)
+    Fb_x: np.ndarray     # (n_cells, nb)
+    Fb_y: np.ndarray     # (n_cells, nb)
 
 
 # The kernels below take an ElementBatch (vemspace.build_batches): every
@@ -67,35 +74,26 @@ def _cellwise(x):
     return x[:, None, None]
 
 
-def _block_diag2(M):
-    n = M.shape[-1]
-    out = np.zeros(M.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = M
-    out[..., n:, n:] = M
-    return out
-
-
 def _local_a(ctx, config):
-    """Grad-grad blocks: consistency on the projections, dofi-dofi on the rest."""
+    """One component's grad-grad blocks: consistency on the projections,
+    dofi-dofi on the rest."""
     nk = pb.poly_dim(ctx.k)
     stiff_k = ctx.stiffness[:, :nk, :nk]
 
     cons = _t(ctx.pinabla_k) @ stiff_k @ ctx.pinabla_k
     comp = np.eye(ctx.layout.n_scalar) - ctx.dof_matrix @ ctx.pinabla_k
     A_sc = cons + _t(comp) @ comp
-    A_u = _block_diag2(A_sc)
 
     cons_b = _t(ctx.bubble_pinabla) @ ctx.stiffness @ ctx.bubble_pinabla
     if config.beta_sharp > 0:
         comp_b = (np.eye(ctx.layout.n_bubble)
                   - ctx.bubble_dof_matrix @ ctx.bubble_pinabla)
         cons_b = cons_b + config.beta_sharp * _t(comp_b) @ comp_b
-    A_b = _block_diag2(cons_b)
-    return A_u, A_b
+    return A_sc, cons_b
 
 
 def _local_b(ctx):
-    """Discrete divergence blocks b_h^K(v, q) = b^K(v, Pi0 q).
+    """Discrete divergence blocks b_h^K(v, q) = b^K(v, Pi0 q), x then y.
 
     Conforming part through integration by parts (volume term against
     Pi0 v, boundary term from the edge traces); bubble part is the pure
@@ -110,13 +108,11 @@ def _local_b(ctx):
     vol_y = _t(pz) @ (_t(dy) @ mass_k) @ pz
     bnd_x = _t(pz) @ ctx.boundary_rx
     bnd_y = _t(pz) @ ctx.boundary_ry
-    B_u = np.concatenate([bnd_x - vol_x, bnd_y - vol_y], axis=-1)
 
     lo = ctx.layout.n_moment
     Bb_x = _cellwise(-ctx.area) * _t((dx @ pz)[:, lo:nk, :])   # (g, n_sc, 2k+1)
     Bb_y = _cellwise(-ctx.area) * _t((dy @ pz)[:, lo:nk, :])
-    B_b = np.concatenate([Bb_x, Bb_y], axis=-1)
-    return B_u, B_b
+    return bnd_x - vol_x, bnd_y - vol_y, Bb_x, Bb_y
 
 
 def _local_c(ctx):
@@ -139,7 +135,8 @@ def _local_mean(ctx):
 
 
 def _local_rhs(ctx, f):
-    """Load vectors (f, Pi0 v) for the scalar DOF and bubble DOF functions.
+    """Load vectors (f, Pi0 v) for the scalar DOF and bubble DOF functions:
+    the x and y scalar loads, then the x and y bubble loads.
 
     f maps an (n, 2) point array to (n, 2) values; it is called once, on
     the quadrature points of all cells of the stack.
@@ -150,11 +147,9 @@ def _local_rhs(ctx, f):
     phi = ctx.quad_values
     pz_vals = phi @ ctx.pizero_k              # (g, nq, n_sc)
     bz_vals = phi @ ctx.bubble_pizero_k       # (g, nq, 2k+1)
-    F_u = np.concatenate([_vecmat(w * fv[..., 0], pz_vals),
-                          _vecmat(w * fv[..., 1], pz_vals)], axis=-1)
-    F_b = np.concatenate([_vecmat(w * fv[..., 0], bz_vals),
-                          _vecmat(w * fv[..., 1], bz_vals)], axis=-1)
-    return F_u, F_b
+    wx, wy = w * fv[..., 0], w * fv[..., 1]
+    return (_vecmat(wx, pz_vals), _vecmat(wy, pz_vals),
+            _vecmat(wx, bz_vals), _vecmat(wy, bz_vals))
 
 
 def build_blocks(batches, config=StabilizationConfig(), f=np.zeros_like):
@@ -163,17 +158,20 @@ def build_blocks(batches, config=StabilizationConfig(), f=np.zeros_like):
     force as in _local_rhs (defaults to zero)."""
     n_cells = sum(len(batch.cells) for batch in batches)
     m = max(batch.layout.n_scalar for batch in batches)
-    nb = 2 * batches[0].layout.n_bubble
-    out = LocalStokesBlocks(
-        A_u=np.zeros((n_cells, 2 * m, 2 * m)), A_b=np.zeros((n_cells, nb, nb)),
-        B_u=np.zeros((n_cells, m, 2 * m)), B_b=np.zeros((n_cells, m, nb)),
-        C_p=np.zeros((n_cells, m, m)), mean_weights=np.zeros((n_cells, m)),
-        F_u=np.zeros((n_cells, 2 * m)), F_b=np.zeros((n_cells, nb)))
+    nb = batches[0].layout.n_bubble
+    out = LocalStokesBlocks(**{
+        name: np.zeros((n_cells, *shape)) for name, shape in (
+            ("A_sc", (m, m)), ("Ab_sc", (nb, nb)), ("B_x", (m, m)),
+            ("B_y", (m, m)), ("Bb_x", (m, nb)), ("Bb_y", (m, nb)),
+            ("C_p", (m, m)), ("mean_weights", (m,)), ("F_x", (m,)),
+            ("F_y", (m,)), ("Fb_x", (nb,)), ("Fb_y", (nb,)))})
     for ctx in batches:
         ids, n = ctx.cells, ctx.layout.n_scalar
-        out.A_u[ids, :2 * n, :2 * n], out.A_b[ids] = _local_a(ctx, config)
-        out.B_u[ids, :n, :2 * n], out.B_b[ids, :n] = _local_b(ctx)
+        out.A_sc[ids, :n, :n], out.Ab_sc[ids] = _local_a(ctx, config)
+        (out.B_x[ids, :n, :n], out.B_y[ids, :n, :n], out.Bb_x[ids, :n],
+         out.Bb_y[ids, :n]) = _local_b(ctx)
         out.C_p[ids, :n, :n] = _local_c(ctx)
         out.mean_weights[ids, :n] = _local_mean(ctx)
-        out.F_u[ids, :2 * n], out.F_b[ids] = _local_rhs(ctx, f)
+        (out.F_x[ids, :n], out.F_y[ids, :n], out.Fb_x[ids],
+         out.Fb_y[ids]) = _local_rhs(ctx, f)
     return out

@@ -187,16 +187,18 @@ def uncondensed_solve(mesh, system, f, g):
     """The Stokes problem of a library system solved with its bubbles kept
     as unknowns.
 
-    The library's blocks of system.batches are scattered one cell at a time
-    into the ordering x velocity | y velocity | bubbles (x then y within
-    each cell) | pressure | multiplier; the velocity DOFs fixed by g are
+    The library's blocks of system.batches, each cell's velocity blocks
+    doubled to diag(A_sc, A_sc) and diag(Ab_sc, Ab_sc) and its divergence
+    blocks and loads joined x then y, are scattered one cell at a time into
+    the ordering x velocity | y velocity | bubbles (x then y within each
+    cell) | pressure | multiplier; the velocity DOFs fixed by g are
     eliminated, and the rest is solved by SuperLU with COLAMD and partial
     pivoting, without refinement.  Returns ux, uy, p, the
     (n_cells, 2(2k+1)) bubbles and the size of the solved system.
     """
     dof_map = system.dof_map
     blocks = sl.build_blocks(system.batches, system.config, f)
-    n_sc, nb = dof_map.n_scalar, blocks.A_b.shape[1]
+    n_sc, nb = dof_map.n_scalar, 2 * blocks.Ab_sc.shape[1]
     p_off = 2 * n_sc + dof_map.n_cells * nb
     n = p_off + n_sc + 1
     mult = np.array([n - 1])
@@ -214,19 +216,20 @@ def uncondensed_solve(mesh, system, f, g):
         vel = np.concatenate([gd, gd + n_sc])
         bub = 2 * n_sc + c * nb + np.arange(nb)
         prs = p_off + gd
-        B_u, B_b = blocks.B_u[c, :m, :2 * m], blocks.B_b[c, :m]
+        B_u = np.hstack([blocks.B_x[c, :m, :m], blocks.B_y[c, :m, :m]])
+        B_b = np.hstack([blocks.Bb_x[c, :m], blocks.Bb_y[c, :m]])
         w = blocks.mean_weights[c, :m]
-        add(vel, vel, blocks.A_u[c, :2 * m, :2 * m])
+        add(vel, vel, _block_diag2(blocks.A_sc[c, :m, :m]))
         add(vel, prs, -B_u.T)
         add(prs, vel, B_u)
-        add(bub, bub, blocks.A_b[c])
+        add(bub, bub, _block_diag2(blocks.Ab_sc[c]))
         add(bub, prs, -B_b.T)
         add(prs, bub, B_b)
         add(prs, prs, system.config.alpha * blocks.C_p[c, :m, :m])
         add(prs, mult, w)
         add(mult, prs, w)
-        rhs[vel] += blocks.F_u[c, :2 * m]
-        rhs[bub] += blocks.F_b[c]
+        rhs[vel] += np.concatenate([blocks.F_x[c, :m], blocks.F_y[c, :m]])
+        rhs[bub] += np.concatenate([blocks.Fb_x[c], blocks.Fb_y[c]])
     K = sp.csr_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n))
@@ -432,6 +435,7 @@ def build_operators(ctx):
 # bit for bit.
 
 def _block_diag2(M):
+    """diag(M, M): one component's block for both velocity components."""
     n = M.shape[0]
     out = np.zeros((2 * n, 2 * n))
     out[:n, :n] = M

@@ -244,6 +244,28 @@ def test_matrix_symmetry_pattern():
     assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
 
 
+@pytest.mark.parametrize("family", ["hexagonal", "voronoi",
+                                    "random_polygons", "diamond"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_velocity_components_share_one_block(family, k):
+    # the grad-grad form is diag(A_sc, A_sc): the free x-x and y-y blocks
+    # of K are equal bit for bit, and K stores no x-y entry
+    mesh = geo.generate_mesh(family, 2)
+    system = asm.assemble(mesh, k, g=_zero_g)
+    n_sc, free = system.dof_map.n_scalar, system.free
+    nx = np.count_nonzero(free < n_sc)
+    assert np.array_equal(free[nx:2 * nx], free[:nx] + n_sc)
+    assert np.all(free[2 * nx:] >= 2 * n_sc)
+    K = system.matrix
+    xx, yy = K[:nx, :nx], K[nx:2 * nx, nx:2 * nx]
+    for a in (xx, yy):
+        a.sort_indices()
+    assert np.array_equal(xx.indptr, yy.indptr)
+    assert np.array_equal(xx.indices, yy.indices)
+    assert xx.data.tobytes() == yy.data.tobytes()
+    assert K[:nx, nx:2 * nx].nnz == 0 and K[nx:2 * nx, :nx].nnz == 0
+
+
 def test_a_block_spd_after_elimination():
     mesh = geo.generate_mesh("hexagonal", 1)
     system = asm.assemble(mesh, 1, g=_zero_g)

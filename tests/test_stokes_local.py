@@ -42,22 +42,21 @@ def test_stabilization_config_validation():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_blocks_symmetric(k):
     ctx = vs.build_element(one_cell(PENTAGON), 0, k)
-    A_u, A_b = _blocks(ctx).A_u, _blocks(ctx).A_b
-    assert np.abs(A_u - A_u.T).max() <= 1e-13 * max(np.abs(A_u).max(), 1.0)
-    assert np.abs(A_b - A_b.T).max() <= 1e-13 * max(np.abs(A_b).max(), 1.0)
+    b = _blocks(ctx)
+    for A in (b.A_sc, b.Ab_sc):
+        assert np.abs(A - A.T).max() <= 1e-13 * max(np.abs(A).max(), 1.0)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_positive_semidefinite_with_constant_kernel(k):
     ctx = vs.build_element(one_cell(PENTAGON), 0, k)
-    A_u = _blocks(ctx).A_u
-    eigs = np.linalg.eigvalsh(A_u)
+    A_sc = _blocks(ctx).A_sc
+    eigs = np.linalg.eigvalsh(A_sc)
     assert eigs.min() > -1e-12
-    # per-component constant velocity is in the kernel
+    # a constant velocity component is in the kernel
     (const,) = vs.interpolate_scalar(oracles.batch(ctx),
                                      lambda p: np.ones(len(p)))
-    v = np.concatenate([const, np.zeros_like(const)])
-    assert np.abs(A_u @ v).max() < 1e-12
+    assert np.abs(A_sc @ const).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -67,14 +66,13 @@ def test_a_consistency_on_polynomials(k):
     ctx = vs.build_element(one_cell(PENTAGON), 0, k)
     el = oracles.element(ctx)
     nk = pb.poly_dim(k)
-    A_u = _blocks(ctx).A_u
+    A_sc = _blocks(ctx).A_sc
     rng = np.random.default_rng(k)
     p_co = rng.standard_normal(nk)
     q_co = rng.standard_normal(nk)
-    vp = np.concatenate([el.dof_matrix @ p_co, np.zeros(el.layout.n_scalar)])
-    vq = np.concatenate([el.dof_matrix @ q_co, np.zeros(el.layout.n_scalar)])
+    vp, vq = el.dof_matrix @ p_co, el.dof_matrix @ q_co
     want = p_co @ el.stiffness[:nk, :nk] @ q_co
-    assert vp @ A_u @ vq == pytest.approx(want, rel=1e-10, abs=1e-11)
+    assert vp @ A_sc @ vq == pytest.approx(want, rel=1e-10, abs=1e-11)
     # the complement term alone is exactly zero on polynomial DOF vectors
     comp = el.dof_matrix @ el.pinabla_k @ (el.dof_matrix @ p_co) \
         - el.dof_matrix @ p_co
@@ -105,14 +103,13 @@ def test_b_consistency_polynomial_pair(k):
     # for v = interpolated polynomial velocity and q = polynomial pressure
     # DOFs, B matches the exact integral of q div v
     ctx = vs.build_element(one_cell(UNIT_SQUARE), 0, k)
-    B_u = _blocks(ctx).B_u
+    b = _blocks(ctx)
     # v = (x^k, 0), q = x^(k-1): int q div v = k int x^(2k-2)
     batch = oracles.batch(ctx)
     (ux,) = vs.interpolate_scalar(batch, lambda p: p[:, 0] ** k)
     (uy,) = vs.interpolate_scalar(batch, lambda p: np.zeros(len(p)))
     (qd,) = vs.interpolate_scalar(batch, lambda p: p[:, 0] ** (k - 1))
-    vel = np.concatenate([ux, uy])
-    val = qd @ (B_u @ vel)
+    val = qd @ (b.B_x @ ux + b.B_y @ uy)
     want = k * monomial_integral(UNIT_SQUARE, 2 * k - 2, 0)
     assert val == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -120,11 +117,12 @@ def test_b_consistency_polynomial_pair(k):
 def test_b_bubble_vanishes_for_low_order_pressure():
     # bubble divergence pairing uses only the top-degree pressure slice
     ctx = vs.build_element(one_cell(PENTAGON), 0, 2)
-    B_b = _blocks(ctx).B_b
+    b = _blocks(ctx)
     # constant pressure: zero pairing (bubbles vanish on the boundary)
     (qd,) = vs.interpolate_scalar(oracles.batch(ctx),
                                   lambda p: np.ones(len(p)))
-    assert np.abs(qd @ B_b).max() < 1e-12
+    for Bb in (b.Bb_x, b.Bb_y):
+        assert np.abs(qd @ Bb).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -133,21 +131,19 @@ def test_scaling_of_blocks(k):
     ctx1 = vs.build_element(one_cell(PENTAGON), 0, k)
     ctx2 = vs.build_element(one_cell(2.0 * PENTAGON), 0, k)
     b1, b2 = _blocks(ctx1), _blocks(ctx2)
-    A1, Ab1 = b1.A_u, b1.A_b
-    A2, Ab2 = b2.A_u, b2.A_b
-    assert A2 == pytest.approx(A1, rel=1e-10, abs=1e-11)
-    assert Ab2 == pytest.approx(Ab1, rel=1e-10, abs=1e-11)
-    B1, Bb1 = b1.B_u, b1.B_b
-    B2, Bb2 = b2.B_u, b2.B_b
-    assert B2 == pytest.approx(2.0 * B1, rel=1e-10, abs=1e-11)
-    assert Bb2 == pytest.approx(2.0 * Bb1, rel=1e-10, abs=1e-11)
+    for name in ("A_sc", "Ab_sc"):
+        assert getattr(b2, name) == pytest.approx(getattr(b1, name),
+                                                  rel=1e-10, abs=1e-11)
+    for name in ("B_x", "B_y", "Bb_x", "Bb_y"):
+        assert getattr(b2, name) == pytest.approx(2.0 * getattr(b1, name),
+                                                  rel=1e-10, abs=1e-11)
 
 
 def test_rhs_zero_forcing():
     ctx = vs.build_element(one_cell(PENTAGON), 0, 1)
     b = _blocks(ctx, f=lambda p: np.zeros((len(p), 2)))
-    F_u, F_b = b.F_u, b.F_b
-    assert np.all(F_u == 0.0) and np.all(F_b == 0.0)
+    for F in (b.F_x, b.F_y, b.Fb_x, b.Fb_y):
+        assert np.all(F == 0.0)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -155,22 +151,21 @@ def test_rhs_constant_forcing_partition_of_unity(k):
     # sum over one component's scalar DOFs of (f, pizero phi_i) = c |K|
     ctx = vs.build_element(one_cell(PENTAGON), 0, k)
     c1, c2 = 2.0, -3.0
-    F_u = _blocks(ctx, f=lambda p: np.tile([c1, c2], (len(p), 1))).F_u
+    b = _blocks(ctx, f=lambda p: np.tile([c1, c2], (len(p), 1)))
     batch = oracles.batch(ctx)
     (area,) = batch.area
     # partition of unity: DOFs of the constant 1 give sum_i dof_i(1) phi_i = 1
     (ones,) = vs.interpolate_scalar(batch, lambda p: np.ones(len(p)))
-    n = len(ones)
-    got1 = ones @ F_u[:n]
-    got2 = ones @ F_u[n:]
+    got1 = ones @ b.F_x
+    got2 = ones @ b.F_y
     assert got1 == pytest.approx(c1 * area, rel=1e-12)
     assert got2 == pytest.approx(c2 * area, rel=1e-12)
 
 
 def test_beta_sharp_adds_bubble_stabilization():
     ctx = vs.build_element(one_cell(PENTAGON), 0, 1)
-    Ab0 = _blocks(ctx, sl.StabilizationConfig(beta_sharp=0.0)).A_b
-    Ab1 = _blocks(ctx, sl.StabilizationConfig(beta_sharp=1.0)).A_b
+    Ab0 = _blocks(ctx, sl.StabilizationConfig(beta_sharp=0.0)).Ab_sc
+    Ab1 = _blocks(ctx, sl.StabilizationConfig(beta_sharp=1.0)).Ab_sc
     diff = Ab1 - Ab0
     assert np.abs(diff).max() > 0.0
     eigs = np.linalg.eigvalsh(0.5 * (diff + diff.T))
@@ -185,22 +180,39 @@ def test_build_blocks_shapes():
                              f=lambda p: np.ones((len(p), 2)))
     lay = vs.build_layout(len(PENTAGON), 2)
     n, nb = lay.n_scalar, lay.n_bubble
-    assert blocks.A_u.shape == (3, 2 * n, 2 * n)
-    assert blocks.A_b.shape == (3, 2 * nb, 2 * nb)
-    assert blocks.B_u.shape == (3, n, 2 * n)
-    assert blocks.B_b.shape == (3, n, 2 * nb)
-    assert blocks.C_p.shape == (3, n, n)
-    assert blocks.mean_weights.shape == (3, n)
-    assert blocks.F_u.shape == (3, 2 * n)
-    assert blocks.F_b.shape == (3, 2 * nb)
+    shapes = dict(A_sc=(n, n), Ab_sc=(nb, nb), B_x=(n, n), B_y=(n, n),
+                  Bb_x=(n, nb), Bb_y=(n, nb), C_p=(n, n), mean_weights=(n,),
+                  F_x=(n,), F_y=(n,), Fb_x=(nb,), Fb_y=(nb,))
+    assert [fd.name for fd in dataclasses.fields(blocks)] == list(shapes)
     m = vs.build_layout(len(UNIT_SQUARE), 2).n_scalar
     one = _blocks(small, f=lambda p: np.ones((len(p), 2)))
-    assert np.array_equal(blocks.A_u[1, :2 * m, :2 * m], one.A_u)
-    assert not blocks.A_u[1, 2 * m:].any() and not blocks.A_u[1, :, 2 * m:].any()
-    assert np.array_equal(blocks.B_u[1, :m, :2 * m], one.B_u)
-    assert not blocks.B_u[1, m:].any() and not blocks.B_u[1, :, 2 * m:].any()
-    assert np.array_equal(blocks.F_u[1, :2 * m], one.F_u)
-    assert not blocks.F_u[1, 2 * m:].any()
+    for name, shape in shapes.items():
+        got = getattr(blocks, name)
+        assert got.shape == (3, *shape), name
+        # the small cell's own blocks, then zeros along every n_sc axis
+        inside = tuple(slice(m if d == n else d) for d in shape)
+        assert np.array_equal(got[1][inside], getattr(one, name)), name
+        padding = got[1].copy()
+        padding[inside] = 0.0
+        assert not padding.any(), name
+
+
+def _split_by_component(want, n, nb):
+    """The per-cell oracle's blocks (A_u, A_b, B_u, B_b, F_u and F_b over
+    both velocity components) under the library's per-component names.
+
+    A_u and A_b must be diag(A, A): each diagonal block is paired with the
+    library's one block, and the off-diagonal blocks must be exactly zero.
+    """
+    for name, h in (("A_u", n), ("A_b", nb)):
+        assert not want[name][:h, h:].any() and not want[name][h:, :h].any()
+    return [("A_sc", want["A_u"][:n, :n]), ("A_sc", want["A_u"][n:, n:]),
+            ("Ab_sc", want["A_b"][:nb, :nb]), ("Ab_sc", want["A_b"][nb:, nb:]),
+            ("B_x", want["B_u"][:, :n]), ("B_y", want["B_u"][:, n:]),
+            ("Bb_x", want["B_b"][:, :nb]), ("Bb_y", want["B_b"][:, nb:]),
+            ("C_p", want["C_p"]), ("mean_weights", want["mean_weights"]),
+            ("F_x", want["F_u"][:n]), ("F_y", want["F_u"][n:]),
+            ("Fb_x", want["F_b"][:nb]), ("Fb_y", want["F_b"][nb:])]
 
 
 def test_stacked_blocks_equal_per_cell_oracle(element_sets):
@@ -214,8 +226,10 @@ def test_stacked_blocks_equal_per_cell_oracle(element_sets):
             config = sl.StabilizationConfig(beta_sharp=beta)
             blocks = sl.build_blocks(batches, config, f)
             for c, el in elements:
-                want = oracles.build_blocks(el, config, f)
-                for name, block in want.items():
+                want = _split_by_component(
+                    oracles.build_blocks(el, config, f),
+                    el.layout.n_scalar, el.layout.n_bubble)
+                for name, block in want:
                     got = getattr(blocks, name)[c]
                     inside = tuple(map(slice, block.shape))
                     assert np.array_equal(got[inside], block), \
