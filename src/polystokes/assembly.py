@@ -10,6 +10,12 @@ Scalar DOFs are shared mesh entities: vertex values, k-1 interior
 Gauss-Lobatto values per edge (ordered along the edge from its lower to its
 higher vertex index), and dim P_{k-2} moments per cell.  Dirichlet velocity
 DOFs are eliminated by substitution at assembly time.
+
+The solve works by blocks: one SPD factor of the scalar velocity block
+serves both components, and PCG solves for the pressure on its Schur
+complement, preconditioned by an SPD factor of the pressure mass plus the
+pressure block; the MINI pair's inf-sup stability keeps the iteration
+count from growing with h.
 """
 
 from __future__ import annotations
@@ -20,31 +26,33 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import _sparsetools
 
 from . import polybasis as pb
 from .geometry import gauss_lobatto_points
 from .stokes_local import StabilizationConfig, build_blocks
-from .vemspace import _batched, _t, build_element, check_degree
+from .vemspace import (_batched, _t, build_element, check_degree,
+                       interpolate_scalar)
 
 __all__ = ["GlobalDofMap", "GlobalSystem", "Solution", "build_dof_map",
            "assemble", "solve", "solve_stokes",
            "condition_number", "export_matrix"]
 
 # A relative residual above this marks a failed solve: every workload of the
-# benchmark solves to 2e-16..3e-14.
+# benchmark solves to below 1e-13.
 RESIDUAL_BOUND = 1e-10
-# Iterative refinement stops after MAX_REFINE steps, or once a correction
-# is below REFINE_TOL relative to the solution.
-REFINE_TOL = 1e-14
-MAX_REFINE = 5
+# SuperLU options of solve's factors: no pivoting on the symmetric
+# minimum-degree ordering, which is stable on an SPD matrix
+SPD_FACTOR = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+# PCG on the pressure Schur complement stops once its residual is below
+# PCG_TOL relative to its right-hand side, or after MAX_ITERATIONS steps
+PCG_TOL = 1e-13
+MAX_ITERATIONS = 300
 # condition_number refuses a factor whose normwise backward error on its
 # start vector exceeds this: the eigenvalues it finds are then those of a
 # matrix within 10 eps |K| of K, so the smallest modulus, and with it the
 # condition number, is accurate to about 10 eps cond relative.
 COND_BACKWARD_ERROR = 10 * np.finfo(float).eps
-# columns of K per long-double block of the residual (~0.8 MiB at k=3)
-_COLUMNS = 512
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,8 @@ class GlobalSystem:
     c_positions: np.ndarray = field(repr=False)
     c_base: np.ndarray = field(repr=False)
     c_values: np.ndarray = field(repr=False)
+    # the pressure mass sum Pi0^T M Pi0 at the same positions
+    mass_values: np.ndarray = field(repr=False)
     # (inv(A_b) B_b^T, inv(A_b) F_b) per cell, padded like dof_map.cell_dofs
     recovery: tuple = field(repr=False)
 
@@ -137,6 +147,7 @@ class Solution:
     bubbles: np.ndarray = field(repr=False)
     multiplier: float
     residual: float              # relative residual of the reduced solve
+    iterations: int              # PCG steps on the pressure Schur complement
     n_dofs: int                  # size of the solved system
     batches: list = field(repr=False)   # vemspace.ElementBatch
 
@@ -160,8 +171,8 @@ def _boundary_scalar_data(mesh, dof_map, g):
 
 def _affine(dof_map, b, constrained, boundary_values, alpha):
     """GlobalSystem's rhs, free, signs, matrix (at alpha), c_positions,
-    c_base, c_values and recovery, gathered once from the stacked cell
-    blocks b (padded to the width of dof_map.cell_dofs)."""
+    c_base, c_values, mass_values and recovery, gathered once from the
+    stacked cell blocks b (padded to the width of dof_map.cell_dofs)."""
     table = dof_map.cell_dofs
     n_sc, n_cells = dof_map.n_scalar, dof_map.n_cells
     n_sys, width = dof_map.n_system, table.shape[1]
@@ -225,13 +236,13 @@ def _affine(dof_map, b, constrained, boundary_values, alpha):
     # pattern of K holds each cell's whole pressure block and with it that
     # of C; no block couples the x and y velocities
     K = csc(*between_free(blocks))
-    C = csc(*between_free([(prs, prs, b.C_p)]))
+    C, mass = (csc(*between_free([(prs, prs, v)])) for v in (b.C_p, b.M_p))
     positions = np.searchsorted(keys(K), keys(C))
     base = K.data[positions]
     K.data[positions] += alpha * C.data
     return dict(rhs=rhs, free=free, signs=np.where(free < 2 * n_sc, 1.0, -1.0),
                 matrix=K, c_positions=positions, c_base=base,
-                c_values=C.data, recovery=recovery)
+                c_values=C.data, mass_values=mass.data, recovery=recovery)
 
 
 def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,
@@ -275,111 +286,81 @@ def with_alpha(system, alpha):
                    matrix=sp.csc_matrix((data, K.indices, K.indptr), K.shape))
 
 
-# SuperLU options in the order solve tries them.  The first is LU without
-# pivoting on the symmetric minimum-degree ordering of K^T + K, which fills
-# several times less than the default COLAMD with partial pivoting, the
-# second.  It is not backward stable: on the alpha-sweep matrices (voronoi
-# L1, mesh seeds 0-15, k=1-3) the normwise backward error of its unrefined
-# solves reaches 0.16, against 1.5e-16 with COLAMD.  solve's accuracy comes
-# from the long-double refinement and the residual guard.
-FACTORIZATIONS = (
-    dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-         options={"SymmetricMode": True}),
-    {},
-)
-
-
-def _longdouble_matvec(K, x):
-    """K.astype(np.longdouble) @ x.astype(np.longdouble), same bits, with no
-    long-double copy of K: scipy's CSC kernel adds K's blocks of _COLUMNS
-    columns, each converted alone, into one vector in the same row order."""
-    y = np.zeros(K.shape[0], np.longdouble)
-    for j in range(0, K.shape[1], _COLUMNS):
-        ptr = K.indptr[j:j + _COLUMNS + 1]
-        at = slice(ptr[0], ptr[-1])
-        _sparsetools.csc_matvec(len(y), len(ptr) - 1, ptr - ptr[0],
-                                K.indices[at], K.data[at].astype(y.dtype),
-                                x[j:j + len(ptr) - 1].astype(y.dtype), y)
-    return y
-
-
-def _refined_solve(K, b, options):
-    """Factor K with the SuperLU options and solve K x = b with iterative
-    refinement on long-double residuals; returns x and the relative residual.
-
-    Raises RuntimeError when SuperLU finds the factor singular.
-    """
-    lu = spla.splu(K, **options)
-    x = lu.solve(b)
-    # residuals in extended precision: refinement then reduces the forward
-    # error below cond(K) * eps, which matters for patch-exactness checks
-    bl = b.astype(np.longdouble)
-    bnorm = float(np.linalg.norm(b)) or 1.0
-
-    def residual(vec):
-        return np.asarray(bl - _longdouble_matvec(K, vec), dtype=np.float64)
-
-    # a tiny residual does not imply a small forward error at large
-    # condition numbers, so the loop watches the correction size instead
-    r = residual(x)
-    xnorm = float(np.linalg.norm(x)) or 1.0
-    prev = np.inf
-    for _ in range(MAX_REFINE):
-        d = lu.solve(r)
-        dnorm = np.linalg.norm(d)
-        if not np.isfinite(dnorm) or dnorm >= prev:
-            break
-        x = x + d
-        r = residual(x)
-        if dnorm <= REFINE_TOL * xnorm:
-            break
-        prev = dnorm
-    return x, np.linalg.norm(r) / bnorm
-
-
-def _factored_solve(K, b):
-    """_refined_solve with the first of FACTORIZATIONS, and again with the
-    fallback only when that factor is singular or its relative residual is
-    not finite or exceeds RESIDUAL_BOUND."""
-    first, fallback = FACTORIZATIONS
-    try:
-        x, res = _refined_solve(K, b, first)
-        if res <= RESIDUAL_BOUND:
-            return x, res
-    except RuntimeError:
-        pass
-    return _refined_solve(K, b, fallback)
-
-
 def solve(system):
-    """Direct sparse solve with iterative refinement, then bubble recovery.
+    """Block solve of the condensed system, then bubble recovery.
 
-    The reduced matrix is factored by SuperLU without pivoting on the
-    symmetric minimum-degree ordering of K^T + K (MMD_AT_PLUS_A).  That
-    factor alone is not accurate (see FACTORIZATIONS); the solution is
-    refined with long-double residuals, and only when the factor is singular
-    or the refined relative residual is not finite or exceeds RESIDUAL_BOUND
-    is K factored again with COLAMD and partial pivoting.  Warns
-    (RuntimeWarning) when that second residual is still out of bounds.
+    The free velocity rows are A u_x - B_x^T p = f_x and A u_y - B_y^T p =
+    f_y with one SPD scalar block A, so one SuperLU factor of A eliminates
+    both components.  What is left is S p + w lam = r, w^T p = f_lam, with
+    the Schur complement S = B A^-1 B^T + D (D is K's pressure block) and
+    the mean weights w.  S annihilates the pressure z of the constant 1, so
+    lam = z^T r / z^T w, and (S + w w^T) p = r - w lam + w f_lam is SPD.
+    PCG solves it to PCG_TOL, preconditioned by one SuperLU factor of the
+    SPD M_p = sum Pi0^T M Pi0 + D; a zero right-hand side takes no step.
+    Both factors are SPD_FACTOR's.  Only A is copied out of K: B, B^T and
+    D act through products with K.  Warns (RuntimeWarning) when the
+    relative residual of the whole system is not finite or exceeds
+    RESIDUAL_BOUND.
     """
-    x, res = _factored_solve(system.matrix, system.rhs)
-    if not res <= RESIDUAL_BOUND:
-        warnings.warn(f"relative residual {res:.3e} of the solve exceeds "
-                      f"{RESIDUAL_BOUND:.0e}", RuntimeWarning, stacklevel=2)
+    K, b, dof_map = system.matrix, system.rhs, system.dof_map
+    n, n_sc = K.shape[0], dof_map.n_scalar
+    nx = np.count_nonzero(system.free < n_sc)   # free DOFs per component
+    u, p = slice(0, 2 * nx), slice(2 * nx, n - 1)
+    w = K[:, -1].toarray()[p, 0]
+    zero_u, zero_p = np.zeros(u.stop), np.zeros(n_sc)
+    at = system.c_positions
+    A = spla.splu(K[:nx, :nx], **SPD_FACTOR)
+    M = spla.splu(sp.csc_matrix(
+        (K.data[at] + system.mass_values, K.indices[at] - u.stop,
+         np.searchsorted(at, K.indptr[p.start:p.stop + 1])),
+        shape=(n_sc, n_sc)), **SPD_FACTOR)
 
-    dof_map = system.dof_map
-    n_sc = dof_map.n_scalar
+    def velocity(v):             # A^-1 on each component
+        return A.solve(v.reshape(2, nx).T).T.ravel()
+
+    def product(v_u, v_p):       # K [v_u; v_p; 0]
+        return K @ np.r_[v_u, v_p, 0.0]
+
+    def schur(d):                # (S + w w^T) d
+        y = product(zero_u, d)   # [-B^T d; D d; w^T d]
+        return y[p] - product(velocity(y[u]), zero_p)[p] + w * y[-1]
+
+    z = np.zeros(n_sc)
+    for batch in system.batches:
+        z[dof_map.cell_dofs[batch.cells, :batch.layout.n_scalar]] = \
+            interpolate_scalar(batch, lambda x: np.ones(len(x)))
+    r = b[p] - product(velocity(b[u]), zero_p)[p]
+    lam = (z @ r) / (z @ w)
+    res = r + w * (b[-1] - lam)
+    x, d, rho = np.zeros(n_sc), np.zeros(n_sc), np.inf
+    stop, iterations = PCG_TOL * np.linalg.norm(res), 0
+    while np.linalg.norm(res) > stop and iterations < MAX_ITERATIONS:
+        s = M.solve(res)
+        rho, old = res @ s, rho
+        d = s + (rho / old) * d
+        q = schur(d)
+        step = rho / (d @ q)
+        x += step * d
+        res -= step * q
+        iterations += 1
+
+    reduced = np.r_[velocity(b[u] - product(zero_u, x)[u]), x, lam]
+    residual = np.linalg.norm(K @ reduced - b) / (np.linalg.norm(b) or 1.0)
+    if not residual <= RESIDUAL_BOUND:
+        warnings.warn(f"relative residual {residual:.3e} of the solve "
+                      f"exceeds {RESIDUAL_BOUND:.0e}", RuntimeWarning,
+                      stacklevel=2)
     full = np.empty(dof_map.n_system)
-    full[system.free] = x
+    full[system.free] = reduced
     full[system.constrained] = system.boundary_values
-    p = full[2 * n_sc:3 * n_sc]
+    pressure = full[2 * n_sc:3 * n_sc]
     W, g = system.recovery
     bubbles = g + np.einsum("cbi,ci->cb", W,
-                            np.append(p, 0.0)[dof_map.cell_dofs])
+                            np.append(pressure, 0.0)[dof_map.cell_dofs])
     return Solution(dof_map=dof_map, ux=full[:n_sc], uy=full[n_sc:2 * n_sc],
-                    p=p, bubbles=bubbles, multiplier=full[-1],
-                    residual=float(res), n_dofs=system.n_dofs,
-                    batches=system.batches)
+                    p=pressure, bubbles=bubbles, multiplier=full[-1],
+                    residual=float(residual), iterations=iterations,
+                    n_dofs=system.n_dofs, batches=system.batches)
 
 
 def solve_stokes(mesh, k, f=np.zeros_like, g=np.zeros_like,
@@ -407,7 +388,7 @@ def condition_number(system):
     n = K.shape[0]
     # ARPACK's default start vector is random; the sweep CSVs must repeat
     v0 = np.random.default_rng(0).standard_normal(n)
-    lu = spla.splu(K, **FACTORIZATIONS[-1])
+    lu = spla.splu(K)
     x = lu.solve(v0)
     error = np.abs(v0 - K @ x).max() / (
         spla.norm(K, np.inf) * np.abs(x).max() + np.abs(v0).max())

@@ -150,7 +150,8 @@ def _cmd_solve(args):
           f"k={args.k} n_dofs={sol.n_dofs}")
     print(f"err0_u={rep.err0_u:.6e} err1_u={rep.err1_u:.6e} "
           f"err0_p={rep.err0_p:.6e}")
-    print(f"residual={sol.residual:.3e} multiplier={sol.multiplier:.3e}")
+    print(f"residual={sol.residual:.3e} iterations={sol.iterations} "
+          f"multiplier={sol.multiplier:.3e}")
     return 0
 
 

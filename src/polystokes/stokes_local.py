@@ -57,6 +57,7 @@ class LocalStokesBlocks:
     Bb_x: np.ndarray     # (n_cells, n_sc, nb)
     Bb_y: np.ndarray     # (n_cells, n_sc, nb)
     C_p: np.ndarray      # (n_cells, n_sc, n_sc)
+    M_p: np.ndarray      # (n_cells, n_sc, n_sc), pressure mass Pi0^T M Pi0
     mean_weights: np.ndarray   # (n_cells, n_sc), pressure-mean constraint rows
     F_x: np.ndarray      # (n_cells, n_sc)
     F_y: np.ndarray      # (n_cells, n_sc)
@@ -115,6 +116,13 @@ def _local_b(ctx):
     return bnd_x - vol_x, bnd_y - vol_y, Bb_x, Bb_y
 
 
+def _local_mass(ctx):
+    """Pressure mass (Pi0 p, Pi0 q): the L2 part of the solve's
+    preconditioner."""
+    nk = pb.poly_dim(ctx.k)
+    return _t(ctx.pizero_k) @ ctx.mass[:, :nk, :nk] @ ctx.pizero_k
+
+
 def _local_c(ctx):
     """Pressure stabilization: area-scaled dofi-dofi on the L2-projection
     complement.
@@ -163,14 +171,15 @@ def build_blocks(batches, config=StabilizationConfig(), f=np.zeros_like):
         name: np.zeros((n_cells, *shape)) for name, shape in (
             ("A_sc", (m, m)), ("Ab_sc", (nb, nb)), ("B_x", (m, m)),
             ("B_y", (m, m)), ("Bb_x", (m, nb)), ("Bb_y", (m, nb)),
-            ("C_p", (m, m)), ("mean_weights", (m,)), ("F_x", (m,)),
-            ("F_y", (m,)), ("Fb_x", (nb,)), ("Fb_y", (nb,)))})
+            ("C_p", (m, m)), ("M_p", (m, m)), ("mean_weights", (m,)),
+            ("F_x", (m,)), ("F_y", (m,)), ("Fb_x", (nb,)), ("Fb_y", (nb,)))})
     for ctx in batches:
         ids, n = ctx.cells, ctx.layout.n_scalar
         out.A_sc[ids, :n, :n], out.Ab_sc[ids] = _local_a(ctx, config)
         (out.B_x[ids, :n, :n], out.B_y[ids, :n, :n], out.Bb_x[ids, :n],
          out.Bb_y[ids, :n]) = _local_b(ctx)
         out.C_p[ids, :n, :n] = _local_c(ctx)
+        out.M_p[ids, :n, :n] = _local_mass(ctx)
         out.mean_weights[ids, :n] = _local_mean(ctx)
         (out.F_x[ids, :n], out.F_y[ids, :n], out.Fb_x[ids],
          out.Fb_y[ids]) = _local_rhs(ctx, f)

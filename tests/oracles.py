@@ -146,6 +146,60 @@ def dense_condition_number(system):
     return float(svals.max() / svals.min())
 
 
+# SuperLU options in the order direct_solve tries them: LU without pivoting
+# on the symmetric minimum-degree ordering of K^T + K, then the default COLAMD
+# with partial pivoting
+DIRECT_FACTORIZATIONS = (
+    dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+         options={"SymmetricMode": True}),
+    {},
+)
+
+
+def _refined_solve(K, b, options):
+    """Factor K with the SuperLU options and solve K x = b, refined on
+    long-double residuals for at most five steps, until a correction grows,
+    stops being finite, or falls below 1e-14 relative to the solution;
+    returns x and its relative residual."""
+    lu = splu(K, **options)
+    x = lu.solve(b)
+    K_long, b_long = K.astype(np.longdouble), b.astype(np.longdouble)
+
+    def residual(v):
+        return np.asarray(b_long - K_long @ v.astype(np.longdouble),
+                          dtype=np.float64)
+
+    r = residual(x)
+    xnorm = float(np.linalg.norm(x)) or 1.0
+    prev = np.inf
+    for _ in range(5):
+        d = lu.solve(r)
+        dnorm = np.linalg.norm(d)
+        if not np.isfinite(dnorm) or dnorm >= prev:
+            break
+        x = x + d
+        r = residual(x)
+        if dnorm <= 1e-14 * xnorm:
+            break
+        prev = dnorm
+    return x, np.linalg.norm(r) / (float(np.linalg.norm(b)) or 1.0)
+
+
+def direct_solve(system):
+    """The reduced solution of a library system by one sparse LU of the
+    whole matrix: the first of DIRECT_FACTORIZATIONS, refined, and the
+    COLAMD factor only when that one is singular or its relative residual
+    is not finite or exceeds 1e-10 (assembly.RESIDUAL_BOUND)."""
+    first, fallback = DIRECT_FACTORIZATIONS
+    try:
+        x, res = _refined_solve(system.matrix, system.rhs, first)
+        if res <= 1e-10:
+            return x
+    except RuntimeError:
+        pass
+    return _refined_solve(system.matrix, system.rhs, fallback)[0]
+
+
 def cell_scalar_dofs(mesh, dof_map, c):
     """Global scalar indices in local DOF order for cell c, one edge at a
     time: vertices, k-1 nodes per edge in ring order, then the moments."""
@@ -485,6 +539,11 @@ def local_c(ctx):
     return ctx.area * (comp.T @ comp)
 
 
+def local_mass(ctx):
+    nk = pb.poly_dim(ctx.k)
+    return ctx.pizero_k.T @ ctx.mass[:nk, :nk] @ ctx.pizero_k
+
+
 def local_mean(ctx):
     nk = pb.poly_dim(ctx.k)
     phi = pb.evaluate(ctx.basis, table(ctx.basis, ctx.quad.points))[:, :nk]
@@ -505,13 +564,14 @@ def local_rhs(ctx, f):
 
 
 def build_blocks(ctx, config, f=np.zeros_like):
-    """One cell's blocks, unpadded: a dict of A_u, A_b, B_u, B_b, C_p,
+    """One cell's blocks, unpadded: a dict of A_u, A_b, B_u, B_b, C_p, M_p,
     mean_weights, F_u and F_b."""
     A_u, A_b = local_a(ctx, config)
     B_u, B_b = local_b(ctx)
     F_u, F_b = local_rhs(ctx, f)
     return dict(A_u=A_u, A_b=A_b, B_u=B_u, B_b=B_b, C_p=local_c(ctx),
-                mean_weights=local_mean(ctx), F_u=F_u, F_b=F_b)
+                M_p=local_mass(ctx), mean_weights=local_mean(ctx), F_u=F_u,
+                F_b=F_b)
 
 
 def compute_errors(mesh, solution, case):

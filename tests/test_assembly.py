@@ -19,7 +19,8 @@ from polystokes import polybasis as pb
 from polystokes.stokes_local import StabilizationConfig
 
 from oracles import (boundary_scalar_data, cell_elements, cell_scalar_dofs,
-                     dense_condition_number, table, uncondensed_solve)
+                     dense_condition_number, direct_solve, table,
+                     uncondensed_solve)
 
 
 def _zero_g(p):
@@ -332,7 +333,7 @@ def test_condition_number_refuses_a_spoiled_factor(monkeypatch):
     calls = _spy_splu(monkeypatch, first=_negated_factor)
     with pytest.raises(RuntimeError, match="backward error"):
         asm.condition_number(system)
-    assert calls == [asm.FACTORIZATIONS[-1]]
+    assert calls == [{}]
 
 
 def test_condition_number_refuses_an_asymmetric_matrix():
@@ -371,36 +372,11 @@ def test_with_alpha_matches_fresh_assembly():
         _assert_identical(once, build(1e3))
 
 
-def _longdouble_cases():
-    hexagonal = asm.assemble(geo.generate_mesh("hexagonal", 2), 3).matrix
-    voronoi = asm.assemble(geo.generate_mesh("voronoi", 1), 2,
-                           basis_kind="l2_orthonormal").matrix
-    # more columns than one block, column 7 empty
-    small = sp.random(300, 2 * asm._COLUMNS + 5, density=0.05, format="csc",
-                      rng=np.random.default_rng(3))
-    small.data[small.indptr[7]:small.indptr[8]] = 0.0
-    small.eliminate_zeros()
-    assert small.indptr[8] == small.indptr[7]
-    return [hexagonal, voronoi, small]
-
-
-def test_longdouble_residual_keeps_its_bits():
-    # the blocked residual sums every row in the order of scipy's own
-    # long-double product; a change of scipy's kernel shows here
-    rng = np.random.default_rng(0)
-    for K in _longdouble_cases():
-        x = rng.standard_normal(K.shape[1]) * 10.0 ** rng.integers(
-            -8, 8, K.shape[1])
-        got = asm._longdouble_matvec(K, x)
-        want = K.astype(np.longdouble) @ x.astype(np.longdouble)
-        assert got.dtype == np.longdouble
-        assert np.array_equal(got, want)
-
-
 def test_solve_holds_no_longdouble_copy_of_the_matrix():
-    # SuperLU's factor lives outside tracemalloc; what it sees of solve is
-    # the vectors and one block of long-double values at a time, where a
-    # long-double copy of K alone takes 16 bytes per stored entry
+    # SuperLU's factors live outside tracemalloc; what it sees of solve is
+    # the vectors, the velocity block sliced out of K and the preconditioner
+    # matrix, where a long-double copy of K alone takes 16 bytes per stored
+    # entry and a float copy 12
     case = an.get_case("test1")
     system = asm.assemble(geo.generate_mesh("hexagonal", 2), 3,
                           f=case.forcing, g=case.velocity)
@@ -451,6 +427,11 @@ def _spy_splu(monkeypatch, first=None):
     return calls
 
 
+# no pivoting on the symmetric minimum-degree ordering
+SPD_FACTOR = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+
+
 def _solve_quietly(system):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -480,12 +461,12 @@ def extreme_systems():
 
 
 def test_solve_symmetric_factor_at_the_extremes(extreme_systems, monkeypatch):
-    # one no-pivot factor on the symmetric ordering, refined within the
-    # bound: no COLAMD fallback and no warning
+    # two SPD factors, of the velocity block and of the preconditioner, each
+    # without pivoting on the symmetric ordering: no warning at either end
     for label, alpha, system in extreme_systems:
         calls = _spy_splu(monkeypatch)
         sol = _solve_quietly(system)
-        assert calls == [asm.FACTORIZATIONS[0]], label
+        assert calls == [SPD_FACTOR, SPD_FACTOR], label
         assert sol.residual <= asm.RESIDUAL_BOUND, (label, alpha)
         if alpha == 1.0:
             # the pressure is well determined: same solution as COLAMD
@@ -500,8 +481,8 @@ def test_solve_symmetric_factor_at_the_extremes(extreme_systems, monkeypatch):
 @pytest.mark.parametrize("k", [1, 2])
 def test_solve_refines_an_inconsistent_rhs(k, monkeypatch):
     # a random right-hand side, multiplier row included, is the load of no
-    # Stokes problem; unrefined no-pivot solves of sweep matrices have
-    # backward errors up to 0.16, and refinement brings them within the bound
+    # Stokes problem; the multiplier row enters the pressure solve as a
+    # mean-weight term, and PCG brings the residual within the bound
     mesh = geo.generate_mesh("voronoi", 1)
     base = asm.assemble(mesh, k, g=_zero_g)
     rng = np.random.default_rng(k)
@@ -510,7 +491,7 @@ def test_solve_refines_an_inconsistent_rhs(k, monkeypatch):
                          rhs=rng.standard_normal(base.n_dofs))
         calls = _spy_splu(monkeypatch)
         sol = _solve_quietly(system)
-        assert calls == [asm.FACTORIZATIONS[0]], alpha
+        assert calls == [SPD_FACTOR, SPD_FACTOR], alpha
         assert sol.residual <= asm.RESIDUAL_BOUND, alpha
 
 
@@ -518,20 +499,70 @@ def _negated_factor(splu, matrix, **options):
     return splu(-matrix, **options)
 
 
-def _singular_factor(splu, matrix, **options):
-    raise RuntimeError("Factor is exactly singular")
-
-
-@pytest.mark.parametrize("first", [_negated_factor, _singular_factor],
-                         ids=["spoiled", "raises"])
-def test_solve_falls_back_to_colamd(first, monkeypatch):
+def test_solve_warns_on_a_spoiled_factor(monkeypatch):
+    # a wrong velocity factor spoils the Schur complement; the residual of
+    # the whole system shows it, and solve says so
     mesh = geo.generate_mesh("hexagonal", 1)
     case = an.get_case("test1")
     system = asm.assemble(mesh, 2, f=case.forcing, g=case.velocity)
-    calls = _spy_splu(monkeypatch, first=first)
+    _spy_splu(monkeypatch, first=_negated_factor)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = asm.solve(system)
+    assert not sol.residual <= asm.RESIDUAL_BOUND
+    assert [str(w.message) for w in caught
+            if "of the solve" in str(w.message)] == [
+        f"relative residual {sol.residual:.3e} of the solve exceeds 1e-10"]
+
+
+def test_zero_load_solves_to_zeros():
+    # the benchmark's warm-up: f = g = 0, so the right-hand side is zero
+    system = asm.assemble(geo.generate_mesh("hexagonal", 1), 1)
+    assert not system.rhs.any()
     sol = _solve_quietly(system)
-    assert calls == [asm.FACTORIZATIONS[0], {}]
-    assert sol.residual <= asm.RESIDUAL_BOUND
+    for x in (sol.ux, sol.uy, sol.p, sol.bubbles):
+        assert not x.any()
+    assert sol.multiplier == sol.residual == 0.0
+    assert sol.iterations == 0
+
+
+@pytest.fixture(scope="module", params=["hexagonal", "voronoi",
+                                        "random_polygons", "diamond"])
+def family_systems(request):
+    """test1 systems of one family at L1-L2, k=1-3, both bases, alpha=1;
+    (label, system) pairs."""
+    case = an.get_case("test1")
+    out = []
+    for level in (1, 2):
+        mesh = geo.generate_mesh(request.param, level)
+        for k in (1, 2, 3):
+            for basis in ("scaled_monomial", "l2_orthonormal"):
+                out.append((f"{request.param} L{level} k={k} {basis}",
+                            asm.assemble(mesh, k, f=case.forcing,
+                                         g=case.velocity, basis_kind=basis)))
+    return out
+
+
+def test_solve_agrees_with_the_direct_solve(family_systems):
+    # the direct solve (one sparse LU of K, long-double refinement, COLAMD
+    # fallback) is the reference; the bounds were set before the first run
+    for label, base in family_systems:
+        for alpha in (1e-6, 1.0, 1e3):
+            system = asm.with_alpha(base, alpha)
+            sol = _solve_quietly(system)
+            want = direct_solve(system)
+            n_sc = system.dof_map.n_scalar
+            full = np.empty(system.dof_map.n_system)
+            full[system.free] = want
+            full[system.constrained] = system.boundary_values
+            u, p = full[:2 * n_sc], full[2 * n_sc:3 * n_sc]
+            assert np.abs(np.r_[sol.ux, sol.uy] - u).max() \
+                <= 1e-10 * np.abs(u).max(), (label, alpha)
+            assert np.abs(sol.p - p).max() <= 1e-9 * np.abs(p).max(), \
+                (label, alpha)
+            assert sol.residual <= asm.RESIDUAL_BOUND, (label, alpha)
+            assert 1 <= sol.iterations <= 100 < asm.MAX_ITERATIONS, \
+                (label, alpha)
 
 
 def test_export_matrix(tmp_path):

@@ -109,6 +109,16 @@ def test_solve_patch_prints_small_errors(capsys):
     assert all(v <= 1e-9 for v in vals)
 
 
+def test_solve_prints_its_iterations(capsys):
+    assert cli.main(["solve", "--case", "test1", "--k", "2",
+                     "--family", "hexagonal", "--level", "1"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    fields = dict(kv.split("=") for kv in line.split())
+    assert list(fields) == ["residual", "iterations", "multiplier"]
+    assert float(fields["residual"]) <= 1e-10
+    assert 1 <= int(fields["iterations"]) <= 100
+
+
 def test_solve_dump_matrix(tmp_path):
     out = tmp_path / "mat.mtx"
     rc = cli.main(["solve", "--case", "patch", "--k", "1",

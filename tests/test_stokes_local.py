@@ -181,8 +181,9 @@ def test_build_blocks_shapes():
     lay = vs.build_layout(len(PENTAGON), 2)
     n, nb = lay.n_scalar, lay.n_bubble
     shapes = dict(A_sc=(n, n), Ab_sc=(nb, nb), B_x=(n, n), B_y=(n, n),
-                  Bb_x=(n, nb), Bb_y=(n, nb), C_p=(n, n), mean_weights=(n,),
-                  F_x=(n,), F_y=(n,), Fb_x=(nb,), Fb_y=(nb,))
+                  Bb_x=(n, nb), Bb_y=(n, nb), C_p=(n, n), M_p=(n, n),
+                  mean_weights=(n,), F_x=(n,), F_y=(n,), Fb_x=(nb,),
+                  Fb_y=(nb,))
     assert [fd.name for fd in dataclasses.fields(blocks)] == list(shapes)
     m = vs.build_layout(len(UNIT_SQUARE), 2).n_scalar
     one = _blocks(small, f=lambda p: np.ones((len(p), 2)))
@@ -210,7 +211,8 @@ def _split_by_component(want, n, nb):
             ("Ab_sc", want["A_b"][:nb, :nb]), ("Ab_sc", want["A_b"][nb:, nb:]),
             ("B_x", want["B_u"][:, :n]), ("B_y", want["B_u"][:, n:]),
             ("Bb_x", want["B_b"][:, :nb]), ("Bb_y", want["B_b"][:, nb:]),
-            ("C_p", want["C_p"]), ("mean_weights", want["mean_weights"]),
+            ("C_p", want["C_p"]), ("M_p", want["M_p"]),
+            ("mean_weights", want["mean_weights"]),
             ("F_x", want["F_u"][:n]), ("F_y", want["F_u"][n:]),
             ("Fb_x", want["F_b"][:nb]), ("Fb_y", want["F_b"][nb:])]
 
