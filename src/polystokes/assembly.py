@@ -290,16 +290,17 @@ def solve(system):
     """Block solve of the condensed system, then bubble recovery.
 
     The free velocity rows are A u_x - B_x^T p = f_x and A u_y - B_y^T p =
-    f_y with one SPD scalar block A, so one SuperLU factor of A eliminates
-    both components.  What is left is S p + w lam = r, w^T p = f_lam, with
-    the Schur complement S = B A^-1 B^T + D (D is K's pressure block) and
-    the mean weights w.  S annihilates the pressure z of the constant 1, so
+    f_y with one SPD scalar block A, so one factor of A eliminates both
+    components.  What is left is S p + w lam = r, w^T p = f_lam, with the
+    Schur complement S = B A^-1 B^T + D (D is K's pressure block) and the
+    mean weights w.  S annihilates the pressure z of the constant 1, so
     lam = z^T r / z^T w, and (S + w w^T) p = r - w lam + w f_lam is SPD.
-    PCG solves it to PCG_TOL, preconditioned by one SuperLU factor of the
-    SPD M_p = sum Pi0^T M Pi0 + D; a zero right-hand side takes no step.
-    Both factors are SPD_FACTOR's.  Only A is copied out of K: B, B^T and
-    D act through products with K.  Warns (RuntimeWarning) when the
-    relative residual of the whole system is not finite or exceeds
+    PCG solves it to PCG_TOL, preconditioned by the SPD M_p = sum Pi0^T M
+    Pi0 + D; a zero right-hand side takes no step.  A and M_p are factored
+    together, as the SPD block diagonal diag(A, M_p), by one SPD_FACTOR
+    call: a solve makes one SuperLU factor.  Only A is copied out of K:
+    B, B^T and D act through products with K.  Warns (RuntimeWarning) when
+    the relative residual of the whole system is not finite or exceeds
     RESIDUAL_BOUND.
     """
     K, b, dof_map = system.matrix, system.rhs, system.dof_map
@@ -309,14 +310,31 @@ def solve(system):
     w = K[:, -1].toarray()[p, 0]
     zero_u, zero_p = np.zeros(u.stop), np.zeros(n_sc)
     at = system.c_positions
-    A = spla.splu(K[:nx, :nx], **SPD_FACTOR)
-    M = spla.splu(sp.csc_matrix(
-        (K.data[at] + system.mass_values, K.indices[at] - u.stop,
-         np.searchsorted(at, K.indptr[p.start:p.stop + 1])),
-        shape=(n_sc, n_sc)), **SPD_FACTOR)
+    # diag(A, M_p) in CSC: A's columns, then M_p's on C's positions in K
+    A, m = K[:nx, :nx], len(at)
+    data, indices = np.empty(A.nnz + m), np.empty(A.nnz + m, K.indices.dtype)
+    indptr = np.empty(nx + n_sc + 1, K.indptr.dtype)
+    data[:A.nnz], indices[:A.nnz], indptr[:nx + 1] = \
+        A.data, A.indices, A.indptr
+    # mode="clip" writes into out unbuffered; every position is in range
+    np.take(K.data, at, out=data[A.nnz:], mode="clip")
+    data[A.nnz:] += system.mass_values
+    np.take(K.indices, at, out=indices[A.nnz:], mode="clip")
+    indices[A.nnz:] -= u.stop - nx
+    indptr[nx + 1:] = A.nnz + np.searchsorted(
+        at, K.indptr[p.start + 1:p.stop + 1])
+    del A
+    factor = spla.splu(sp.csc_matrix((data, indices, indptr),
+                                     shape=(nx + n_sc, nx + n_sc)),
+                       **SPD_FACTOR)
 
     def velocity(v):             # A^-1 on each component
-        return A.solve(v.reshape(2, nx).T).T.ravel()
+        rhs = np.zeros((nx + n_sc, 2))
+        rhs[:nx] = v.reshape(2, nx).T
+        return factor.solve(rhs)[:nx].T.ravel()
+
+    def precondition(r):         # M_p^-1 r
+        return factor.solve(np.r_[np.zeros(nx), r])[nx:]
 
     def product(v_u, v_p):       # K [v_u; v_p; 0]
         return K @ np.r_[v_u, v_p, 0.0]
@@ -335,7 +353,7 @@ def solve(system):
     x, d, rho = np.zeros(n_sc), np.zeros(n_sc), np.inf
     stop, iterations = PCG_TOL * np.linalg.norm(res), 0
     while np.linalg.norm(res) > stop and iterations < MAX_ITERATIONS:
-        s = M.solve(res)
+        s = precondition(res)
         rho, old = res @ s, rho
         d = s + (rho / old) * d
         q = schur(d)

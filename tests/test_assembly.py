@@ -374,9 +374,9 @@ def test_with_alpha_matches_fresh_assembly():
 
 def test_solve_holds_no_longdouble_copy_of_the_matrix():
     # SuperLU's factors live outside tracemalloc; what it sees of solve is
-    # the vectors, the velocity block sliced out of K and the preconditioner
-    # matrix, where a long-double copy of K alone takes 16 bytes per stored
-    # entry and a float copy 12
+    # the vectors, the velocity block sliced out of K and the block-diagonal
+    # matrix of it and the preconditioner, where a long-double copy of K
+    # alone takes 16 bytes per stored entry and a float copy 12
     case = an.get_case("test1")
     system = asm.assemble(geo.generate_mesh("hexagonal", 2), 3,
                           f=case.forcing, g=case.velocity)
@@ -461,12 +461,13 @@ def extreme_systems():
 
 
 def test_solve_symmetric_factor_at_the_extremes(extreme_systems, monkeypatch):
-    # two SPD factors, of the velocity block and of the preconditioner, each
-    # without pivoting on the symmetric ordering: no warning at either end
+    # one SPD factor, of the velocity block and the preconditioner side by
+    # side, without pivoting on the symmetric ordering: no warning at
+    # either end
     for label, alpha, system in extreme_systems:
         calls = _spy_splu(monkeypatch)
         sol = _solve_quietly(system)
-        assert calls == [SPD_FACTOR, SPD_FACTOR], label
+        assert calls == [SPD_FACTOR], label
         assert sol.residual <= asm.RESIDUAL_BOUND, (label, alpha)
         if alpha == 1.0:
             # the pressure is well determined: same solution as COLAMD
@@ -491,7 +492,7 @@ def test_solve_refines_an_inconsistent_rhs(k, monkeypatch):
                          rhs=rng.standard_normal(base.n_dofs))
         calls = _spy_splu(monkeypatch)
         sol = _solve_quietly(system)
-        assert calls == [SPD_FACTOR, SPD_FACTOR], alpha
+        assert calls == [SPD_FACTOR], alpha
         assert sol.residual <= asm.RESIDUAL_BOUND, alpha
 
 
@@ -500,8 +501,8 @@ def _negated_factor(splu, matrix, **options):
 
 
 def test_solve_warns_on_a_spoiled_factor(monkeypatch):
-    # a wrong velocity factor spoils the Schur complement; the residual of
-    # the whole system shows it, and solve says so
+    # a wrong factor spoils the Schur complement through its velocity
+    # block; the residual of the whole system shows it, and solve says so
     mesh = geo.generate_mesh("hexagonal", 1)
     case = an.get_case("test1")
     system = asm.assemble(mesh, 2, f=case.forcing, g=case.velocity)
