@@ -29,6 +29,16 @@ Run it on two checkouts with one BLAS thread and compare the outputs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digests.py
 
+With --compare FILE, where FILE holds the output of an earlier run (for
+example the other checkout's), the script prints the same lines and then
+writes to stderr one count of changed lines per output group (blocks,
+system, solution, errors, cond, mesh, centroids, cli).  A line counts as
+changed when FILE holds a different value for its key, all of its words
+but the last, or no line of that key:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digests.py \
+        --compare parent.txt > new.txt
+
 The cell blocks are rebuilt from the system's batches and hashed cell by
 cell without their zero padding, over both velocity components: the
 library stores one component's blocks, A_sc and Ab_sc, and the divergence
@@ -41,11 +51,13 @@ stored the joined blocks.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
@@ -58,6 +70,10 @@ FAMILIES = ("hexagonal", "voronoi", "random_polygons", "diamond")
 LEVELS = (1, 2)
 KS = (1, 2, 3)
 BASES = ("scaled_monomial", "l2_orthonormal")
+# the output groups, named by the word before each line's value (cli for
+# the CSV lines)
+GROUPS = ("blocks", "system", "solution", "errors", "cond", "mesh",
+          "centroids", "cli")
 # the CLI arguments of the two CSVs, each ending in --output <name>
 CLI_CSVS = {
     "conv.csv": ["convergence", "--cases", "test1", "--families", "hexagonal",
@@ -124,7 +140,8 @@ def cell_blocks(system, forcing):
                     np.concatenate([b.Fb_x[c], b.Fb_y[c]]))
 
 
-def main():
+def lines():
+    """The output lines, in order, as they are computed."""
     case = get_case("test1")
     meshes = []
     for family in FAMILIES:
@@ -138,26 +155,63 @@ def main():
                     sol = solve(system)
                     rep = compute_errors(sol, case)
                     tag = f"{family} L{level} k={k} {basis}"
-                    print(tag, "blocks",
-                          digest(*cell_blocks(system, case.forcing)))
-                    print(tag, "system", digest(
+                    yield (f"{tag} blocks "
+                           f"{digest(*cell_blocks(system, case.forcing))}")
+                    yield f"{tag} system " + digest(
                         *alpha_free(system), system.c_values,
-                        system.rhs, system.free, system.signs))
-                    print(tag, "solution", digest(sol.ux, sol.uy, sol.p,
-                                                  sol.bubbles))
-                    print(tag, "errors", digest(np.array(
-                        [rep.err0_u, rep.err1_u, rep.err0_p])))
+                        system.rhs, system.free, system.signs)
+                    yield f"{tag} solution " + digest(sol.ux, sol.uy, sol.p,
+                                                      sol.bubbles)
+                    yield f"{tag} errors " + digest(np.array(
+                        [rep.err0_u, rep.err1_u, rep.err0_p]))
     csvs = {name: cli_csv(args, name) for name, args in CLI_CSVS.items()}
     # the sweep CSV holds each float as its repr, the form these lines print
     for row in csv.DictReader(io.StringIO(csvs["sweep.csv"].decode())):
-        print(f"alpha_sweep voronoi L1 k={row['k']} {row['basis']} "
-              f"alpha={row['alpha']} cond {row['cond']}")
+        yield (f"alpha_sweep voronoi L1 k={row['k']} {row['basis']} "
+               f"alpha={row['alpha']} cond {row['cond']}")
     for tag, mesh in meshes:
-        print(tag, "mesh", mesh_digest(mesh))
+        yield f"{tag} mesh {mesh_digest(mesh)}"
     for name, data in csvs.items():
-        print("cli", name, hashlib.sha256(data).hexdigest())
+        yield f"cli {name} {hashlib.sha256(data).hexdigest()}"
     for tag, mesh in meshes:
-        print(tag, "centroids", digest(mesh.cell_centroids))
+        yield f"{tag} centroids {digest(mesh.cell_centroids)}"
+
+
+def group(line):
+    """The output group of a line: cli, or the word before its value."""
+    words = line.split()
+    return "cli" if words[0] == "cli" else words[-2]
+
+
+def compare(lines, path):
+    """Write to stderr, for each output group, how many of the lines differ
+    from the line of the same key (all words but the value) in the file at
+    path; a key that the file lacks counts as changed."""
+    with open(path) as fh:
+        reference = dict(line.rsplit(" ", 1) for line in fh.read().splitlines())
+    changed, total = dict.fromkeys(GROUPS, 0), dict.fromkeys(GROUPS, 0)
+    for line in lines:
+        key, value = line.rsplit(" ", 1)
+        total[group(line)] += 1
+        changed[group(line)] += reference.get(key) != value
+    for name in GROUPS:
+        print(f"{name}: {changed[name]} of {total[name]} lines changed",
+              file=sys.stderr)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", metavar="FILE",
+                        help="an earlier output of this script: after the "
+                             "lines, write to stderr the count of changed "
+                             "lines per output group")
+    args = parser.parse_args(argv)
+    out = []
+    for line in lines():
+        print(line)
+        out.append(line)
+    if args.compare:
+        compare(out, args.compare)
 
 
 if __name__ == "__main__":

@@ -212,10 +212,7 @@ def compute_errors(solution, case):
         cp = pz @ solution.p[gd][:, :, None]
         pts, w = ctx.quad.points, ctx.quad.weights
         phi = ctx.quad_values                      # (g, nq, nk)
-        basis_k = ctx.basis.prefix(k)
-        gphi = pb.gradient(basis_k, pb.power_table(
-            k, basis_k.centroid[:, None, :], basis_k.diameter[:, None, None],
-            pts))                                  # (g, nq, nk, 2)
+        dx, dy = pb.derivative_matrices(ctx.basis.prefix(k))
 
         flat = pts.reshape(-1, 2)
         u = case.velocity(flat).reshape(pts.shape)
@@ -230,8 +227,9 @@ def compute_errors(solution, case):
         parts[3, ids] = _dot(w, u[..., 0] ** 2 + u[..., 1] ** 2)
         parts[5, ids] = _dot(w, p ** 2)
 
-        gh0 = np.einsum("cqjd,cj->cqd", gphi, cux[..., 0])
-        gh1 = np.einsum("cqjd,cj->cqd", gphi, cuy[..., 0])
+        # the gradient's coefficients, then its values: (g, nq, 2)
+        gh0 = phi @ np.concatenate([dx @ cux, dy @ cux], axis=-1)
+        gh1 = phi @ np.concatenate([dx @ cuy, dy @ cuy], axis=-1)
         d0 = gh0 - gu[..., 0, :]
         d1 = gh1 - gu[..., 1, :]
         parts[1, ids] = _dot(w, np.sum(d0 ** 2 + d1 ** 2, axis=-1))

@@ -135,10 +135,11 @@ def _cmd_mesh(args):
 
 
 def _cmd_solve(args):
-    case = analysis.case_for(args.case, args.k)
-    # the weights and the degree are checked before the mesh is generated
-    config = StabilizationConfig(alpha=args.alpha, beta_sharp=args.beta_sharp)
+    # the degree, the case and the weights are checked before the mesh is
+    # generated, the degree first, as the case may depend on it
     check_degree(args.k)
+    case = analysis.case_for(args.case, args.k)
+    config = StabilizationConfig(alpha=args.alpha, beta_sharp=args.beta_sharp)
     mesh = geometry.generate_mesh(args.family, args.level, rng_seed=args.seed)
     system = assembly.assemble(mesh, args.k, f=case.forcing, g=case.velocity,
                                config=config, **_basis_kwargs(args))

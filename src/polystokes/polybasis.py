@@ -10,6 +10,13 @@ sqrt(W) V = Q R of the scaled monomials V at the cell's quadrature points
 (weights W): its change of basis is R^-1.  The factor R conditions like V,
 not like the monomial mass matrix V^T W V = R^T R, whose condition number is
 the square of R's.
+
+Derivatives are taken on coefficients, never at points: derivative_matrices
+maps a member's coefficients to those of its x- and y-derivatives in the
+same basis, which holds them because the bases are nested.  So the Gram
+matrix of the gradients of the orthonormal members is DX^T DX + DY^T DY in
+the quadrature they are orthonormal in, and the exact one where that
+quadrature is exact to degree 2k - 2 for a basis of degree k.
 """
 
 from __future__ import annotations
@@ -29,8 +36,6 @@ __all__ = [
     "build_basis",
     "power_table",
     "evaluate",
-    "gradient",
-    "stiffness",
     "laplacian_in_lower_basis",
     "derivative_matrices",
 ]
@@ -113,8 +118,8 @@ class PowerTable:
     x and y are (..., n_points, degree+1).  Leading axes stack cells; the
     centroid and diameter are then arrays that broadcast against the points
     (..., n_points, 2) and against (..., n_points, 1).
-    The scaled monomials of every degree <= degree, and their gradients, are
-    products of table entries, so one table serves them all.
+    The scaled monomials of every degree <= degree are products of table
+    entries, so one table serves them all.
     """
 
     degree: int
@@ -127,14 +132,6 @@ class PowerTable:
         """Scaled monomials of degree <= k, (..., n_points, poly_dim(k))."""
         a, b = _exponent_arrays(k)
         return self.x[..., a] * self.y[..., b]
-
-    def gradients(self, k):
-        """Their gradients, (..., n_points, poly_dim(k), 2)."""
-        a, b = _exponent_arrays(k)
-        # a * x^(a-1) is zero for a = 0 whatever power it multiplies
-        dx = a * self.x[..., np.maximum(a - 1, 0)] * self.y[..., b] / self.diameter
-        dy = b * self.x[..., a] * self.y[..., np.maximum(b - 1, 0)] / self.diameter
-        return np.stack([dx, dy], axis=-1)
 
 
 def power_table(degree, centroid, diameter, points):
@@ -261,14 +258,6 @@ def evaluate(basis, at):
     return at.values(basis.degree) @ basis.change_of_basis
 
 
-def gradient(basis, at):
-    """Member gradients at the points of a PowerTable at, as evaluate,
-    shape (n_points, dimension, 2)."""
-    G = at.gradients(basis.degree)
-    C = basis.change_of_basis[..., None, :, :]
-    return (G.swapaxes(-1, -2) @ C).swapaxes(-1, -2)
-
-
 def laplacian_in_lower_basis(basis):
     """Coefficients of each member's laplacian in the degree-(k-2) prefix;
     stacked for a stacked basis."""
@@ -287,13 +276,3 @@ def derivative_matrices(basis):
     dx, dy = _monomial_derivative_maps(basis.degree, basis.diameter)
     C = basis.change_of_basis
     return _solve_upper(C, dx @ C), _solve_upper(C, dy @ C)
-
-
-def stiffness(basis, weights, at):
-    """Quadrature Gram matrix of the gradients of the basis members, from
-    the quadrature weights and the PowerTable at its points; stacked for a
-    stacked basis, weights and table."""
-    G = gradient(basis, at) * np.sqrt(weights)[..., None, None]
-    # (..., n_points, 2, n) -> (..., 2 n_points, n): one syrk per cell
-    G = G.swapaxes(-1, -2).reshape(G.shape[:-3] + (-1, G.shape[-2]))
-    return G.swapaxes(-1, -2) @ G

@@ -292,9 +292,11 @@ def _build_batch(cells, ctx):
     else:
         A, T = basis.monomial_factor, ortho.change_of_basis
     mass = _t(A) @ A
-    at_quad = dataclasses.replace(ctx.at_quad, centroid=centroid,
-                                  diameter=diameter)
-    stiff_o = pb.stiffness(ortho, ctx.quad.weights, at_quad)
+    # the orthonormal members' derivatives in their own coefficients: the
+    # Gram matrix of their gradients is DX^T DX + DY^T DY, and a degree-k
+    # member's derivatives lie in the first nk members
+    DX, DY = pb.derivative_matrices(ortho)
+    stiff_o = _t(DX) @ DX + _t(DY) @ DY
     ortho_k = ortho.prefix(k)
 
     # boundary functionals ------------------------------------------------
@@ -302,8 +304,8 @@ def _build_batch(cells, ctx):
     phi = _edge_trace(lay)                         # the same for every cell
     at_edges = pb.power_table(k + 2, centroid, diameter, pts)
     vals = pb.evaluate(ortho, at_edges)                        # (g, n_pts, nk2)
-    grads = pb.gradient(ortho_k, at_edges)                     # (g, n_pts, nk, 2)
-    dn = grads[..., 0] * nrm[..., :1] + grads[..., 1] * nrm[..., 1:]
+    dn = ((vals[..., :nk] @ DX[:, :nk, :nk]) * nrm[..., :1]
+          + (vals[..., :nk] @ DY[:, :nk, :nk]) * nrm[..., 1:])  # grad q_i . n
     w_phi = w[..., None] * phi
     perimeter = w.sum(axis=1)[:, None]
     p0_basis = _vecmat(w, vals) / perimeter   # boundary mean of each basis member
@@ -353,7 +355,7 @@ def _build_batch(cells, ctx):
     bubble_pinabla = T @ np.linalg.solve(G2, RB) @ Sb
     bubble_pizero = area * T[:, :nk, sl] @ Sb
 
-    values = pb.evaluate(basis, at_quad)[..., :nk]
+    values = pb.evaluate(basis, ctx.at_quad)[..., :nk]
     return ElementBatch(
         **{f.name: getattr(ctx, f.name) for f in dataclasses.fields(_Cell)},
         cells=cells, layout=lay, edge_nodes=edge_nodes,

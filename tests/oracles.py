@@ -119,6 +119,31 @@ def table(basis, points):
     return pb.power_table(basis.degree, basis.centroid, basis.diameter, points)
 
 
+# ---------------------------------------------------------------------------
+# gradients at points
+# ---------------------------------------------------------------------------
+# The library takes every derivative on coefficients (derivative_matrices);
+# these pointwise gradients and their quadrature Gram matrix are the
+# reference it must agree with.
+
+def gradient(basis, at):
+    """Member gradients of a one-cell basis at the points of a PowerTable
+    at (degree >= basis.degree), shape (n_points, dimension, 2)."""
+    a, b = pb._exponent_arrays(basis.degree)
+    # a * x^(a-1) is zero for a = 0 whatever power it multiplies
+    dx = a * at.x[:, np.maximum(a - 1, 0)] * at.y[:, b] / at.diameter
+    dy = b * at.x[:, a] * at.y[:, np.maximum(b - 1, 0)] / at.diameter
+    return np.stack([dx @ basis.change_of_basis, dy @ basis.change_of_basis],
+                    axis=-1)
+
+
+def stiffness(basis, quad):
+    """Quadrature Gram matrix of the gradients of a one-cell basis's
+    members, on the quadrature it was built on."""
+    G = gradient(basis, table(basis, quad.points))
+    return np.einsum("q,qid,qjd->ij", quad.weights, G, G)
+
+
 def projector_defect(ctx):
     """Worst relative L2 error of Pi(m_j) - m_j over the degree-k members.
 
@@ -406,8 +431,6 @@ def build_operators(ctx):
     """
     verts, k, basis, quad = ctx.verts, ctx.k, ctx.basis, ctx.quad
     layout, area, edge_nodes = cell_geometry(ctx)
-    at_quad = pb.power_table(k + 2, basis.centroid, basis.diameter,
-                             quad.points)
     nk = pb.poly_dim(k)
     nk2 = pb.poly_dim(k + 2)
     nlow = pb.poly_dim(k - 2)
@@ -422,14 +445,14 @@ def build_operators(ctx):
     else:
         A, T = basis.monomial_factor, ortho.change_of_basis
     mass = A.T @ A
-    stiff_o = pb.stiffness(ortho, quad.weights, at_quad)
+    dx, dy = pb.derivative_matrices(ortho)
+    stiff_o = dx.T @ dx + dy.T @ dy
     ortho_k = ortho.prefix(k)
 
     pts, w, nrm, phi = boundary_trace(verts, k, nsc)
-    at_edges = pb.power_table(k + 2, basis.centroid, basis.diameter, pts)
-    vals = pb.evaluate(ortho, at_edges)
-    grads = pb.gradient(ortho_k, at_edges)
-    dn = grads[:, :, 0] * nrm[:, :1] + grads[:, :, 1] * nrm[:, 1:]
+    vals = pb.evaluate(ortho, table(ortho, pts))
+    dn = ((vals[:, :nk] @ dx[:nk, :nk]) * nrm[:, :1]
+          + (vals[:, :nk] @ dy[:nk, :nk]) * nrm[:, 1:])
     w_phi = w[:, None] * phi
     perimeter = w.sum()
     p0_basis = w @ vals / perimeter
@@ -470,7 +493,7 @@ def build_operators(ctx):
     bubble_pinabla = T @ np.linalg.solve(G2, RB) @ Sb
     bubble_pizero = area * T[:nk, sl] @ Sb
 
-    values = pb.evaluate(basis, at_quad)[:, :nk]
+    values = pb.evaluate(basis, table(basis, quad.points))[:, :nk]
     return dict(layout=layout, edge_nodes=edge_nodes,
                 mass=mass, stiffness=A.T @ stiff_o @ A,
                 pinabla_k=pinabla, pizero_k=pizero,
@@ -587,9 +610,8 @@ def compute_errors(mesh, solution, case):
         cp = ctx.pizero_k @ solution.p[gd]
         pts, w = ctx.quad.points, ctx.quad.weights
         basis_k = ctx.basis.prefix(k)
-        at = table(basis_k, pts)
-        phi = pb.evaluate(basis_k, at)
-        gphi = pb.gradient(basis_k, at)            # (nq, nk, 2)
+        phi = pb.evaluate(basis_k, table(basis_k, pts))
+        dx, dy = pb.derivative_matrices(basis_k)
 
         u = case.velocity(pts)
         gu = case.grad_velocity(pts)
@@ -603,10 +625,8 @@ def compute_errors(mesh, solution, case):
         n0u += w @ (u[:, 0] ** 2 + u[:, 1] ** 2)
         n0p += w @ (p ** 2)
 
-        gh0 = np.einsum("qjd,j->qd", gphi, cux)
-        gh1 = np.einsum("qjd,j->qd", gphi, cuy)
-        d0 = gh0 - gu[:, 0, :]
-        d1 = gh1 - gu[:, 1, :]
+        d0 = phi @ np.column_stack([dx @ cux, dy @ cux]) - gu[:, 0, :]
+        d1 = phi @ np.column_stack([dx @ cuy, dy @ cuy]) - gu[:, 1, :]
         e1u += w @ np.sum(d0 ** 2 + d1 ** 2, axis=1)
         n1u += w @ np.sum(gu[:, 0, :] ** 2 + gu[:, 1, :] ** 2, axis=1)
 

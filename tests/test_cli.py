@@ -190,19 +190,25 @@ def _library_message(call, *args):
     (["convergence", "--cases", "test1", "--families", "hexagonal",
       "--levels", "1,1", "--k", "1"],
      (cli.analysis.run_convergence, "hexagonal", [1, 1], 1, "test1")),
+    (["solve", "--case", "patch", "--family", "hexagonal", "--level", "1",
+      "--k", "0"], (vs.check_degree, 0)),
 ], ids=["convergence-level", "convergence-k", "alpha-sweep-k",
-        "alpha-sweep-alpha", "convergence-repeated-level"])
+        "alpha-sweep-alpha", "convergence-repeated-level", "solve-patch-k"])
 def test_bad_input_refused_before_solving(args, refusal, tmp_path, capsys,
                                           monkeypatch):
     # these solved (or computed condition numbers for) every earlier row
-    # before refusing, and wrote no CSV
+    # before refusing, and wrote no CSV; solve --case patch --k 0 blamed
+    # the patch case instead of the degree
     def reached(*args, **kwargs):
         raise AssertionError("a mesh was generated before the input was "
                              "checked")
 
     monkeypatch.setattr(cli.analysis, "generate_mesh", reached)
+    monkeypatch.setattr(cli.geometry, "generate_mesh", reached)
     out = tmp_path / "out.csv"
-    assert cli.main(args + ["--output", str(out)]) == 1
+    # solve writes no CSV; its one output file is the matrix dump
+    flag = "--dump-matrix" if args[0] == "solve" else "--output"
+    assert cli.main(args + [flag, str(out)]) == 1
     assert capsys.readouterr().err == _library_message(*refusal)
     assert not out.exists()
 

@@ -264,6 +264,18 @@ def test_batches_equal_per_cell_oracle(element_sets):
                     (key, c, name)
 
 
+def test_batch_stiffness_equals_quadrature_gram(element_sets):
+    # the batch forms the stiffness from derivative matrices; the Gram
+    # matrix of the members' gradients at the quadrature points agrees to
+    # 1e-12 of each cell's largest entry
+    _, sets = element_sets
+    for key, (contexts, batches) in sets.items():
+        for c, el in oracles.cell_elements(batches):
+            want = oracles.stiffness(contexts[c].basis, contexts[c].quad)
+            assert (np.abs(el.stiffness - want).max()
+                    <= 1e-12 * np.abs(want).max()), (key, c)
+
+
 def test_interpolate_scalar_equals_per_cell_oracle(element_sets):
     # one call of f on the nodes and one on the quadrature points of a whole
     # batch give every cell the DOFs of the per-cell interpolation, bit for bit
