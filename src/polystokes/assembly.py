@@ -44,6 +44,17 @@ RESIDUAL_BOUND = 1e-10
 # minimum-degree ordering, which is stable on an SPD matrix
 SPD_FACTOR = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
+# SuperLU options of condition_number's factor of the indefinite K: the
+# same ordering with threshold pivoting.  Without pivoting most factors fail
+# COND_BACKWARD_ERROR; every threshold from 1e-8 to 1e-3 passed on 910 sweep
+# systems, and the larger ones fill more.
+COND_FACTOR = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-6,
+                   options={"SymmetricMode": True})
+# Lanczos basis width of condition_number's run on M: its largest
+# eigenvalues come in near-equal pairs (the x and y velocity copies), which
+# ARPACK's default width of 20 resolves only after many restarts.  The run
+# on M^-1 keeps the default, where 40 costs more solves.
+COND_KRYLOV_WIDTH = 40
 # PCG on the pressure Schur complement stops once its residual is below
 # PCG_TOL relative to its right-hand side, or after MAX_ITERATIONS steps
 PCG_TOL = 1e-13
@@ -51,7 +62,8 @@ MAX_ITERATIONS = 300
 # condition_number refuses a factor whose normwise backward error on its
 # start vector exceeds this: the eigenvalues it finds are then those of a
 # matrix within 10 eps |K| of K, so the smallest modulus, and with it the
-# condition number, is accurate to about 10 eps cond relative.
+# condition number, is accurate to about 10 eps cond relative.  Under
+# COND_FACTOR's threshold pivoting this check bounds the factor's growth.
 COND_BACKWARD_ERROR = 10 * np.finfo(float).eps
 
 
@@ -395,7 +407,9 @@ def condition_number(system):
     symmetric, and the moduli of its eigenvalues are the singular values of
     K.  Lanczos (ARPACK) finds the largest from products with M, and the
     smallest as the inverse of the largest of M^-1 = K^-1 diag(signs),
-    applied through one LU factor of K with partial pivoting.  Raises
+    applied through one LU factor of K (COND_FACTOR: minimum degree on
+    K^T + K with threshold pivoting).  The first run keeps a Lanczos basis
+    of COND_KRYLOV_WIDTH vectors, the second ARPACK's default.  Raises
     ValueError when M is not symmetric and RuntimeError when the factor's
     backward error exceeds COND_BACKWARD_ERROR.
     """
@@ -406,7 +420,7 @@ def condition_number(system):
     n = K.shape[0]
     # ARPACK's default start vector is random; the sweep CSVs must repeat
     v0 = np.random.default_rng(0).standard_normal(n)
-    lu = spla.splu(K)
+    lu = spla.splu(K, **COND_FACTOR)
     x = lu.solve(v0)
     error = np.abs(v0 - K @ x).max() / (
         spla.norm(K, np.inf) * np.abs(x).max() + np.abs(v0).max())
@@ -416,11 +430,11 @@ def condition_number(system):
     inverse = spla.LinearOperator(
         (n, n), matvec=lambda v: lu.solve(signs * np.ravel(v)), dtype=float)
 
-    def largest(op):
-        return abs(spla.eigsh(op, k=1, which="LM", v0=v0, tol=0,
+    def largest(op, ncv=None):
+        return abs(spla.eigsh(op, k=1, which="LM", v0=v0, tol=0, ncv=ncv,
                               return_eigenvectors=False)[0])
 
-    return float(largest(M) * largest(inverse))
+    return float(largest(M, min(n, COND_KRYLOV_WIDTH)) * largest(inverse))
 
 
 def export_matrix(system, path):

@@ -186,7 +186,9 @@ def main(argv=None):
                 "alpha-sweep": _cmd_alpha_sweep}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:  # MeshError is a ValueError
+    # MeshError is a ValueError; the numerical refusals (an ill-conditioned
+    # basis, an inaccurate condition-number factor) are RuntimeErrors
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -316,15 +316,32 @@ def sweep_systems():
     return out
 
 
-def test_condition_number_matches_dense_oracle(sweep_systems):
+def _assert_matches_dense_oracle(labelled_systems):
     # the smallest eigenvalue is only known to about eps |K|, so the
     # relative tolerance grows like eps * cond (the benchmark's bound)
     eps = np.finfo(float).eps
-    for label, system in sweep_systems:
+    for label, system in labelled_systems:
         want = dense_condition_number(system)
         got = asm.condition_number(system)
         assert abs(got - want) <= (1e-8 + 10 * eps * want) * want, \
             (label, got, want)
+
+
+def test_condition_number_matches_dense_oracle(sweep_systems):
+    _assert_matches_dense_oracle(sweep_systems)
+
+
+@pytest.mark.parametrize("family", ["hexagonal", "voronoi",
+                                    "random_polygons", "diamond"])
+def test_condition_number_matches_dense_oracle_on_every_family(family):
+    # L1, k=1-3, both bases, at both ends of the alpha sweep and at 1
+    mesh = geo.generate_mesh(family, 1)
+    _assert_matches_dense_oracle(
+        (f"{basis} k={k} alpha={alpha!r}", asm.with_alpha(base, alpha))
+        for k in (1, 2, 3)
+        for basis in ("scaled_monomial", "l2_orthonormal")
+        for base in [asm.assemble(mesh, k, g=_zero_g, basis_kind=basis)]
+        for alpha in (1e-15, 1.0, 1e3))
 
 
 def test_condition_number_refuses_a_spoiled_factor(monkeypatch):
@@ -333,7 +350,7 @@ def test_condition_number_refuses_a_spoiled_factor(monkeypatch):
     calls = _spy_splu(monkeypatch, first=_negated_factor)
     with pytest.raises(RuntimeError, match="backward error"):
         asm.condition_number(system)
-    assert calls == [{}]
+    assert calls == [asm.COND_FACTOR]
 
 
 def test_condition_number_refuses_an_asymmetric_matrix():

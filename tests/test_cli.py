@@ -1,6 +1,7 @@
 """Command-line interface behavior and determinism."""
 
 import pytest
+import scipy.sparse.linalg as spla
 
 from polystokes import cli
 from polystokes import geometry as geo
@@ -241,6 +242,26 @@ def test_alpha_sweep_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "basis,k,alpha,cond"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("args, message", [
+    (["solve", "--case", "test1", "--family", "diamond", "--level", "1",
+      "--k", "8"], "error: cell 8: scaled monomials numerically dependent"),
+    (["alpha-sweep", "--family", "hexagonal", "--level", "1", "--k", "1",
+      "--alphas", "1"], "error: backward error "),
+], ids=["ill-conditioned-basis", "spoiled-condition-factor"])
+def test_numerical_refusals_exit_1(args, message, tmp_path, capsys,
+                                   monkeypatch):
+    # both ended in a traceback; the sweep's factor is spoiled by negating
+    # the matrix it is given
+    if args[0] == "alpha-sweep":
+        real = spla.splu
+        monkeypatch.setattr(spla, "splu",
+                            lambda matrix, **options: real(-matrix, **options))
+        args = args + ["--output", str(tmp_path / "sweep.csv")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_parse_int_list():
