@@ -2,7 +2,10 @@
 
 Meshes are plain vertex/cell-ring containers with derived edge connectivity.
 All generators are deterministic given their arguments; the voronoi and
-random families draw from a seeded numpy Generator.
+random families draw from a seeded numpy Generator.  The Voronoi-based
+families clip their cells to the square with mirror images of the
+generators across its sides (_voronoi_cells); the Lloyd steps of the
+voronoi family mirror only the generators whose cells reach a side.
 """
 
 from __future__ import annotations
@@ -86,10 +89,16 @@ def _first_appearance(rows):
     return number[inverse.ravel()], first[order]
 
 
+def _successors(a):
+    """Each entry's successor along the last axis, cyclically: the values
+    of np.roll(a, -1, axis=-1), from a slice and a concatenation."""
+    return np.concatenate([a[..., 1:], a[..., :1]], axis=-1)
+
+
 def _shoelace(verts):
     """Ring coordinates, their successors and the shoelace cross terms."""
     x, y = verts[..., 0], verts[..., 1]
-    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    xn, yn = _successors(x), _successors(y)
     return x, y, xn, yn, x * yn - xn * y
 
 
@@ -323,26 +332,67 @@ def _checked_input(vertices, cells):
 # generators
 # ---------------------------------------------------------------------------
 
-def _voronoi_cells(points):
+def _reflections(pts, mirror):
+    """The generators reflected across x = 0, y = 0, x = 1 and y = 1, in
+    that order: copy s holds the rows of pts whose mirror[:, s] is set."""
+    copies = []
+    for side in range(4):
+        copy = pts[mirror[:, side]]
+        axis = side % 2
+        copy[:, axis] = -copy[:, axis] if side < 2 else 2.0 - copy[:, axis]
+        copies.append(copy)
+    return copies
+
+
+def _cell_sides(flags, sizes):
+    """(n, 4) booleans: whether any corner of cell c has flags[:, s] set,
+    for corner flags (N, 4) per side (x = 0, y = 0, x = 1, y = 1) stacked
+    cell by cell with the given corner counts."""
+    corners, sides = np.nonzero(flags)
+    cell_sides = np.zeros((len(sizes), 4), dtype=bool)
+    cell_sides[np.repeat(np.arange(len(sizes)), sizes)[corners], sides] = True
+    return cell_sides
+
+
+def _voronoi_cells(points, mirror=None):
     """Voronoi cells of points in (0,1)^2, clipped exactly to the square.
 
-    Mirrors the generators across the four sides so every cell of an
-    original point is bounded and its boundary pieces land on the square.
+    Qhull runs on the generators and their reflections across the sides:
+    those across side s (x = 0, y = 0, x = 1, y = 1) of the generators
+    whose (n, 4) boolean mirror[:, s] is set, all of them by default.  The
+    reflection of a generator across a side bounds its cell by that side.
+    Inside the square the reflection of a generator q is never closer than
+    q itself, so the reflections cut no cell there: a cell that lies inside
+    the square is exactly its clipped cell, whichever generators are
+    reflected.  A cell that is unbounded, or reaches past a side its
+    generator is not reflected across, gets the missing reflections (all
+    of them when unbounded) and Qhull runs again, so the cells are exact
+    for any mask.  A cell still unbounded with all four raises MeshError.
+
     Returns the corners of the CCW cells, stacked as (N, 2) coordinates in
     point order, and the Rings of their positions in that stack.
     """
     pts = np.asarray(points, dtype=float)
-    mirrors = [pts * [-1.0, 1.0], pts * [1.0, -1.0],
-               np.column_stack([2.0 - pts[:, 0], pts[:, 1]]),
-               np.column_stack([pts[:, 0], 2.0 - pts[:, 1]])]
-    vor = Voronoi(np.vstack([pts] + mirrors))
-    regions = [vor.regions[r] for r in vor.point_region[:len(pts)]]
-    region_vertices = np.fromiter(itertools.chain.from_iterable(regions),
-                                  np.int64)
+    n = len(pts)
+    mirror = (np.ones((n, 4), dtype=bool) if mirror is None
+              else np.array(mirror, dtype=bool))
+    while True:
+        vor = Voronoi(np.vstack([pts, *_reflections(pts, mirror)]))
+        regions = [vor.regions[r] for r in vor.point_region[:n]]
+        sizes = [len(r) for r in regions]
+        region_vertices = np.fromiter(itertools.chain.from_iterable(regions),
+                                      np.int64)
+        corners = vor.vertices[region_vertices]
+        # an unbounded cell's -1 entries lie past all four sides
+        past = np.concatenate([corners < 0.0, corners > 1.0], axis=1)
+        past[region_vertices < 0] = True
+        missing = _cell_sides(past, sizes) & ~mirror
+        if not missing.any():
+            break
+        mirror |= missing
     if (region_vertices < 0).any():
         raise MeshError("unbounded Voronoi cell; generator outside (0,1)^2?")
-    corners = vor.vertices[region_vertices]
-    cells = Rings.of(np.arange(len(corners)), [len(r) for r in regions])
+    cells = Rings.of(np.arange(len(corners)), sizes)
     for _, at in cells.groups:
         poly = corners[at]
         clockwise = polygon_area(poly) < 0
@@ -377,12 +427,20 @@ def _triangular_lattice(nx, ny):
 
 
 def _lloyd(points, iterations):
+    """Lloyd steps: each generator moves to the centroid of its clipped
+    Voronoi cell.  A step reflects a generator only across the sides its
+    cell touched in the step before (all four in the first step), and
+    _voronoi_cells adds the reflections a moved cell turns out to need."""
     pts = points
+    mirror = np.ones((len(pts), 4), dtype=bool)
     for _ in range(iterations):
-        corners, cells = _voronoi_cells(pts)
+        corners, cells = _voronoi_cells(pts, mirror)
         pts = np.empty(pts.shape)
         for ids, at in cells.groups:
             pts[ids] = polygon_centroid(corners[at])
+        # corners on a side were snapped onto it exactly
+        mirror = _cell_sides(np.concatenate([corners == 0.0, corners == 1.0],
+                                            axis=1), cells.sizes)
     return pts
 
 
@@ -543,7 +601,7 @@ def _fan_jacobians(verts, centers):
     (..., n_centers, m)."""
     x, y = verts[..., None, :, 0], verts[..., None, :, 1]
     cx, cy = centers[..., :, None, 0], centers[..., :, None, 1]
-    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    xn, yn = _successors(x), _successors(y)
     return (x - cx) * (yn - cy) - (y - cy) * (xn - cx)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
-from scipy.spatial import Voronoi
+from scipy.spatial import Voronoi, cKDTree
 
 from polystokes import geometry as geo
 from polystokes import polybasis as pb
@@ -770,6 +770,24 @@ def lloyd(points, iterations):
         polys = clipped_voronoi_cells(pts)
         pts = np.array([polygon_centroid(p) for p in polys])
     return pts
+
+
+def matched_vertex_distance(mesh, ref):
+    """The largest distance between a vertex of mesh and its match in ref,
+    for two meshes that are the same up to rounding and vertex numbering.
+
+    Each vertex of mesh is matched to its nearest vertex of ref (a cKDTree
+    query).  Raises AssertionError unless the vertex, edge and cell counts
+    are equal, the match is one to one, and the matched corners of each
+    cell of mesh are the corners of the cell of ref with the same number.
+    """
+    assert (mesh.n_vertices, mesh.n_edges, mesh.n_cells) == (
+        ref.n_vertices, ref.n_edges, ref.n_cells)
+    distance, match = cKDTree(ref.vertices).query(mesh.vertices)
+    assert len(np.unique(match)) == mesh.n_vertices, "not a bijection"
+    for c, (ring, want) in enumerate(zip(mesh.cells, ref.cells)):
+        assert sorted(match[ring]) == sorted(want), f"cell {c}"
+    return float(distance.max())
 
 
 # The reference merge and clipper: per-point dict and list loops, with the

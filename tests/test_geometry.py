@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.spatial import Voronoi
 
 from polystokes import geometry as geo
 import oracles
@@ -374,11 +375,22 @@ def _assert_meshes_equal(mesh, ref):
                    for a, b in zip(got, want)), name
 
 
+# The library's Lloyd steps reflect only the generators at the sides, the
+# oracle's all of them, so voronoi meshes are the same meshes up to
+# rounding and vertex numbering: equal counts, the same cells as corner
+# sets, and coordinates within this bound.
+LLOYD_MATCH_TOL = 1e-9
+
+
 @pytest.mark.parametrize("family", geo.MESH_FAMILIES)
 @pytest.mark.parametrize("level", [1, 2])
 def test_generated_mesh_equals_per_cell_loops(family, level):
-    _assert_meshes_equal(geo.generate_mesh(family, level),
-                         oracles.generate_mesh(family, level))
+    mesh = geo.generate_mesh(family, level)
+    ref = oracles.generate_mesh(family, level)
+    if family == "voronoi":
+        assert oracles.matched_vertex_distance(mesh, ref) <= LLOYD_MATCH_TOL
+    else:
+        _assert_meshes_equal(mesh, ref)
 
 
 @pytest.mark.parametrize("seed", [0, 9])
@@ -386,7 +398,99 @@ def test_lloyd_equals_per_cell_loop(seed):
     points = np.random.default_rng(seed).uniform(0.02, 0.98, size=(64, 2))
     got = geo._lloyd(points, geo.LLOYD_ITERATIONS)
     assert geo.LLOYD_ITERATIONS == 100
-    assert np.array_equal(got, oracles.lloyd(points, 100))
+    want = oracles.lloyd(points, 100)
+    assert np.abs(got - want).max() <= LLOYD_MATCH_TOL
+    corners, cells = geo._voronoi_cells(got)
+    mesh = geo.build_mesh(*geo._mesh_from_polygons(corners, cells.sizes))
+    ref = oracles.build_mesh(*oracles.mesh_from_polygons(
+        oracles.clipped_voronoi_cells(want)))
+    assert oracles.matched_vertex_distance(mesh, ref) <= LLOYD_MATCH_TOL
+
+
+def _generators_at_the_sides(seed):
+    """Uniform points in (0,1)^2 and points within 1e-6 of a side or a
+    corner of the square."""
+    rng = np.random.default_rng(seed)
+    t, gap = rng.uniform(0.05, 0.95, size=8), rng.uniform(1e-8, 1e-6, size=8)
+    near = np.array([[gap[0], t[0]], [t[1], gap[1]], [1.0 - gap[2], t[2]],
+                     [t[3], 1.0 - gap[3]], [gap[4], gap[5]],
+                     [1.0 - gap[6], 1.0 - gap[7]]])
+    return np.vstack([rng.uniform(0.0, 1.0, size=(60, 2)), near])
+
+
+def _centroids(corners, cells):
+    out = np.empty((len(cells), 2))
+    for ids, at in cells.groups:
+        out[ids] = geo.polygon_centroid(corners[at])
+    return out
+
+
+class _RecordingVoronoi:
+    """geo.Voronoi that records each point set it is given."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def __call__(self, points):
+        self.inputs.append(points)
+        return Voronoi(points)
+
+    @property
+    def sizes(self):
+        return [len(p) for p in self.inputs]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_reduced_mirror_step_equals_full_mirror_step(seed, monkeypatch):
+    points = _generators_at_the_sides(seed)
+    corners, cells = geo._voronoi_cells(points)
+    # the mask a Lloyd step carries: the sides each cell touches
+    mirror = geo._cell_sides(np.concatenate([corners == 0.0, corners == 1.0],
+                                            axis=1), cells.sizes)
+    assert mirror.sum() < mirror.size // 2
+    qhull = _RecordingVoronoi()
+    monkeypatch.setattr(geo, "Voronoi", qhull)
+    reduced = _centroids(*geo._voronoi_cells(points, mirror))
+    assert qhull.sizes == [len(points) + mirror.sum()]
+    assert np.abs(reduced - _centroids(corners, cells)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("points", [
+    _generators_at_the_sides(4),
+    # unmirrored, the hull points' cells are unbounded with every finite
+    # corner inside the square
+    0.4 + 0.2 * np.random.default_rng(0).uniform(size=(12, 2))],
+    ids=["sides", "cluster"])
+def test_short_mask_grows_and_redoes(points, monkeypatch):
+    want = _centroids(*geo._voronoi_cells(points))
+    qhull = _RecordingVoronoi()
+    monkeypatch.setattr(geo, "Voronoi", qhull)
+    got = _centroids(*geo._voronoi_cells(points, np.zeros((len(points), 4),
+                                                          dtype=bool)))
+    assert qhull.sizes[0] == len(points) and len(qhull.sizes) > 1
+    assert qhull.sizes[-1] < 5 * len(points)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_all_true_mask_stacks_the_full_reflections(monkeypatch):
+    points = _generators_at_the_sides(5)
+    x, y = points[:, 0], points[:, 1]
+    qhull = _RecordingVoronoi()
+    monkeypatch.setattr(geo, "Voronoi", qhull)
+    geo._voronoi_cells(points)
+    assert len(qhull.inputs) == 1
+    assert np.array_equal(qhull.inputs[0], np.vstack([
+        points, points * [-1.0, 1.0], points * [1.0, -1.0],
+        np.column_stack([2.0 - x, y]), np.column_stack([x, 2.0 - y])]))
+
+
+@pytest.mark.parametrize("reflected", [True, False])
+@pytest.mark.parametrize("outside", [(3.0, 0.37), (-2.0, 0.4), (2.5, 2.5)])
+def test_generator_outside_the_square_is_refused(outside, reflected):
+    points = np.vstack([_generators_at_the_sides(6), [outside]])
+    mirror = np.full((len(points), 4), reflected)
+    with pytest.raises(geo.MeshError, match="unbounded Voronoi cell"):
+        geo._voronoi_cells(points, mirror)
 
 
 def test_grouped_shoelace_sums_in_per_ring_order():
