@@ -39,12 +39,14 @@ but the last, or no line of that key:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digests.py \
         --compare parent.txt > new.txt
 
-The cell blocks are rebuilt from the system's batches and hashed cell by
-cell without their zero padding, over both velocity components: the
-library stores one component's blocks, A_sc and Ab_sc, and the divergence
-blocks and loads per component, and the script joins them as
-A_u = diag(A_sc, A_sc), A_b = diag(Ab_sc, Ab_sc), B_u = [B_x | B_y],
-B_b = [Bb_x | Bb_y], F_u = [F_x, F_y] and F_b = [Fb_x, Fb_y].  Joining
+The cell blocks are rebuilt from the mesh, with build_element and
+build_batches, since the system keeps only a record of each batch, and
+hashed cell by cell without their zero padding, over both velocity
+components: the library stores one component's blocks, A_sc and Ab_sc,
+and the divergence blocks and loads per component, and the script joins
+them as A_u = diag(A_sc, A_sc), A_b = diag(Ab_sc, Ab_sc),
+B_u = [B_x | B_y], B_b = [Bb_x | Bb_y], F_u = [F_x, F_y] and
+F_b = [Fb_x, Fb_y].  Joining
 copies every entry exactly, so these lines equal those of trees that
 stored the joined blocks.
 """
@@ -62,8 +64,8 @@ import tempfile
 
 import numpy as np
 
-from polystokes import (assemble, build_blocks, compute_errors, generate_mesh,
-                        get_case, solve)
+from polystokes import (assemble, build_batches, build_blocks, build_element,
+                        compute_errors, generate_mesh, get_case, solve)
 from polystokes.cli import main as cli_main
 
 FAMILIES = ("hexagonal", "voronoi", "random_polygons", "diamond")
@@ -124,11 +126,13 @@ def diag2(a):
     return np.block([[a, zero], [zero, a]])
 
 
-def cell_blocks(system, forcing):
+def cell_blocks(mesh, k, basis, config, forcing):
     """Every cell's blocks, unpadded, in cell order: A_u, A_b, B_u, B_b,
     C_p, mean_weights, F_u and F_b, joined over both components."""
-    b = build_blocks(system.batches, system.config, forcing)
-    layouts = {int(c): batch.layout for batch in system.batches
+    batches = build_batches([build_element(mesh, c, k, basis_kind=basis)
+                             for c in range(mesh.n_cells)])
+    b = build_blocks(batches, config, forcing)
+    layouts = {int(c): batch.layout for batch in batches
                for c in batch.cells}
     for c in range(len(layouts)):
         n = layouts[c].n_scalar
@@ -155,8 +159,9 @@ def lines():
                     sol = solve(system)
                     rep = compute_errors(sol, case)
                     tag = f"{family} L{level} k={k} {basis}"
-                    yield (f"{tag} blocks "
-                           f"{digest(*cell_blocks(system, case.forcing))}")
+                    blocks = cell_blocks(mesh, k, basis, system.config,
+                                         case.forcing)
+                    yield f"{tag} blocks {digest(*blocks)}"
                     yield f"{tag} system " + digest(
                         *alpha_free(system), system.c_values,
                         system.rhs, system.free, system.signs)

@@ -4,8 +4,8 @@ from .geometry import (PolygonalMesh, MeshError, build_mesh, generate_mesh,
                        export_mesh, import_mesh, validate_geometry,
                        polygon_quadrature, edge_quadrature, MESH_FAMILIES)
 from .polybasis import PolyBasis, build_basis, poly_dim
-from .vemspace import (ElementBatch, ElementContext, build_batches,
-                       build_element, interpolate_scalar)
+from .vemspace import (BatchRecord, ElementBatch, ElementContext,
+                       build_batches, build_element, interpolate_scalar)
 from .stokes_local import StabilizationConfig, build_blocks
 from .assembly import (GlobalSystem, Solution, assemble, solve,
                        solve_stokes, condition_number, export_matrix,

@@ -197,22 +197,27 @@ def _dot(w, x):
 def compute_errors(solution, case):
     """Projection-based error norms of a discrete solution.
 
-    Each cell's contributions are computed over the element batches the
-    solution was assembled from and then summed in cell order.
+    Each cell's contributions are computed over the batch records of the
+    solution (vemspace.BatchRecord) and then summed in cell order; the
+    degree-k basis is evaluated at a batch's quadrature points from one
+    stacked power table.
     """
     k = solution.dof_map.k
     # per cell: e0u, e1u, e0p and the exact norms n0u, n1u, n0p, squared
     parts = np.zeros((6, solution.dof_map.n_cells))
-    for ctx in solution.batches:
-        ids = ctx.cells
-        gd = solution.dof_map.cell_dofs[ids, :ctx.layout.n_scalar]
-        pz = ctx.pizero_k
+    for rec in solution.batches:
+        ids = rec.cells
+        gd = solution.dof_map.cell_dofs[ids, :rec.layout.n_scalar]
+        pz = rec.pizero_k
         cux = pz @ solution.ux[gd][:, :, None]      # (g, nk, 1)
         cuy = pz @ solution.uy[gd][:, :, None]
         cp = pz @ solution.p[gd][:, :, None]
-        pts, w = ctx.quad.points, ctx.quad.weights
-        phi = ctx.quad_values                      # (g, nq, nk)
-        dx, dy = pb.derivative_matrices(ctx.basis.prefix(k))
+        pts, w = rec.quad.points, rec.quad.weights
+        basis = rec.basis
+        phi = pb.evaluate(basis, pb.power_table(
+            k, basis.centroid[:, None, :], basis.diameter[:, None, None],
+            pts))                                   # (g, nq, nk)
+        dx, dy = pb.derivative_matrices(basis)
 
         flat = pts.reshape(-1, 2)
         u = case.velocity(flat).reshape(pts.shape)

@@ -5,6 +5,8 @@ pressure scalar DOFs | one Lagrange multiplier enforcing zero mean
 pressure.  The bubbles are not global unknowns: each cell's bubble block is
 eliminated through its local Schur complement (static condensation) and
 the bubbles are recovered after the solve from the stored cell data.
+The element batches are streamed: each is dropped once its cell blocks are
+written, and the system keeps of it only the record the error norms read.
 
 Scalar DOFs are shared mesh entities: vertex values, k-1 interior
 Gauss-Lobatto values per edge (ordered along the edge from its lower to its
@@ -29,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from . import polybasis as pb
 from .geometry import gauss_lobatto_points
-from .stokes_local import StabilizationConfig, build_blocks
+from .stokes_local import LocalStokesBlocks, StabilizationConfig, build_blocks
 from .vemspace import (_batched, _t, build_element, check_degree,
                        interpolate_scalar)
 
@@ -131,7 +133,9 @@ class GlobalSystem:
     boundary_values: np.ndarray = field(repr=False)
     # +1 velocity rows, -1 pressure/multiplier
     signs: np.ndarray = field(repr=False)
-    batches: list = field(repr=False)   # vemspace.ElementBatch
+    batches: list = field(repr=False)   # vemspace.BatchRecord
+    # the pressure DOFs of the constant 1, (n_scalar,)
+    z: np.ndarray = field(repr=False)
     # matrix.data[c_positions] = c_base + alpha c_values holds the pressure
     # block's entries; rhs, free and signs do not depend on alpha
     c_positions: np.ndarray = field(repr=False)
@@ -161,7 +165,7 @@ class Solution:
     residual: float              # relative residual of the reduced solve
     iterations: int              # PCG steps on the pressure Schur complement
     n_dofs: int                  # size of the solved system
-    batches: list = field(repr=False)   # vemspace.ElementBatch
+    batches: list = field(repr=False)   # vemspace.BatchRecord
 
 
 def _boundary_scalar_data(mesh, dof_map, g):
@@ -241,14 +245,23 @@ def _affine(dof_map, b, constrained, boundary_values, alpha):
     def csc(rows, cols, vals):   # duplicates summed, explicit zeros kept
         return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
+    def compact(m):
+        """m with data and indices of their own: summing duplicates leaves
+        them views into buffers of the triplets' length, unless those hold
+        more than twice the stored entries.  Called once the triplets are
+        freed, so the copies do not add to their peak."""
+        m.data, m.indices = m.data.copy(), m.indices.copy()
+        return m
+
     def keys(m):                 # col * n + row, ascending in CSC order
         return np.repeat(np.arange(n) * n, np.diff(m.indptr)) + m.indices
 
     # every block contributes its whole pattern, zeros included, so the
     # pattern of K holds each cell's whole pressure block and with it that
     # of C; no block couples the x and y velocities
-    K = csc(*between_free(blocks))
-    C, mass = (csc(*between_free([(prs, prs, v)])) for v in (b.C_p, b.M_p))
+    K = compact(csc(*between_free(blocks)))
+    C, mass = (compact(csc(*between_free([(prs, prs, v)])))
+               for v in (b.C_p, b.M_p))
     positions = np.searchsorted(keys(K), keys(C))
     base = K.data[positions]
     K.data[positions] += alpha * C.data
@@ -269,7 +282,9 @@ def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,
     The element batches are built one at a time in build_batches' order
     (vertex count ascending, then cell id), each from the build_element
     contexts of its own cells; of several cells that build_element would
-    refuse, the first in that order is named.
+    refuse, the first in that order is named.  Each batch writes its cells'
+    blocks into blocks sized from the DOF map and its share of the constant
+    pressure z, and is dropped once its BatchRecord is kept.
     """
     # only bench/workloads.py passes condensed (True); ROADMAP item 1 drops it
     if condensed is not True:
@@ -277,16 +292,22 @@ def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,
                          f"condensed must be True, not {condensed!r}")
     pb.check_basis_kind(basis_kind)
     dof_map = build_dof_map(mesh, k)
+    table = dof_map.cell_dofs
+    blocks = LocalStokesBlocks.zeros(mesh.n_cells, table.shape[1], 2 * k + 1)
+    z, records = np.zeros(dof_map.n_scalar), []
     # looked up at each call, so a wrapper set on build_element sees them all
-    batches = _batched(mesh.cells.sizes, lambda c: build_element(
-        mesh, c, k, basis_kind=basis_kind))
+    for batch in _batched(mesh.cells.sizes, lambda c: build_element(
+            mesh, c, k, basis_kind=basis_kind)):
+        build_blocks([batch], config, f, out=blocks)
+        z[table[batch.cells, :batch.layout.n_scalar]] = interpolate_scalar(
+            batch, lambda x: np.ones(len(x)))
+        records.append(batch.record())
+        del batch                # before the next batch is built
     constrained, values = _boundary_scalar_data(mesh, dof_map, g)
-    # the cell blocks are dropped once gathered
     return GlobalSystem(
         config=config, dof_map=dof_map, constrained=constrained,
-        boundary_values=values, batches=batches, **_affine(
-            dof_map, build_blocks(batches, config, f), constrained, values,
-            config.alpha))
+        boundary_values=values, batches=records, z=z, **_affine(
+            dof_map, blocks, constrained, values, config.alpha))
 
 
 def with_alpha(system, alpha):
@@ -355,10 +376,7 @@ def solve(system):
         y = product(zero_u, d)   # [-B^T d; D d; w^T d]
         return y[p] - product(velocity(y[u]), zero_p)[p] + w * y[-1]
 
-    z = np.zeros(n_sc)
-    for batch in system.batches:
-        z[dof_map.cell_dofs[batch.cells, :batch.layout.n_scalar]] = \
-            interpolate_scalar(batch, lambda x: np.ones(len(x)))
+    z = system.z
     r = b[p] - product(velocity(b[u]), zero_p)[p]
     lam = (z @ r) / (z @ w)
     res = r + w * (b[-1] - lam)

@@ -64,6 +64,15 @@ class LocalStokesBlocks:
     Fb_x: np.ndarray     # (n_cells, nb)
     Fb_y: np.ndarray     # (n_cells, nb)
 
+    @classmethod
+    def zeros(cls, n_cells, m, nb):
+        """Zero blocks of n_cells cells, m scalar and nb bubble DOFs."""
+        return cls(**{name: np.zeros((n_cells, *shape)) for name, shape in (
+            ("A_sc", (m, m)), ("Ab_sc", (nb, nb)), ("B_x", (m, m)),
+            ("B_y", (m, m)), ("Bb_x", (m, nb)), ("Bb_y", (m, nb)),
+            ("C_p", (m, m)), ("M_p", (m, m)), ("mean_weights", (m,)),
+            ("F_x", (m,)), ("F_y", (m,)), ("Fb_x", (nb,)), ("Fb_y", (nb,)))})
+
 
 # The kernels below take an ElementBatch (vemspace.build_batches): every
 # array has a leading cell axis, and each product is one np.matmul
@@ -160,19 +169,19 @@ def _local_rhs(ctx, f):
             _vecmat(wx, bz_vals), _vecmat(wy, bz_vals))
 
 
-def build_blocks(batches, config=StabilizationConfig(), f=np.zeros_like):
+def build_blocks(batches, config=StabilizationConfig(), f=np.zeros_like,
+                 out=None):
     """The blocks of every cell of the element batches, computed over each
-    batch and stacked in cell order (see LocalStokesBlocks).  f is the body
-    force as in _local_rhs (defaults to zero)."""
-    n_cells = sum(len(batch.cells) for batch in batches)
-    m = max(batch.layout.n_scalar for batch in batches)
-    nb = batches[0].layout.n_bubble
-    out = LocalStokesBlocks(**{
-        name: np.zeros((n_cells, *shape)) for name, shape in (
-            ("A_sc", (m, m)), ("Ab_sc", (nb, nb)), ("B_x", (m, m)),
-            ("B_y", (m, m)), ("Bb_x", (m, nb)), ("Bb_y", (m, nb)),
-            ("C_p", (m, m)), ("M_p", (m, m)), ("mean_weights", (m,)),
-            ("F_x", (m,)), ("F_y", (m,)), ("Fb_x", (nb,)), ("Fb_y", (nb,)))})
+    batch and written at its cells' positions into out, a LocalStokesBlocks
+    as LocalStokesBlocks.zeros makes, which is returned.  Without out, the
+    batches are a list and the blocks are new, sized for its cells and
+    stacked in cell order.  f is the body force as in _local_rhs (defaults
+    to zero)."""
+    if out is None:
+        out = LocalStokesBlocks.zeros(
+            sum(len(batch.cells) for batch in batches),
+            max(batch.layout.n_scalar for batch in batches),
+            batches[0].layout.n_bubble)
     for ctx in batches:
         ids, n = ctx.cells, ctx.layout.n_scalar
         out.A_sc[ids, :n, :n], out.Ab_sc[ids] = _local_a(ctx, config)

@@ -14,7 +14,8 @@ and degree-(k-2) bases).
 Element construction is split at the basis: build_element makes one mesh
 cell's quadrature, power table there and basis, and build_batches stacks
 cells of equal vertex count, one batch at a time, and computes their
-layout, edge nodes, projectors and matrices over the stack.
+layout, edge nodes, projectors and matrices over the stack.  A batch's
+record keeps only what the error norms read of it once it is dropped.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "LocalDofLayout",
     "ElementContext",
     "ElementBatch",
+    "BatchRecord",
     "build_element",
     "build_batches",
     "build_layout",
@@ -110,6 +112,24 @@ class ElementBatch(_Cell):
     quad_values: np.ndarray
     # (dim P_k,): their integrals, quad.weights @ quad_values
     member_integrals: np.ndarray
+
+    def record(self):
+        """The BatchRecord of this batch."""
+        return BatchRecord(cells=self.cells, layout=self.layout,
+                           quad=self.quad, basis=self.basis.prefix(self.k),
+                           pizero_k=self.pizero_k)
+
+
+@dataclass(frozen=True)
+class BatchRecord:
+    """What the error norms read of an ElementBatch, kept after the batch
+    is dropped: no mass, stiffness or projector but the L2 one."""
+
+    cells: np.ndarray
+    layout: LocalDofLayout
+    quad: object
+    basis: pb.PolyBasis          # degree k, the prefix of the batch's basis
+    pizero_k: np.ndarray         # (dim P_k, n_scalar)
 
 
 # Cells per batch, which bounds the stacked temporaries.  A hexagonal L5,
@@ -193,21 +213,19 @@ def build_batches(contexts):
     vertex count, in increasing vertex count, each with its projectors and
     matrices.  All contexts must share k, the basis kind and the quadrature
     degree: ValueError otherwise."""
-    return _batched([len(ctx.verts) for ctx in contexts], contexts.__getitem__)
+    return list(_batched([len(ctx.verts) for ctx in contexts],
+                         contexts.__getitem__))
 
 
 def _batched(sizes, element):
     """The batches of build_batches for cells of the given vertex counts,
-    built one at a time: each from the contexts element(c) of its cells, in
-    increasing vertex count and then position c, which are dropped once
-    their batch is built."""
-    batches = []
+    yielded one at a time: each built from the contexts element(c) of its
+    cells, in increasing vertex count and then position c, which are
+    dropped once their batch is built."""
     for _, ids in _size_groups(sizes):
         for s in range(0, len(ids), _BATCH):
             cells = ids[s:s + _BATCH]
-            batches.append(_build_batch(cells, _stacked([element(c)
-                                                         for c in cells])))
-    return batches
+            yield _build_batch(cells, _stacked([element(c) for c in cells]))
 
 
 # The kernels below take stacked contexts: every array has a leading cell

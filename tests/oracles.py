@@ -266,7 +266,8 @@ def uncondensed_solve(mesh, system, f, g):
     """The Stokes problem of a library system solved with its bubbles kept
     as unknowns.
 
-    The library's blocks of system.batches, each cell's velocity blocks
+    The library's blocks of the mesh's cells, from element batches rebuilt
+    at the system's degree and basis kind, each cell's velocity blocks
     doubled to diag(A_sc, A_sc) and diag(Ab_sc, Ab_sc) and its divergence
     blocks and loads joined x then y, are scattered one cell at a time into
     the ordering x velocity | y velocity | bubbles (x then y within each
@@ -276,7 +277,8 @@ def uncondensed_solve(mesh, system, f, g):
     (n_cells, 2(2k+1)) bubbles and the size of the solved system.
     """
     dof_map = system.dof_map
-    blocks = sl.build_blocks(system.batches, system.config, f)
+    _, batches = element_set(mesh, dof_map.k, system.batches[0].basis.kind)
+    blocks = sl.build_blocks(batches, system.config, f)
     n_sc, nb = dof_map.n_scalar, 2 * blocks.Ab_sc.shape[1]
     p_off = 2 * n_sc + dof_map.n_cells * nb
     n = p_off + n_sc + 1
@@ -362,7 +364,8 @@ def element(ctx):
 
 
 def cell_elements(batches):
-    """(cell, one-cell view) for every cell of the batches, in cell order."""
+    """(cell, one-cell view) for every cell of the batches (ElementBatch or
+    BatchRecord), in cell order."""
     return sorted(((int(c), unstacked(batch, i)) for batch in batches
                    for i, c in enumerate(batch.cells)), key=lambda x: x[0])
 

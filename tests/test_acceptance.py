@@ -18,7 +18,7 @@ import polystokes.analysis as an
 import polystokes.assembly as asm
 import polystokes.geometry as geo
 import polystokes.vemspace as vs
-from oracles import (cell_elements, element, harmonic_subspace,
+from oracles import (cell_elements, element, element_set, harmonic_subspace,
                      projector_defect, uncondensed_solve)
 
 
@@ -84,7 +84,8 @@ def test_criterion_3_patch():
             uy = np.full(dm.n_scalar, np.nan)
             p = np.full(dm.n_scalar, np.nan)
             table = dm.cell_dofs
-            for batch in sol.batches:
+            _, batches = element_set(mesh, k, "scaled_monomial")
+            for batch in batches:
                 gd = table[batch.cells, :batch.layout.n_scalar]
                 ux[gd] = vs.interpolate_scalar(batch, lambda q: case.velocity(q)[:, 0])
                 uy[gd] = vs.interpolate_scalar(batch, lambda q: case.velocity(q)[:, 1])

@@ -245,7 +245,8 @@ def test_compute_errors_equals_per_cell_oracle(family, case_name):
 def test_power_tables_once_per_point_set(monkeypatch):
     # one table per cell at its quadrature points, for its basis and its
     # batch, and per batch one at the edge points and one at the DOF nodes
-    # of its cells; the error gradients need none
+    # of its cells, and one at its quadrature points for the error norms,
+    # which keep no table; the error gradients need none
     calls = []
     real = pb._scaled_powers
 
@@ -260,7 +261,7 @@ def test_power_tables_once_per_point_set(monkeypatch):
     an.compute_errors(asm.solve(system), case)
     groups = len({len(ring) for ring in mesh.cells})
     assert len(calls) <= 3 * len(mesh.cells) + groups
-    assert len(calls) == len(mesh.cells) + 2 * len(system.batches)
+    assert len(calls) == len(mesh.cells) + 3 * len(system.batches)
 
 
 @pytest.mark.parametrize("study, refusal", [

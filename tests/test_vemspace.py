@@ -229,6 +229,41 @@ def test_power_table_travels_with_the_context_only(kind):
                    for f in dataclasses.fields(batch))
 
 
+@pytest.mark.parametrize("kind", ["scaled_monomial", "l2_orthonormal"])
+def test_batch_record_holds_only_what_the_error_norms_read(kind):
+    # the record keeps the batch's cells, layout, quadrature and L2
+    # projector as they are, and the degree-k prefix of its basis; no array
+    # of it shares memory with the batch's mass, stiffness, other
+    # projectors, DOF matrices or values
+    k = 2
+    batch = oracles.batch(vs.build_element(one_cell(PENTAGON), 0, k,
+                                           basis_kind=kind))
+    record = batch.record()
+    assert [f.name for f in dataclasses.fields(record)] == \
+        ["cells", "layout", "quad", "basis", "pizero_k"]
+    assert record.cells is batch.cells and record.quad is batch.quad
+    assert record.layout == batch.layout
+    assert record.pizero_k is batch.pizero_k
+    nk = pb.poly_dim(k)
+    assert record.basis.degree == k and record.basis.kind == kind
+    assert np.array_equal(record.basis.change_of_basis,
+                          batch.basis.change_of_basis[:, :nk, :nk])
+
+    def arrays(x):
+        if dataclasses.is_dataclass(x):
+            return [a for f in dataclasses.fields(x)
+                    for a in arrays(getattr(x, f.name))]
+        return [x] if isinstance(x, np.ndarray) else []
+
+    kept = {"cells", "layout", "quad", "basis", "pizero_k", "verts", "area",
+            "k"}
+    dropped = [a for f in dataclasses.fields(batch) if f.name not in kept
+               for a in arrays(getattr(batch, f.name))]
+    assert dropped
+    assert not any(np.shares_memory(a, b) for a in arrays(record)
+                   for b in dropped)
+
+
 # The ElementBatch fields computed by the batch step: all but the cell
 # positions and the per-cell inputs of build_batches
 _BATCH_STEP_FIELDS = tuple(
