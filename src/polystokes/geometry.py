@@ -89,10 +89,12 @@ def _first_appearance(rows):
     return number[inverse.ravel()], first[order]
 
 
-def _successors(a):
-    """Each entry's successor along the last axis, cyclically: the values
-    of np.roll(a, -1, axis=-1), from a slice and a concatenation."""
-    return np.concatenate([a[..., 1:], a[..., :1]], axis=-1)
+def _successors(a, axis=-1):
+    """Each entry's successor along an axis, cyclically: the values of
+    np.roll(a, -1, axis), from a slice and a concatenation."""
+    head = (slice(None),) * (axis % a.ndim)
+    return np.concatenate([a[head + (slice(1, None),)],
+                           a[head + (slice(None, 1),)]], axis=axis)
 
 
 def _shoelace(verts):
@@ -617,7 +619,7 @@ def _sides(verts):
     rings (g, m, 2), whose kernels are n_i.x <= b_i; b is taken from each
     ring's first vertex, on the scale of the cell, not its place."""
     local = verts - verts[:, :1]
-    d = np.roll(local, -1, axis=1) - local
+    d = _successors(local, axis=1) - local
     n = np.stack([d[..., 1], -d[..., 0]], axis=-1) / np.hypot(
         d[..., 0], d[..., 1])[..., None]
     return n, n[..., 0] * local[..., 0] + n[..., 1] * local[..., 1]
@@ -762,7 +764,7 @@ def polygon_quadrature(verts, exactness_degree, centre):
                              f"in its kernel has radius {r:.3g}")
         jac = _fan_jacobians(verts, centre[None, :])[0]
     a = verts - centre
-    b = np.roll(verts, -1, axis=0) - centre
+    b = _successors(verts, axis=0) - centre
     pts = (centre + ref_pts[None, :, 0:1] * a[:, None, :]
            + ref_pts[None, :, 1:2] * b[:, None, :])
     return QuadratureRule(pts.reshape(-1, 2), (jac[:, None] * ref_w).ravel(),

@@ -29,6 +29,7 @@ import numpy as np
 from . import polybasis as pb
 from .geometry import (
     _size_groups,
+    _successors,
     edge_quadrature,
     gauss_legendre_rule,
     gauss_lobatto_points,
@@ -267,7 +268,7 @@ def _boundary(ctx):
     """Points (g, n_pts, 2), weights (g, n_pts) and outward unit normals
     (g, n_pts, 2) of the degree-(2k+3) quadrature of every edge."""
     verts = ctx.verts
-    ends = np.roll(verts, -1, axis=1)
+    ends = _successors(verts, axis=1)
     rule = edge_quadrature(verts, ends, 2 * ctx.k + 3)
     d = ends - verts
     normals = (np.stack([d[..., 1], -d[..., 0]], axis=-1)
@@ -293,7 +294,7 @@ def _build_batch(cells, ctx):
     lay = build_layout(nv, k)
     gl = gauss_lobatto_points(k + 1)[1:-1]
     edge_nodes = (verts[:, :, None, :] + 0.5 * (gl[:, None] + 1.0)
-                  * (np.roll(verts, -1, axis=1) - verts)[:, :, None, :])
+                  * (_successors(verts, axis=1) - verts)[:, :, None, :])
     nk = pb.poly_dim(k)
     nk2 = pb.poly_dim(k + 2)
     nlow = pb.poly_dim(k - 2)
