@@ -39,6 +39,11 @@ but the last, or no line of that key:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digests.py \
         --compare parent.txt > new.txt
 
+For the cond group it then writes the largest move of a condition number
+κ that FILE also holds, as a fraction of the benchmark's bound on it,
+(1e-8 + 10 eps κ) κ with κ FILE's value: the lines carry κ's repr, so
+the moves are exact.
+
 The cell blocks are rebuilt from the mesh, with build_element and
 build_batches, since the system keeps only a record of each batch, and
 hashed cell by cell without their zero padding, over both velocity
@@ -191,17 +196,31 @@ def group(line):
 def compare(lines, path):
     """Write to stderr, for each output group, how many of the lines differ
     from the line of the same key (all words but the value) in the file at
-    path; a key that the file lacks counts as changed."""
+    path; a key that the file lacks counts as changed.  Then write the
+    largest move of a cond line's κ, as a fraction of its bound."""
     with open(path) as fh:
         reference = dict(line.rsplit(" ", 1) for line in fh.read().splitlines())
     changed, total = dict.fromkeys(GROUPS, 0), dict.fromkeys(GROUPS, 0)
+    cond_move = 0.0
     for line in lines:
         key, value = line.rsplit(" ", 1)
         total[group(line)] += 1
         changed[group(line)] += reference.get(key) != value
+        if group(line) == "cond" and key in reference:
+            cond_move = max(cond_move, cond_bound_fraction(
+                float(value), float(reference[key])))
     for name in GROUPS:
         print(f"{name}: {changed[name]} of {total[name]} lines changed",
               file=sys.stderr)
+    print(f"cond: largest move {cond_move:.3g} of (1e-8 + 10 eps κ) κ",
+          file=sys.stderr)
+
+
+def cond_bound_fraction(new, old):
+    """|new - old| as a fraction of the benchmark's bound on a condition
+    number, (1e-8 + 10 eps old) old."""
+    bound = (1e-8 + 10.0 * np.finfo(float).eps * old) * old
+    return abs(new - old) / bound
 
 
 def main(argv=None):
@@ -209,7 +228,8 @@ def main(argv=None):
     parser.add_argument("--compare", metavar="FILE",
                         help="an earlier output of this script: after the "
                              "lines, write to stderr the count of changed "
-                             "lines per output group")
+                             "lines per output group and the largest "
+                             "move of a condition number")
     args = parser.parse_args(argv)
     out = []
     for line in lines():

@@ -101,13 +101,19 @@ class PolyBasis:
 
 
 def _scaled_powers(k, centroid, diameter, points):
-    """Powers 0..k of the scaled coordinates, two (..., n_points, k+1) tables."""
+    """Powers 0..k of the scaled coordinates, two (..., n_points, k+1) tables.
+
+    Power d is power d-1 times the coordinate, never a pow: its bits do not
+    depend on which pow numpy dispatches to, and a negative coordinate costs
+    what a positive one does.  Both tables are views of one array
+    (..., n_points, 2, k+1)."""
     scaled = (points - centroid) / diameter
-    # one scalar power per degree: unlike an array of exponents it squares
-    # by x * x, not pow, and the monomial bubble blocks of badly shaped cells
-    # amplify that last-bit difference to 2e-10 of their scale
-    # (random_polygons L2 cell 109, k=4)
-    powers = np.stack([scaled ** d for d in range(k + 1)], axis=-1)
+    powers = np.empty(scaled.shape + (k + 1,))
+    powers[..., 0] = 1.0
+    if k > 0:
+        powers[..., 1] = scaled
+    for d in range(2, k + 1):
+        np.multiply(powers[..., d - 1], scaled, out=powers[..., d])
     return powers[..., 0, :], powers[..., 1, :]
 
 
@@ -118,8 +124,9 @@ class PowerTable:
     x and y are (..., n_points, degree+1).  Leading axes stack cells; the
     centroid and diameter are then arrays that broadcast against the points
     (..., n_points, 2) and against (..., n_points, 1).
-    The scaled monomials of every degree <= degree are products of table
-    entries, so one table serves them all.
+    Each power is the one below it times the coordinate, by repeated
+    multiplication, not pow.  The scaled monomials of every degree <= degree
+    are products of table entries, so one table serves them all.
     """
 
     degree: int
@@ -155,11 +162,7 @@ def _monomial_laplacian_map(k, diameter):
     """Matrix L with L[:, i] = coefficients of laplacian(m_i) in M_{k-2},
     on cells of the given diameter (a float, or an array of them)."""
     diameter = np.asarray(diameter, dtype=float)
-    # each h^2 by libm pow, as a float's ** 2 takes it: numpy's square of
-    # an array rounds differently in the last bit for some h
-    squares = np.reshape([h ** 2 for h in diameter.ravel().tolist()],
-                         diameter.shape)
-    return _laplacian_exponents(k) / squares[..., None, None]
+    return _laplacian_exponents(k) / (diameter * diameter)[..., None, None]
 
 
 @cache

@@ -119,6 +119,14 @@ def table(basis, points):
     return pb.power_table(basis.degree, basis.centroid, basis.diameter, points)
 
 
+def power(x, d):
+    """x^d as ((x x) x) ..., one factor at a time, for one exponent d."""
+    out = np.ones_like(x)
+    for _ in range(d):
+        out = out * x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # gradients at points
 # ---------------------------------------------------------------------------

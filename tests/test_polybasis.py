@@ -1,5 +1,7 @@
 """Polynomial bases: nesting, orthonormality, calculus operators."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -73,16 +75,52 @@ def test_scaled_monomial_integrals_match_oracle():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 4, 6])
 def test_scaled_monomials_match_per_exponent_loop(k):
-    # the power table does the arithmetic of one column per exponent pair,
-    # so the values equal that loop bit for bit
+    # the power table multiplies its powers up one factor at a time, so the
+    # values equal that loop, one column per exponent pair, bit for bit
     basis, _ = _basis(k)
     c, h = basis.centroid, basis.diameter
     pts = np.random.default_rng(k).uniform(-0.5, 1.5, (40, 2))
     xs, ys = (pts[:, 0] - c[0]) / h, (pts[:, 1] - c[1]) / h
     vals = np.zeros((len(pts), pb.poly_dim(k)))
     for i, (a, b) in enumerate(oracles.monomial_exponents(k)):
-        vals[:, i] = xs ** a * ys ** b
+        vals[:, i] = oracles.power(xs, a) * oracles.power(ys, b)
     assert np.array_equal(pb.evaluate(basis, table(basis, pts)), vals)
+
+
+def test_power_table_within_product_rounding_of_exact_powers():
+    # n multiplications in binary64 err by at most gamma_n = n u / (1 - n u)
+    # relative, u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    # Algorithms, Lemma 3.1), and by at most n u where n is small against
+    # u^(-1/2) (Rump, Bunger and Jeannerod, BIT 56, 2016).  x^d takes
+    # d - 1 products and x^a y^b at most a + b - 1; the bounds checked are
+    # (d - 1) u and (a + b) u, against the exact powers of the table's own
+    # first-degree entries, on points on both sides of the centroid
+    k = 8
+    basis, _ = _basis(k)
+    pts = np.random.default_rng(3).uniform(-0.5, 1.5, (40, 2))
+    powers = table(basis, pts)
+    u = Fraction(1, 2 ** 53)
+    coords = [[Fraction(v) for v in col] for col in (powers.x[:, 1],
+                                                     powers.y[:, 1])]
+    assert all(min(col) < 0 < max(col) for col in coords)
+    for got, col in ((powers.x, coords[0]), (powers.y, coords[1])):
+        for d in range(2, k + 1):
+            for v, exact in zip(got[:, d].tolist(), col):
+                exact = exact ** d
+                assert abs(Fraction(v) - exact) <= (d - 1) * u * abs(exact)
+    vals = powers.values(k)
+    for i, (a, b) in enumerate(oracles.monomial_exponents(k)):
+        for v, x, y in zip(vals[:, i].tolist(), *coords):
+            exact = x ** a * y ** b
+            assert abs(Fraction(v) - exact) <= (a + b) * u * abs(exact)
+
+
+def test_laplacian_map_divides_by_exact_squares_of_diameters():
+    # h * h is h^2 rounded once; a libm pow need not round a square so
+    h = np.random.default_rng(5).uniform(1e-3, 1.0, 20_000)
+    squares = np.array([float(Fraction(v) ** 2) for v in h.tolist()])
+    want = pb._laplacian_exponents(4) / squares[:, None, None]
+    assert np.array_equal(pb._monomial_laplacian_map(4, h), want)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
