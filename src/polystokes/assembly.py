@@ -131,13 +131,11 @@ class GlobalSystem:
     constrained: np.ndarray = field(repr=False)
     # values at the constrained indices
     boundary_values: np.ndarray = field(repr=False)
-    # +1 velocity rows, -1 pressure/multiplier
-    signs: np.ndarray = field(repr=False)
     batches: list = field(repr=False)   # vemspace.BatchRecord
     # the pressure DOFs of the constant 1, (n_scalar,)
     z: np.ndarray = field(repr=False)
     # matrix.data[c_positions] = c_base + alpha c_values holds the pressure
-    # block's entries; rhs, free and signs do not depend on alpha
+    # block's entries; rhs and free do not depend on alpha
     c_positions: np.ndarray = field(repr=False)
     c_base: np.ndarray = field(repr=False)
     c_values: np.ndarray = field(repr=False)
@@ -149,6 +147,11 @@ class GlobalSystem:
     @property
     def n_dofs(self):
         return self.matrix.shape[0]
+
+    @property
+    def signs(self):
+        """+1 on the velocity rows, -1 on the pressure and multiplier."""
+        return np.where(self.free < 2 * self.dof_map.n_scalar, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -186,9 +189,9 @@ def _boundary_scalar_data(mesh, dof_map, g):
 
 
 def _affine(dof_map, b, constrained, boundary_values, alpha):
-    """GlobalSystem's rhs, free, signs, matrix (at alpha), c_positions,
-    c_base, c_values, mass_values and recovery, gathered once from the
-    stacked cell blocks b (padded to the width of dof_map.cell_dofs)."""
+    """GlobalSystem's rhs, free, matrix (at alpha), c_positions, c_base,
+    c_values, mass_values and recovery, gathered once from the stacked cell
+    blocks b (padded to the width of dof_map.cell_dofs)."""
     table = dof_map.cell_dofs
     n_sc, n_cells = dof_map.n_scalar, dof_map.n_cells
     n_sys, width = dof_map.n_system, table.shape[1]
@@ -265,9 +268,9 @@ def _affine(dof_map, b, constrained, boundary_values, alpha):
     positions = np.searchsorted(keys(K), keys(C))
     base = K.data[positions]
     K.data[positions] += alpha * C.data
-    return dict(rhs=rhs, free=free, signs=np.where(free < 2 * n_sc, 1.0, -1.0),
-                matrix=K, c_positions=positions, c_base=base,
-                c_values=C.data, mass_values=mass.data, recovery=recovery)
+    return dict(rhs=rhs, free=free, matrix=K, c_positions=positions,
+                c_base=base, c_values=C.data, mass_values=mass.data,
+                recovery=recovery)
 
 
 def assemble(mesh, k, f=np.zeros_like, g=np.zeros_like,

@@ -96,8 +96,9 @@ def _local_a(ctx, config):
 
     cons_b = _t(ctx.bubble_pinabla) @ ctx.stiffness @ ctx.bubble_pinabla
     if config.beta_sharp > 0:
-        comp_b = (np.eye(ctx.layout.n_bubble)
-                  - ctx.bubble_dof_matrix @ ctx.bubble_pinabla)
+        # the bubble moments of the degree-(k+2) members
+        dofs_b = ctx.mass[:, ctx.layout.n_moment:nk, :] / _cellwise(ctx.area)
+        comp_b = np.eye(ctx.layout.n_bubble) - dofs_b @ ctx.bubble_pinabla
         cons_b = cons_b + config.beta_sharp * _t(comp_b) @ comp_b
     return A_sc, cons_b
 

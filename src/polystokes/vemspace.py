@@ -104,8 +104,6 @@ class ElementBatch(_Cell):
     bubble_pinabla: np.ndarray   # (dim P_{k+2}, 2k+1)
     bubble_pizero_k: np.ndarray  # (dim P_k, 2k+1)
     dof_matrix: np.ndarray       # (n_scalar, dim P_k) DOFs of the P_k members
-    # (2k+1, dim P_{k+2}) bubble moments of the degree-(k+2) members
-    bubble_dof_matrix: np.ndarray
     # (dim P_k, n_scalar) boundary integrals of each scalar DOF basis
     # function times each degree-k member times n_x, resp. n_y
     boundary_rx: np.ndarray
@@ -381,13 +379,11 @@ def _build_batch(cells, ctx):
         mass=mass, stiffness=_t(A) @ stiff_o @ A,
         pinabla_k=pinabla, pizero_k=pizero, bubble_pinabla=bubble_pinabla,
         bubble_pizero_k=bubble_pizero, dof_matrix=D,
-        bubble_dof_matrix=mass[:, sl, :] / area,
         boundary_rx=_t(Ak) @ r_x, boundary_ry=_t(Ak) @ r_y,
         quad_values=np.ascontiguousarray(values),
-        # one gemv per cell on the strided slice: OpenBLAS's gemv rounds
-        # differently on a contiguous matrix of fewer than 4 columns (k = 1)
-        member_integrals=np.array([wc @ vc for wc, vc
-                                   in zip(ctx.quad.weights, values)]))
+        # on the strided slice: OpenBLAS's gemv rounds differently on a
+        # contiguous matrix of fewer than 4 columns (k = 1)
+        member_integrals=_vecmat(ctx.quad.weights, values))
 
 
 def _nodes(verts, edge_nodes):

@@ -509,7 +509,7 @@ def build_operators(ctx):
                 mass=mass, stiffness=A.T @ stiff_o @ A,
                 pinabla_k=pinabla, pizero_k=pizero,
                 bubble_pinabla=bubble_pinabla, bubble_pizero_k=bubble_pizero,
-                dof_matrix=D, bubble_dof_matrix=mass[sl, :] / area,
+                dof_matrix=D,
                 boundary_rx=Ak.T @ r_x, boundary_ry=Ak.T @ r_y,
                 quad_values=np.ascontiguousarray(values),
                 member_integrals=quad.weights @ values)
@@ -542,7 +542,8 @@ def local_a(ctx, config):
 
     cons_b = ctx.bubble_pinabla.T @ ctx.stiffness @ ctx.bubble_pinabla
     if config.beta_sharp > 0:
-        comp_b = np.eye(ctx.layout.n_bubble) - ctx.bubble_dof_matrix @ ctx.bubble_pinabla
+        dofs_b = ctx.mass[ctx.layout.n_moment:nk, :] / ctx.area
+        comp_b = np.eye(ctx.layout.n_bubble) - dofs_b @ ctx.bubble_pinabla
         cons_b = cons_b + config.beta_sharp * comp_b.T @ comp_b
     A_b = _block_diag2(cons_b)
     return A_u, A_b
