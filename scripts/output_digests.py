@@ -34,7 +34,8 @@ example the other checkout's), the script prints the same lines and then
 writes to stderr one count of changed lines per output group (blocks,
 system, solution, errors, cond, mesh, centroids, cli).  A line counts as
 changed when FILE holds a different value for its key, all of its words
-but the last, or no line of that key:
+but the last, or no line of that key.  The exit status is then 1 if any
+line changed and 0 if none did:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digests.py \
         --compare parent.txt > new.txt
@@ -197,7 +198,8 @@ def compare(lines, path):
     """Write to stderr, for each output group, how many of the lines differ
     from the line of the same key (all words but the value) in the file at
     path; a key that the file lacks counts as changed.  Then write the
-    largest move of a cond line's κ, as a fraction of its bound."""
+    largest move of a cond line's κ, as a fraction of its bound.  Returns
+    the number of changed lines over all groups."""
     with open(path) as fh:
         reference = dict(line.rsplit(" ", 1) for line in fh.read().splitlines())
     changed, total = dict.fromkeys(GROUPS, 0), dict.fromkeys(GROUPS, 0)
@@ -214,6 +216,7 @@ def compare(lines, path):
               file=sys.stderr)
     print(f"cond: largest move {cond_move:.3g} of (1e-8 + 10 eps κ) κ",
           file=sys.stderr)
+    return sum(changed.values())
 
 
 def cond_bound_fraction(new, old):
@@ -229,15 +232,17 @@ def main(argv=None):
                         help="an earlier output of this script: after the "
                              "lines, write to stderr the count of changed "
                              "lines per output group and the largest "
-                             "move of a condition number")
+                             "move of a condition number, and exit 1 if "
+                             "any line changed")
     args = parser.parse_args(argv)
     out = []
     for line in lines():
         print(line)
         out.append(line)
     if args.compare:
-        compare(out, args.compare)
+        return 1 if compare(out, args.compare) else 0
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -334,35 +334,29 @@ def solve(system):
     PCG solves it to PCG_TOL, preconditioned by the SPD M_p = sum Pi0^T M
     Pi0 + D; a zero right-hand side takes no step.  A and M_p are factored
     together, as the SPD block diagonal diag(A, M_p), by one SPD_FACTOR
-    call: a solve makes one SuperLU factor.  Only A is copied out of K:
-    B, B^T and D act through products with K.  Warns (RuntimeWarning) when
-    the relative residual of the whole system is not finite or exceeds
-    RESIDUAL_BOUND.
+    call on K's slices A and D (plus mass_values): a solve makes one
+    SuperLU factor.  Then K's pressure columns are copied once, split at
+    the velocity rows into -B^T and [D; w^T]; B acts as the transpose of
+    the first, so a PCG step multiplies by these two blocks only, and the
+    whole of K multiplies once, in the residual check.  Warns
+    (RuntimeWarning) when the relative residual of the whole system is not
+    finite or exceeds RESIDUAL_BOUND.
     """
     K, b, dof_map = system.matrix, system.rhs, system.dof_map
     n, n_sc = K.shape[0], dof_map.n_scalar
     nx = np.count_nonzero(system.free < n_sc)   # free DOFs per component
     u, p = slice(0, 2 * nx), slice(2 * nx, n - 1)
     w = K[:, -1].toarray()[p, 0]
-    zero_u, zero_p = np.zeros(u.stop), np.zeros(n_sc)
-    at = system.c_positions
-    # diag(A, M_p) in CSC: A's columns, then M_p's on C's positions in K
-    A, m = K[:nx, :nx], len(at)
-    data, indices = np.empty(A.nnz + m), np.empty(A.nnz + m, K.indices.dtype)
-    indptr = np.empty(nx + n_sc + 1, K.indptr.dtype)
-    data[:A.nnz], indices[:A.nnz], indptr[:nx + 1] = \
-        A.data, A.indices, A.indptr
-    # mode="clip" writes into out unbuffered; every position is in range
-    np.take(K.data, at, out=data[A.nnz:], mode="clip")
-    data[A.nnz:] += system.mass_values
-    np.take(K.indices, at, out=indices[A.nnz:], mode="clip")
-    indices[A.nnz:] -= u.stop - nx
-    indptr[nx + 1:] = A.nnz + np.searchsorted(
-        at, K.indptr[p.start + 1:p.stop + 1])
-    del A
-    factor = spla.splu(sp.csc_matrix((data, indices, indptr),
-                                     shape=(nx + n_sc, nx + n_sc)),
-                       **SPD_FACTOR)
+    # diag(A, M_p) in CSC: A's columns, then M_p's with its rows past A's
+    A, M_p = K[:nx, :nx], K[p, p]
+    A.resize(nx + n_sc, nx)
+    M_p.resize(nx + n_sc, n_sc)
+    M_p.data += system.mass_values
+    M_p.indices += nx
+    factor = spla.splu(sp.hstack([A, M_p], format="csc"), **SPD_FACTOR)
+    del A, M_p
+    # K's pressure columns split at the velocity rows: -B^T and [D; w^T]
+    minus_bt, lower = K[u, p], K[p.start:, p]
 
     def velocity(v):             # A^-1 on each component
         rhs = np.zeros((nx + n_sc, 2))
@@ -372,15 +366,12 @@ def solve(system):
     def precondition(r):         # M_p^-1 r
         return factor.solve(np.r_[np.zeros(nx), r])[nx:]
 
-    def product(v_u, v_p):       # K [v_u; v_p; 0]
-        return K @ np.r_[v_u, v_p, 0.0]
-
-    def schur(d):                # (S + w w^T) d
-        y = product(zero_u, d)   # [-B^T d; D d; w^T d]
-        return y[p] - product(velocity(y[u]), zero_p)[p] + w * y[-1]
+    def schur(d):                # (S + w w^T) d, with B = -(minus_bt^T)
+        y = lower @ d            # [D d; w^T d]
+        return y[:-1] + minus_bt.T @ velocity(minus_bt @ d) + w * y[-1]
 
     z = system.z
-    r = b[p] - product(velocity(b[u]), zero_p)[p]
+    r = b[p] + minus_bt.T @ velocity(b[u])
     lam = (z @ r) / (z @ w)
     res = r + w * (b[-1] - lam)
     x, d, rho = np.zeros(n_sc), np.zeros(n_sc), np.inf
@@ -395,7 +386,7 @@ def solve(system):
         res -= step * q
         iterations += 1
 
-    reduced = np.r_[velocity(b[u] - product(zero_u, x)[u]), x, lam]
+    reduced = np.r_[velocity(b[u] - minus_bt @ x), x, lam]
     residual = np.linalg.norm(K @ reduced - b) / (np.linalg.norm(b) or 1.0)
     if not residual <= RESIDUAL_BOUND:
         warnings.warn(f"relative residual {residual:.3e} of the solve "

@@ -381,8 +381,8 @@ def _build_batch(cells, ctx):
         bubble_pizero_k=bubble_pizero, dof_matrix=D,
         boundary_rx=_t(Ak) @ r_x, boundary_ry=_t(Ak) @ r_y,
         quad_values=np.ascontiguousarray(values),
-        # on the strided slice: OpenBLAS's gemv rounds differently on a
-        # contiguous matrix of fewer than 4 columns (k = 1)
+        # from values, not the contiguous quad_values: OpenBLAS rounds
+        # differently on a contiguous matrix of fewer than 4 columns (k = 1)
         member_integrals=_vecmat(ctx.quad.weights, values))
 
 

@@ -179,6 +179,28 @@ def dense_condition_number(system):
     return float(svals.max() / svals.min())
 
 
+def block_diagonal(system):
+    """The SPD block diagonal diag(A, M_p) that assembly.solve factors, in
+    CSC, gathered by position: A's columns sliced out of K, then those of
+    M_p = D + mass_values read from K's data and indices at c_positions,
+    their rows moved up to follow A's."""
+    K, at = system.matrix, system.c_positions
+    n_sc = system.dof_map.n_scalar
+    nx = np.count_nonzero(system.free < n_sc)   # free DOFs per component
+    A, m, p0 = K[:nx, :nx], len(at), 2 * nx
+    data = np.empty(A.nnz + m)
+    indices = np.empty(A.nnz + m, K.indices.dtype)
+    indptr = np.empty(nx + n_sc + 1, K.indptr.dtype)
+    data[:A.nnz], indices[:A.nnz], indptr[:nx + 1] = \
+        A.data, A.indices, A.indptr
+    data[A.nnz:] = K.data[at] + system.mass_values
+    indices[A.nnz:] = K.indices[at] - (p0 - nx)
+    indptr[nx + 1:] = A.nnz + np.searchsorted(
+        at, K.indptr[p0 + 1:p0 + n_sc + 1])
+    return sp.csc_matrix((data, indices, indptr),
+                         shape=(nx + n_sc, nx + n_sc))
+
+
 # SuperLU options in the order direct_solve tries them: LU without pivoting
 # on the symmetric minimum-degree ordering of K^T + K, then the default COLAMD
 # with partial pivoting

@@ -19,9 +19,9 @@ from polystokes import polybasis as pb
 from polystokes import vemspace as vs
 from polystokes.stokes_local import StabilizationConfig
 
-from oracles import (boundary_scalar_data, cell_elements, cell_scalar_dofs,
-                     dense_condition_number, direct_solve, table,
-                     uncondensed_solve)
+from oracles import (block_diagonal, boundary_scalar_data, cell_elements,
+                     cell_scalar_dofs, dense_condition_number, direct_solve,
+                     table, uncondensed_solve)
 
 
 def _zero_g(p):
@@ -410,9 +410,10 @@ def test_assemble_streams_its_batches():
 
 def test_solve_holds_no_longdouble_copy_of_the_matrix():
     # SuperLU's factors live outside tracemalloc; what it sees of solve is
-    # the vectors, the velocity block sliced out of K and the block-diagonal
-    # matrix of it and the preconditioner, where a long-double copy of K
-    # alone takes 16 bytes per stored entry and a float copy 12
+    # the vectors, the slices A and D of K and the block-diagonal matrix of
+    # them, then the copy of K's pressure columns (-B^T and [D; w^T]) that
+    # the PCG steps multiply by, where a long-double copy of K alone takes
+    # 16 bytes per stored entry and a float copy 12
     case = an.get_case("test1")
     system = asm.assemble(geo.generate_mesh("hexagonal", 2), 3,
                           f=case.forcing, g=case.velocity)
@@ -530,6 +531,42 @@ def test_solve_refines_an_inconsistent_rhs(k, monkeypatch):
         sol = _solve_quietly(system)
         assert calls == [SPD_FACTOR], alpha
         assert sol.residual <= asm.RESIDUAL_BOUND, alpha
+
+
+class _Factored(Exception):
+    """Raised by a spy in place of the factor, to end the solve there."""
+
+
+@pytest.mark.parametrize("family", geo.MESH_FAMILIES)
+def test_solve_factors_the_gathered_block_diagonal(family, monkeypatch):
+    # solve joins two slices of K into diag(A, M_p); the matrix it factors
+    # equals, dtypes included, the one gathered from K's data and indices
+    # at c_positions
+    captured = []
+
+    def spy(matrix, **options):
+        captured.append(matrix)
+        raise _Factored
+
+    monkeypatch.setattr(asm.spla, "splu", spy)
+    for level in (1, 2):
+        mesh = geo.generate_mesh(family, level)
+        for k in (1, 2, 3):
+            for kind in ("scaled_monomial", "l2_orthonormal"):
+                base = asm.assemble(mesh, k, basis_kind=kind)
+                for alpha in (1e-6, 1.0, 1e3):
+                    system = asm.with_alpha(base, alpha)
+                    with pytest.raises(_Factored):
+                        asm.solve(system)
+                    (got,), want = captured, block_diagonal(system)
+                    captured.clear()
+                    label = (level, k, kind, alpha)
+                    assert got.format == "csc", label
+                    assert got.shape == want.shape, label
+                    for name in ("data", "indices", "indptr"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype, (label, name)
+                        assert np.array_equal(a, b), (label, name)
 
 
 def _negated_factor(splu, matrix, **options):
